@@ -48,49 +48,4 @@ from .sampler import (
     stick_breaking_sample,
 )
 
-__all__ = [
-    "FiniteDistribution",
-    "Geometric",
-    "RatioProfile",
-    "TruncatedDistribution",
-    "finite_from_rationals",
-    "geometric",
-    "normalize",
-    "ratio_profile",
-    "truncate",
-    "Accessibility",
-    "BlockWeights",
-    "Partition",
-    "accessible_brute_force",
-    "coarsest_partition",
-    "is_nontrivial",
-    "jc_apply",
-    "ratio_constant_on_blocks",
-    "rigidity_holds",
-    "BlindSpotVerdict",
-    "FamilyVerdict",
-    "PrefixVerdict",
-    "collision_count",
-    "family_membership",
-    "membership_finite",
-    "membership_prefix",
-    "delta_family",
-    "densify",
-    "exteriorize",
-    "generate_blindspot_member",
-    "multi_collision_near",
-    "pick_valid_delta",
-    "L1",
-    "L2",
-    "LINF",
-    "Norm",
-    "bounded_metric",
-    "lp_distance",
-    "McReport",
-    "StickBase",
-    "finite_stick_sample",
-    "monte_carlo_blindspot_fraction",
-    "stick_breaking_sample",
-]
-
 __version__ = "0.1.0"

@@ -1,9 +1,9 @@
 """Blind-spot membership tests with witnesses and prefix verdicts.
 
 A posterior q is in the blind spot of a strictly positive prior p exactly
-when the ratios q_i / p_i are pairwise distinct.  Collision detection uses
-cross-multiplication q_i * p_j == q_j * p_i, which handles zero posterior
-entries uniformly and stays exact in rational mode.
+when the ratios q_i / p_i are pairwise distinct.  Collision detection groups
+the ratios in a ``RatioIndex``; the prior is strictly positive, so zero
+posterior entries need no special case, and rational mode stays exact.
 
 Prefix verdicts are horizon-limited: PrefixDistinct(N) certifies
 distinctness among the first N ratios only, never full membership.
@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 from .distributions import (
     Distribution,
     FiniteDistribution,
+    RatioIndex,
     prefix_of,
     require_positive_prefix,
 )
@@ -51,26 +52,12 @@ class PrefixVerdict:
         return f"prefix_distinct({self.horizon})" if self.distinct else "collision_found"
 
 
-def _smallest_collision(pv: Sequence, qv: Sequence) -> Optional[tuple]:
-    """Lexicographically smallest (i, j) with q_i * p_j == q_j * p_i, 1-based."""
-    first_at: dict = {}
-    best = None
-    for j, (qj, pj) in enumerate(zip(qv, pv), start=1):
-        r = qj / pj
-        i = first_at.setdefault(r, j)
-        if i != j:
-            pair = (i, j)
-            if best is None or pair < best:
-                best = pair
-    return best
-
-
 def membership_finite(p: FiniteDistribution, q: FiniteDistribution) -> BlindSpotVerdict:
     """Full membership test on a finite index set."""
     if len(p) != len(q):
         raise LengthMismatch(f"lengths differ: {len(p)} vs {len(q)}")
     pv = require_positive_prefix(p, len(p))
-    pair = _smallest_collision(pv, q.probs)
+    pair = RatioIndex.of(q.probs, pv).first_collision
     if pair is None:
         return BlindSpotVerdict(IN_BLIND_SPOT)
     return BlindSpotVerdict(ACCESSIBLE, pair, coarsest_partition(p, q))
@@ -80,7 +67,7 @@ def membership_prefix(p: Distribution, q: Distribution, n: int) -> PrefixVerdict
     """Exact collision scan over the first n ratios."""
     pv = require_positive_prefix(p, n)
     qv = prefix_of(q, n)
-    pair = _smallest_collision(pv, qv)
+    pair = RatioIndex.of(qv, pv).first_collision
     if pair is None:
         return PrefixVerdict(True, n)
     return PrefixVerdict(False, n, pair)
@@ -123,8 +110,5 @@ def collision_count(p: Distribution, q: Distribution, n: int | None = None) -> i
         n = len(p)
     pv = require_positive_prefix(p, n)
     qv = prefix_of(q, n)
-    fibers: dict = {}
-    for qi, pi in zip(qv, pv):
-        r = qi / pi
-        fibers[r] = fibers.get(r, 0) + 1
-    return sum(k * (k - 1) // 2 for k in fibers.values())
+    fibres = RatioIndex.of(qv, pv).fibres()
+    return sum(len(f) * (len(f) - 1) // 2 for f in fibres)

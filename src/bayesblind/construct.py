@@ -11,12 +11,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .blindspot import membership_prefix
 from .distributions import (
     Distribution,
     FiniteDistribution,
+    RatioIndex,
     TruncatedDistribution,
     require_positive_prefix,
     tail_of,
@@ -33,30 +33,18 @@ from .errors import (
 _DYADIC_BITS = 32
 
 
-def exclusion_set(
-    ms: Sequence[Fraction], prior_prefixes: Sequence[tuple], i: int
-) -> set:
-    """Forbidden values for coordinate m_i: {m_j * p_i / p_j : j < i, each prior}.
-
-    1-based i; ``ms`` holds m_1..m_{i-1}.  Finite by construction:
-    at most (i-1) * K elements.
-    """
-    forbidden = set()
-    for pv in prior_prefixes:
-        pi = pv[i - 1]
-        for j, mj in enumerate(ms, start=1):
-            forbidden.add(mj * pi / pv[j - 1])
-    return forbidden
-
-
 def generate_raw_sequence(
     priors: Sequence[Distribution], n: int, seed: int
 ) -> tuple:
     """The m_i sequence: m_1 = 1/2, then m_i in (0, 2^-i) avoiding all
     ratio collisions with earlier coordinates, for every prior.
 
-    Candidates are seeded random dyadics k / 2^(i + 32); the exclusion set
-    is finite at every step, so a retry loop always terminates.
+    Candidates are seeded random dyadics k / 2^(i + 32).  Candidate c
+    collides under prior p iff c = m_j * p_i / p_j for some j < i, iff c / p_i
+    is one of the ratios m_j / p_j; each prior keeps those in a ``RatioIndex``
+    grown by one per accepted coordinate, so the sequence costs O(N * K)
+    arithmetic for K priors.  The forbidden set is finite at every step, so
+    the retry loop always terminates.
     """
     if not priors:
         raise ZeroPrior("prior family must be nonempty")
@@ -65,15 +53,17 @@ def generate_raw_sequence(
     prefixes = [require_positive_prefix(p, n) for p in priors]
     rng = random.Random(seed)
     ms = [Fraction(1, 2)]
+    seen = [RatioIndex([ms[0] / pv[0]]) for pv in prefixes]
     for i in range(2, n + 1):
-        forbidden = exclusion_set(ms, prefixes, i)
         denom = 1 << (i + _DYADIC_BITS)
         while True:
-            k = rng.randrange(1, 1 << _DYADIC_BITS)
-            candidate = Fraction(k, denom)
-            if candidate not in forbidden:
-                ms.append(candidate)
+            candidate = Fraction(rng.randrange(1, 1 << _DYADIC_BITS), denom)
+            ratios = [candidate / pv[i - 1] for pv in prefixes]
+            if not any(r in index for r, index in zip(ratios, seen)):
                 break
+        ms.append(candidate)
+        for r, index in zip(ratios, seen):
+            index.add(r)
     return tuple(ms)
 
 
@@ -106,18 +96,35 @@ def pick_valid_delta(
 ) -> Fraction:
     """A delta in (0, eps) whose shifted distribution stays prefix-distinct
     for every prior.  Only finitely many deltas fail at a fixed horizon, so
-    seeded dyadic retries succeed quickly."""
+    seeded dyadic retries succeed quickly.
+
+    A shift moves only coordinates 1 and 2, so each prior's ratios at
+    indices 3..N are indexed once (O(N * K)) and a try tests just the two
+    moved ratios against them (O(K)).  A repeat among indices 3..N cannot be
+    shifted away, so it raises HorizonInsufficient at once.
+    """
     if q.value(2) == 0:
         raise DegenerateSecondCoordinate("q_2 = 0: the delta shift is unavailable")
     cap = min(1 - q.value(1), q.value(2))
     if not (0 < eps <= cap):
         raise OutOfRange(f"eps must lie in (0, {cap}], got {eps}")
+    if not q.is_exact:
+        raise OutOfRange("the delta shift requires an exact-rational distribution")
     n = len(q)
+    pvs = [require_positive_prefix(p, n) for p in priors]
+    fixed = [(pv[0], pv[1], RatioIndex.of(q.prefix[2:], pv[2:])) for pv in pvs]
+    if any(rest.first_collision for _, _, rest in fixed):
+        raise HorizonInsufficient("indices 3..N already collide; no delta can help")
+    q1, q2 = q.prefix[0], q.prefix[1]
     rng = random.Random(seed)
     for _ in range(max_tries):
         delta = eps * Fraction(rng.randrange(1, 1 << 40), 1 << 40)
-        shifted = delta_family(q, delta)
-        if all(membership_prefix(p, shifted, n).distinct for p in priors):
+        if all(
+            (r1 := (q1 + delta) / p1) != (r2 := (q2 - delta) / p2)
+            and r1 not in rest
+            and r2 not in rest
+            for p1, p2, rest in fixed
+        ):
             return delta
     raise HorizonInsufficient("no valid delta found within the retry budget")
 
@@ -152,7 +159,7 @@ def densify(
     pv = require_positive_prefix(p, n)
     qv = q_target.prefix
     rs = [qv[0]]
-    seen = {qv[0] / pv[0]}
+    seen = RatioIndex([qv[0] / pv[0]])
     for i in range(1, n):
         value = qv[i]
         if value / pv[i] in seen:
@@ -160,7 +167,8 @@ def densify(
             while (value + nudge) / pv[i] in seen:
                 nudge /= 2
             value = value + nudge
-        assert abs(value - qv[i]) < eps / (1 << (i + 1))
+        if abs(value - qv[i]) >= eps / (1 << (i + 1)):
+            raise HorizonInsufficient(f"nudge at index {i + 1} exceeds eps / 2^{i + 1}")
         rs.append(value)
         seen.add(value / pv[i])
     total = sum(rs)
@@ -257,7 +265,8 @@ def exteriorize(
     idx = _threshold_index(q.prefix, pv, eps, n)
     work = list(q.prefix)
     branch, cost = _collision_move(work, q.prefix, pv, idx, idx + 1, budget)
-    assert cost < 2 * eps
+    if cost >= 2 * eps:
+        raise HorizonInsufficient(f"cannot certify the 2*eps bound: cost {cost}")
     return CollisionMoveResult(
         TruncatedDistribution(tuple(work), q.tail_mass),
         ((1, idx),),
@@ -301,7 +310,8 @@ def multi_collision_near(
         branch, cost = _collision_move(work, q.prefix, pv, t, t + 1, budget)
         branches.add(branch)
         total_cost += cost
-    assert total_cost < 2 * pairs * eps
+    if total_cost >= 2 * pairs * eps:
+        raise HorizonInsufficient(f"cannot certify the 2*pairs*eps bound: cost {total_cost}")
     return CollisionMoveResult(
         TruncatedDistribution(tuple(work), q.tail_mass),
         tuple((1, t) for t in sorted(targets)),

@@ -171,6 +171,53 @@ class RatioProfile:
         return len(set(self.ratios)) < len(self.ratios)
 
 
+def _ratio_key(r):
+    """(numerator, denominator) of a finite Fraction, int or float, so exactly
+    equal numbers of any type share a key; far cheaper to hash than a
+    Fraction.  Infinities and NaN, which have no such pair, key as themselves."""
+    try:
+        return r.as_integer_ratio()
+    except (OverflowError, ValueError):
+        return r
+
+
+class RatioIndex:
+    """Positions 1, 2, ... grouped by ratio, grown one ratio at a time.
+
+    Ratios are exact ``Fraction`` values q_i / p_i, or floats on the sampler
+    path.  Each fibre (the positions of one ratio) is a block of the coarsest
+    witness partition; ``first_collision`` is the lexicographically smallest
+    pair (i, j) inside one fibre, 1-based, kept current on every add.
+    """
+
+    def __init__(self, ratios: Iterable = ()):
+        self._fibres: dict = {}
+        self._size = 0
+        self.first_collision: tuple | None = None
+        for r in ratios:
+            self.add(r)
+
+    @classmethod
+    def of(cls, qv: Sequence[Number], pv: Sequence[Number]) -> "RatioIndex":
+        """Index of the ratios qv[i] / pv[i]; pv must be strictly positive."""
+        return cls(q / p for q, p in zip(qv, pv))
+
+    def add(self, ratio) -> None:
+        self._size += 1
+        fibre = self._fibres.setdefault(_ratio_key(ratio), [])
+        fibre.append(self._size)
+        if len(fibre) == 2:  # a fibre's first two positions are its smallest pair
+            pair = tuple(fibre)
+            self.first_collision = min(pair, self.first_collision or pair)
+
+    def __contains__(self, ratio) -> bool:
+        return _ratio_key(ratio) in self._fibres
+
+    def fibres(self) -> list:
+        """Position lists of equal ratio, ordered by smallest position."""
+        return list(self._fibres.values())
+
+
 def finite_from_rationals(values: Iterable[Fraction]) -> FiniteDistribution:
     vals = tuple(Fraction(v) for v in values)
     return FiniteDistribution(vals)

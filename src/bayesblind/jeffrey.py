@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
-from .distributions import FiniteDistribution
+from .distributions import FiniteDistribution, RatioIndex
 from .errors import (
     LengthMismatch,
     NegativeEntry,
@@ -194,10 +194,7 @@ def coarsest_partition(p: FiniteDistribution, q: FiniteDistribution) -> Partitio
     _check_prior(p)
     if len(q) != len(p):
         raise LengthMismatch(f"lengths differ: {len(p)} vs {len(q)}")
-    fibers: dict = {}
-    for i in range(1, len(p) + 1):
-        fibers.setdefault(q.value(i) / p.value(i), []).append(i)
-    return Partition.of(fibers.values())
+    return Partition.of(RatioIndex.of(q.probs, p.probs).fibres())
 
 
 @dataclass(frozen=True)

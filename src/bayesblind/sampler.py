@@ -22,6 +22,7 @@ import numpy as np
 from .distributions import (
     Distribution,
     FiniteDistribution,
+    RatioIndex,
     TruncatedDistribution,
     require_positive_prefix,
 )
@@ -155,17 +156,6 @@ class McReport:
         }
 
 
-def _first_collision(ratios: np.ndarray) -> Optional[tuple]:
-    """Lexicographically smallest 1-based pair with exactly equal ratios."""
-    groups: dict = {}
-    best = None
-    for j, r in enumerate(ratios, start=1):
-        i = groups.setdefault(float(r), j)
-        if i != j and (best is None or (i, j) < best):
-            best = (i, j)
-    return best
-
-
 def _mc_chunk(args):
     seed, chunk, m, n, base, p_float, collect, trial_offset = args
     x, residual = _stick_chunk(_chunk_rng(seed, chunk), m, n, base)
@@ -178,7 +168,7 @@ def _mc_chunk(args):
     records = []
     if collect:
         for t in range(m):
-            pair = _first_collision(ratios[t]) if exact_trials[t] else None
+            pair = RatioIndex(ratios[t].tolist()).first_collision if exact_trials[t] else None
             records.append(
                 TrialRecord(trial_offset + t, not exact_trials[t], pair, float(residual[t]))
             )

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import bayesblind
 from bayesblind import (
     collision_count,
     delta_family,
@@ -14,7 +19,7 @@ from bayesblind import (
     pick_valid_delta,
     truncate,
 )
-from bayesblind.construct import exclusion_set, generate_raw_sequence
+from bayesblind.construct import generate_raw_sequence
 from bayesblind.distributions import TruncatedDistribution, prefix_of
 from bayesblind.errors import (
     DegenerateSecondCoordinate,
@@ -22,12 +27,14 @@ from bayesblind.errors import (
     HorizonInsufficient,
     OutOfRange,
 )
+from reference import exclusion_set, raw_sequence, valid_delta
 
 F = Fraction
 
 GEO_HALF = geometric(F(1, 2))
 GEO_THIRD = geometric(F(1, 3))
 TWO_PRIORS = [GEO_HALF, GEO_THIRD]
+FIVE_PRIORS = [geometric(F(a, b)) for a, b in ((1, 2), (1, 3), (2, 5), (3, 5), (5, 7))]
 
 
 class TestGenerator:
@@ -58,6 +65,13 @@ class TestGenerator:
         a = generate_blindspot_member(TWO_PRIORS, 24, seed=99)
         b = generate_blindspot_member(TWO_PRIORS, 24, seed=99)
         assert a == b
+
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_matches_full_rebuild_reference(self, n, k):
+        priors = FIVE_PRIORS[:k]
+        for seed in range(30):
+            assert generate_raw_sequence(priors, n, seed) == raw_sequence(priors, n, seed)
 
 
 class TestDeltaFamily:
@@ -112,6 +126,21 @@ class TestPickValidDelta:
         q = TruncatedDistribution((F(1, 2), F(0), F(1, 2)), F(0))
         with pytest.raises(DegenerateSecondCoordinate):
             pick_valid_delta(q, [GEO_HALF], F(1, 10), seed=0)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_matches_full_rescan_reference(self, k):
+        priors = FIVE_PRIORS[:k]
+        for seed in range(30):
+            q = generate_blindspot_member(priors, 16 + seed % 3 * 24, seed)
+            for eps in (min(1 - q.value(1), q.value(2)), F(1, 10 ** 6)):
+                assert pick_valid_delta(q, priors, eps, seed) == valid_delta(q, priors, eps, seed)
+
+    def test_fixed_repeat_fails_at_once(self):
+        # q_3 / p_3 == q_4 / p_4 under geometric(1/2): no shift of q_1, q_2 helps
+        q = TruncatedDistribution((F(1, 2), F(1, 4), F(1, 10), F(1, 20)), F(1, 10))
+        assert valid_delta(q, [GEO_HALF], F(1, 8), seed=0, max_tries=50) is None
+        with pytest.raises(HorizonInsufficient):
+            pick_valid_delta(q, [GEO_HALF], F(1, 8), seed=0)
 
 
 class TestDensify:
@@ -205,3 +234,22 @@ class TestMultiCollision:
         q = generate_blindspot_member([GEO_HALF], 24, seed=6)
         with pytest.raises(HorizonInsufficient):
             multi_collision_near(GEO_HALF, q, 40, F(1, 10 ** 4))
+
+
+def test_certified_bound_survives_optimize():
+    """A bound that fails raises even under ``python -O``, which strips asserts."""
+    script = (
+        "from fractions import Fraction as F\n"
+        "from bayesblind import construct, geometric, truncate\n"
+        "from bayesblind.errors import HorizonInsufficient\n"
+        "construct._collision_move = lambda *args: ('positive', F(1))\n"
+        "try:\n"
+        "    construct.exteriorize(geometric(F(1, 2)), truncate(geometric(F(1, 3)), 20), F(1, 1000))\n"
+        "except HorizonInsufficient:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = str(Path(bayesblind.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=60)
+    assert proc.returncode == 0

@@ -15,6 +15,7 @@ from bayesblind import (
     truncate,
 )
 from bayesblind.distributions import (
+    RatioIndex,
     dist_from_json,
     dist_to_json,
     format_rational,
@@ -154,6 +155,61 @@ class TestRatioProfile:
             q = normalize([F(rng.randint(1, 9)) for _ in range(n)])
             rp = ratio_profile(q, p)
             assert tuple(r * pv for r, pv in zip(rp.ratios, p.probs)) == q.probs
+
+
+def brute_fibres(same, n) -> tuple:
+    """O(n^2) scan: the first colliding pair and the equal-ratio blocks."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if same(i, j)]
+    blocks = []
+    for i in range(1, n + 1):
+        if not any(i in b for b in blocks):
+            blocks.append([i] + [j for j in range(i + 1, n + 1) if same(i, j)])
+    return (min(pairs) if pairs else None), blocks
+
+
+posteriors = st.lists(st.integers(0, 6), min_size=1, max_size=12)
+
+
+class TestRatioIndex:
+    @given(posteriors, st.data())
+    def test_exact_matches_cross_multiplication(self, qs, data):
+        ps = data.draw(st.lists(st.integers(1, 6), min_size=len(qs), max_size=len(qs)))
+        qv = [F(q, 7) for q in qs]  # zero posterior entries allowed
+        pv = [F(p, 5) for p in ps]
+        index = RatioIndex.of(qv, pv)
+        first, blocks = brute_fibres(
+            lambda i, j: qv[i - 1] * pv[j - 1] == qv[j - 1] * pv[i - 1], len(qv)
+        )
+        assert index.first_collision == first
+        assert index.fibres() == blocks
+
+    @given(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1e-300, 2.5, float("inf")]), max_size=12))
+    def test_float_keys_match_pairwise_equality(self, ratios):
+        index = RatioIndex(ratios)
+        first, blocks = brute_fibres(lambda i, j: ratios[i - 1] == ratios[j - 1], len(ratios))
+        assert index.first_collision == first
+        assert index.fibres() == blocks
+
+    @given(st.integers(1, 20))
+    def test_all_equal_ratios_form_one_fibre(self, n):
+        pv = [F(k, n * (n + 1) // 2) for k in range(1, n + 1)]
+        index = RatioIndex.of(pv, pv)
+        assert index.fibres() == [list(range(1, n + 1))]
+        assert index.first_collision == ((1, 2) if n > 1 else None)
+
+    def test_incremental_membership(self):
+        index = RatioIndex([F(1, 2), F(1, 3)])
+        assert F(2, 4) in index and F(1, 4) not in index
+        index.add(F(1, 3))
+        index.add(F(1, 2))
+        assert index.first_collision == (1, 4)
+        assert index.fibres() == [[1, 4], [2, 3]]
+
+    def test_equal_values_of_mixed_types_share_a_fibre(self):
+        inf = float("inf")
+        index = RatioIndex([F(1, 2), 0.5, 1, F(1), F(2, 3), inf, float("inf")])
+        assert index.fibres() == [[1, 2], [3, 4], [5], [6, 7]]
+        assert 2 / 3 not in index and F(4, 6) in index and inf in index
 
 
 class TestRationalText:

@@ -118,3 +118,19 @@ class TestMonteCarlo:
     def test_residual_mean_tiny_at_64(self):
         report = monte_carlo_blindspot_fraction(GEO_HALF, 2000, 64, seed=11)
         assert 0.0 <= report.mean_residual_mass < 1e-6
+
+    def test_record_pairs_match_pairwise_scan(self):
+        # at horizon 800 late stick coordinates underflow to 0.0, so float
+        # ratios repeat exactly and records carry witness pairs to check
+        n = 800
+        _, records = monte_carlo_blindspot_fraction(GEO_HALF, 20, n, seed=4, collect_trials=True)
+        x, _ = stick_breaking_matrix(4, 20, n)
+        ratios = x / np.array([float(v) for v in GEO_HALF.prefix_values(n)])
+        for rec, row in zip(records, ratios):
+            expected = None
+            for i in range(n):
+                later = np.nonzero(row[i + 1:] == row[i])[0]
+                if later.size:
+                    expected = (i + 1, i + 2 + int(later[0]))
+                    break
+            assert rec.first_collision == expected
