@@ -18,11 +18,11 @@ from .distributions import (
     Distribution,
     FiniteDistribution,
     RatioIndex,
-    prefix_of,
+    require_finite,
     require_positive_prefix,
 )
 from .errors import LengthMismatch, ZeroPrior
-from .jeffrey import Partition, coarsest_partition
+from .jeffrey import Partition, check_prior
 
 IN_BLIND_SPOT = "in_blind_spot"
 ACCESSIBLE = "accessible"
@@ -53,21 +53,24 @@ class PrefixVerdict:
 
 
 def membership_finite(p: FiniteDistribution, q: FiniteDistribution) -> BlindSpotVerdict:
-    """Full membership test on a finite index set."""
+    """Full membership test on a finite index set.  An accessible verdict
+    carries the coarsest witness partition, whose blocks are the fibres of
+    the same ratio index; like ``coarsest_partition`` it needs an exact prior."""
+    require_finite(p, q)
     if len(p) != len(q):
         raise LengthMismatch(f"lengths differ: {len(p)} vs {len(q)}")
     pv = require_positive_prefix(p, len(p))
-    pair = RatioIndex.of(q.probs, pv).first_collision
-    if pair is None:
+    index = RatioIndex.of(q.probs, pv)
+    if index.first_collision is None:
         return BlindSpotVerdict(IN_BLIND_SPOT)
-    return BlindSpotVerdict(ACCESSIBLE, pair, coarsest_partition(p, q))
+    check_prior(p)
+    return BlindSpotVerdict(ACCESSIBLE, index.first_collision, Partition.of(index.fibres()))
 
 
 def membership_prefix(p: Distribution, q: Distribution, n: int) -> PrefixVerdict:
     """Exact collision scan over the first n ratios."""
     pv = require_positive_prefix(p, n)
-    qv = prefix_of(q, n)
-    pair = RatioIndex.of(qv, pv).first_collision
+    pair = RatioIndex.of(q.prefix_values(n), pv).first_collision
     if pair is None:
         return PrefixVerdict(True, n)
     return PrefixVerdict(False, n, pair)
@@ -103,12 +106,10 @@ def family_membership(
 def collision_count(p: Distribution, q: Distribution, n: int | None = None) -> int:
     """Number of unordered index pairs with exactly equal ratios."""
     if n is None:
-        if not isinstance(q, FiniteDistribution) or not isinstance(p, FiniteDistribution):
-            raise LengthMismatch("horizon required for non-finite distributions")
+        require_finite(p, q)
         if len(p) != len(q):
             raise LengthMismatch(f"lengths differ: {len(p)} vs {len(q)}")
         n = len(p)
     pv = require_positive_prefix(p, n)
-    qv = prefix_of(q, n)
-    fibres = RatioIndex.of(qv, pv).fibres()
+    fibres = RatioIndex.of(q.prefix_values(n), pv).fibres()
     return sum(len(f) * (len(f) - 1) // 2 for f in fibres)

@@ -175,12 +175,10 @@ def _cmd_bs_densify(args) -> int:
     p = _load_dist(args.prior)
     q_target = _load_dist(args.target)
     eps = parse_rational(args.epsilon)
-    result = construct.densify(p, q_target, eps, args.seed)
+    result = construct.densify(p, q_target, eps)
     n = len(result.distribution)
     verdict = blindspot.membership_prefix(p, result.distribution, n)
-    upper = metrics.l1_upper_bound(
-        result.distribution, construct._as_truncated(q_target)
-    )
+    upper = metrics.l1_upper_bound(result.distribution, q_target)
     cert = _certificate(
         "bs densify",
         {"prior": args.prior, "target": args.target, "epsilon": args.epsilon},

@@ -15,11 +15,10 @@ from typing import Sequence
 
 from .distributions import (
     Distribution,
-    FiniteDistribution,
     RatioIndex,
     TruncatedDistribution,
     require_positive_prefix,
-    tail_of,
+    require_stored,
 )
 from .errors import (
     DegenerateSecondCoordinate,
@@ -135,24 +134,17 @@ class DensifyResult:
     l1_upper: Fraction  # certified upper bound on the full-sequence distance
 
 
-def densify(
-    p: Distribution,
-    q_target: Distribution,
-    eps: Fraction,
-    seed: int = 0,
-) -> DensifyResult:
+def densify(p: Distribution, q_target: Distribution, eps: Fraction) -> DensifyResult:
     """A prefix-distinct distribution within l1 distance 4*eps of q_target.
 
     Coordinate rule: keep q_n when its ratio is new; otherwise nudge up by
     the largest power-of-two fraction of eps below eps / 2^(n+1) whose ratio
     is unused (halving further on the rare repeat).  The nudged vector is
-    then normalized by its total mass.  ``seed`` is accepted for interface
-    uniformity; the rule itself is deterministic.
+    then normalized by its total mass.  The rule is deterministic.
     """
-    del seed
     if not (0 < eps < Fraction(1, 2)):
         raise OutOfRange(f"eps must lie in (0, 1/2), got {eps}")
-    q_target = _as_truncated(q_target)
+    require_stored(q_target)
     if not q_target.is_exact:
         raise OutOfRange("densify requires an exact-rational target")
     n = len(q_target)
@@ -176,7 +168,7 @@ def densify(
         raise HorizonInsufficient("target prefix carries no mass to normalize")
     out = TruncatedDistribution(tuple(r / total for r in rs), Fraction(0))
     prefix_dist = sum(abs(a - b) for a, b in zip(out.prefix, qv))
-    upper = prefix_dist + tail_of(q_target, n)
+    upper = prefix_dist + q_target.tail_after(n)
     if upper >= 4 * eps:
         raise HorizonInsufficient(
             f"cannot certify the 4*eps bound: upper {upper} vs {4 * eps}"
@@ -191,14 +183,6 @@ class CollisionMoveResult:
     branch: str  # "positive" | "negative" for single moves, "mixed" otherwise
     l1_distance: Fraction  # exact: only prefix coordinates moved, tail shared
     fallback_used: bool = False  # q_2 = 0 handled via q_3
-
-
-def _as_truncated(q: Distribution) -> TruncatedDistribution:
-    if isinstance(q, FiniteDistribution):
-        return TruncatedDistribution(q.probs, Fraction(0))
-    if isinstance(q, TruncatedDistribution):
-        return q
-    raise OutOfRange("expected a finite or truncated distribution")
 
 
 def _budget_index(q: TruncatedDistribution) -> int:
@@ -252,7 +236,7 @@ def exteriorize(
 ) -> CollisionMoveResult:
     """Minimal perturbation out of the blind spot: coordinate n is retargeted
     so that the pair (1, n) collides exactly, at l1 cost below 2*eps."""
-    q = _as_truncated(q)
+    require_stored(q)
     if not q.is_exact:
         raise OutOfRange("exteriorize requires an exact-rational distribution")
     n = len(q)
@@ -287,7 +271,7 @@ def multi_collision_near(
     """
     if pairs < 1:
         raise OutOfRange(f"pair count must be positive, got {pairs}")
-    q = _as_truncated(q)
+    require_stored(q)
     if not q.is_exact:
         raise OutOfRange("multi_collision_near requires an exact-rational distribution")
     n = len(q)

@@ -57,60 +57,27 @@ def _is_exact(values: Sequence[Number]) -> bool:
 
 def _check_entries(values: Sequence[Number]) -> None:
     for v in values:
-        if v < 0:
-            raise NegativeEntry(f"negative probability entry {v}")
+        if not v >= 0:  # NaN fails every comparison, so it lands here too
+            if v < 0:
+                raise NegativeEntry(f"negative probability entry {v}")
+            raise OutOfRange("NaN probability entry")
 
 
-@dataclass(frozen=True)
-class FiniteDistribution:
-    """Probability vector on a finite index set; exact in rational mode."""
+class StoredDistribution:
+    """The view shared by the finite and truncated kinds: a stored prefix
+    plus the tail mass beyond it (zero for a finite vector)."""
 
-    probs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "probs", tuple(self.probs))
-        if len(self.probs) < 2:
+    def _validate(self) -> None:
+        if len(self.prefix) < 2:
             raise OutOfRange("a distribution needs at least 2 components")
-        _check_entries(self.probs)
-        total = sum(self.probs)
-        if _is_exact(self.probs):
+        values = self.prefix + (self.tail_mass,)
+        _check_entries(values)
+        total = sum(values)
+        if _is_exact(values):
             if total != 1:
                 raise NotNormalized(f"entries sum to {total}, not 1")
         elif abs(total - 1.0) > FLOAT_TOL:
             raise NotNormalized(f"float entries sum to {total}")
-
-    def __len__(self) -> int:
-        return len(self.probs)
-
-    @property
-    def is_exact(self) -> bool:
-        return _is_exact(self.probs)
-
-    def value(self, i: int) -> Number:
-        """1-based component access."""
-        return self.probs[i - 1]
-
-
-@dataclass(frozen=True)
-class TruncatedDistribution:
-    """Finite prefix of a distribution on a denumerable set plus tail mass."""
-
-    prefix: tuple
-    tail_mass: Number
-
-    def __post_init__(self):
-        object.__setattr__(self, "prefix", tuple(self.prefix))
-        if len(self.prefix) < 2:
-            raise OutOfRange("prefix needs at least 2 components")
-        _check_entries(self.prefix)
-        if self.tail_mass < 0:
-            raise NegativeEntry(f"negative tail mass {self.tail_mass}")
-        total = sum(self.prefix) + self.tail_mass
-        if self.is_exact:
-            if total != 1:
-                raise NotNormalized(f"prefix + tail sums to {total}, not 1")
-        elif abs(total - 1.0) > FLOAT_TOL:
-            raise NotNormalized(f"float prefix + tail sums to {total}")
 
     def __len__(self) -> int:
         return len(self.prefix)
@@ -120,7 +87,53 @@ class TruncatedDistribution:
         return _is_exact(self.prefix) and isinstance(self.tail_mass, Fraction)
 
     def value(self, i: int) -> Number:
+        """1-based component access."""
         return self.prefix[i - 1]
+
+    def _check_horizon(self, n: int) -> None:
+        if n > len(self):
+            raise HorizonTooLarge(f"horizon {n} exceeds available prefix length {len(self)}")
+
+    def prefix_values(self, n: int) -> tuple:
+        """Components 1..n."""
+        self._check_horizon(n)
+        return self.prefix[:n]
+
+    def tail_after(self, n: int) -> Number:
+        """Mass beyond index n: stored components after n plus the tail mass."""
+        self._check_horizon(n)
+        return sum(self.prefix[n:]) + self.tail_mass
+
+
+@dataclass(frozen=True)
+class FiniteDistribution(StoredDistribution):
+    """Probability vector on a finite index set; exact in rational mode."""
+
+    probs: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "probs", tuple(self.probs))
+        self._validate()
+
+    @property
+    def prefix(self) -> tuple:
+        return self.probs
+
+    @property
+    def tail_mass(self) -> Number:
+        return Fraction(0) if _is_exact(self.probs) else 0.0
+
+
+@dataclass(frozen=True)
+class TruncatedDistribution(StoredDistribution):
+    """Finite prefix of a distribution on a denumerable set plus tail mass."""
+
+    prefix: tuple
+    tail_mass: Number
+
+    def __post_init__(self):
+        object.__setattr__(self, "prefix", tuple(self.prefix))
+        self._validate()
 
 
 @dataclass(frozen=True)
@@ -134,6 +147,10 @@ class Geometric:
             object.__setattr__(self, "ratio", Fraction(self.ratio))
         if not (0 < self.ratio < 1):
             raise OutOfRange(f"geometric ratio must lie in (0, 1), got {self.ratio}")
+
+    @property
+    def is_exact(self) -> bool:
+        return True
 
     def value(self, i: int) -> Fraction:
         return (1 - self.ratio) * self.ratio ** (i - 1)
@@ -239,30 +256,21 @@ def truncate(d: Geometric, n: int) -> TruncatedDistribution:
     return TruncatedDistribution(d.prefix_values(n), d.tail_after(n))
 
 
-def prefix_of(d: Distribution, n: int) -> tuple:
-    """First n components of any distribution kind (1..n)."""
-    if isinstance(d, Geometric):
-        return d.prefix_values(n)
-    vals = d.probs if isinstance(d, FiniteDistribution) else d.prefix
-    if n > len(vals):
-        raise HorizonTooLarge(f"horizon {n} exceeds available prefix length {len(vals)}")
-    return tuple(vals[:n])
+def require_stored(*ds: Distribution) -> None:
+    """Guard for operations that read a stored prefix: rejects geometric."""
+    if any(isinstance(d, Geometric) for d in ds):
+        raise LengthMismatch("a geometric distribution has no stored prefix; truncate it first")
 
 
-def tail_of(d: Distribution, n: int) -> Number:
-    """Mass beyond index n (exact for geometric/finite, stored for truncated)."""
-    if isinstance(d, Geometric):
-        return d.tail_after(n)
-    if isinstance(d, FiniteDistribution):
-        return sum(d.probs[n:], Fraction(0) if d.is_exact else 0.0)
-    if n > len(d.prefix):
-        raise HorizonTooLarge(f"horizon {n} exceeds available prefix length {len(d.prefix)}")
-    zero = Fraction(0) if d.is_exact else 0.0
-    return sum(d.prefix[n:], zero) + d.tail_mass
+def require_finite(*ds: Distribution) -> None:
+    """Guard for operations on finite vectors: rejects truncated and geometric,
+    which need a horizon."""
+    if not all(isinstance(d, FiniteDistribution) for d in ds):
+        raise LengthMismatch("truncated and geometric distributions need a horizon")
 
 
 def require_positive_prefix(d: Distribution, n: int) -> tuple:
-    vals = prefix_of(d, n)
+    vals = d.prefix_values(n)
     for i, v in enumerate(vals, start=1):
         if v <= 0:
             raise ZeroPrior(f"prior has nonpositive component {v} at index {i}")
@@ -272,13 +280,12 @@ def require_positive_prefix(d: Distribution, n: int) -> tuple:
 def ratio_profile(q: Distribution, p: Distribution, n: int | None = None) -> RatioProfile:
     """Componentwise q_i / p_i; prior must be strictly positive."""
     if n is None:
-        if isinstance(q, Geometric) or isinstance(p, Geometric):
-            raise LengthMismatch("horizon required when a parametric distribution is involved")
+        require_stored(q, p)
         n = len(q)
         if len(p) != n:
             raise LengthMismatch(f"lengths differ: {len(q)} vs {len(p)}")
     pv = require_positive_prefix(p, n)
-    qv = prefix_of(q, n)
+    qv = q.prefix_values(n)
     return RatioProfile(tuple(a / b for a, b in zip(qv, pv)))
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
-from .distributions import FiniteDistribution, RatioIndex
+from .distributions import FiniteDistribution, RatioIndex, require_finite
 from .errors import (
     LengthMismatch,
     NegativeEntry,
@@ -128,11 +128,16 @@ def is_nontrivial(e: Partition) -> bool:
     return any(len(b) >= 2 for b in e.blocks)
 
 
-def _check_prior(p: FiniteDistribution) -> None:
+def check_prior(p: FiniteDistribution, *posteriors: FiniteDistribution) -> None:
+    """Finite vectors on one index set, and an exact, strictly positive prior."""
+    require_finite(p, *posteriors)
     if not p.is_exact:
         raise ZeroPrior("priors must be exact-rational distributions")
     if any(v <= 0 for v in p.probs):
         raise ZeroPrior("prior must be strictly positive")
+    for q in posteriors:
+        if len(q) != len(p):
+            raise LengthMismatch(f"lengths differ: {len(p)} vs {len(q)}")
 
 
 def _check_shapes(p: FiniteDistribution, e: Partition) -> None:
@@ -142,7 +147,7 @@ def _check_shapes(p: FiniteDistribution, e: Partition) -> None:
 
 def jc_apply(p: FiniteDistribution, e: Partition, w: BlockWeights) -> FiniteDistribution:
     """Jeffrey conditioning: q_x = w_b * p_x / p(E_b) for x in block E_b."""
-    _check_prior(p)
+    check_prior(p)
     _check_shapes(p, e)
     if len(w.weights) != len(e.blocks):
         raise WeightCountMismatch(
@@ -158,10 +163,8 @@ def jc_apply(p: FiniteDistribution, e: Partition, w: BlockWeights) -> FiniteDist
 
 def rigidity_holds(p: FiniteDistribution, q: FiniteDistribution, e: Partition) -> bool:
     """q(x|E_i) = p(x|E_i) on every block with q(E_i) > 0."""
-    _check_prior(p)
+    check_prior(p, q)
     _check_shapes(p, e)
-    if len(q) != len(p):
-        raise LengthMismatch(f"lengths differ: {len(p)} vs {len(q)}")
     for block in e.blocks:
         q_mass = sum(q.value(i) for i in block)
         if q_mass == 0:
@@ -177,10 +180,8 @@ def ratio_constant_on_blocks(
     p: FiniteDistribution, q: FiniteDistribution, e: Partition
 ) -> bool:
     """Within every block, all q_x / p_x agree (cross-multiplied, so exact)."""
-    _check_prior(p)
+    check_prior(p, q)
     _check_shapes(p, e)
-    if len(q) != len(p):
-        raise LengthMismatch(f"lengths differ: {len(p)} vs {len(q)}")
     for block in e.blocks:
         first = block[0]
         for i in block[1:]:
@@ -191,9 +192,7 @@ def ratio_constant_on_blocks(
 
 def coarsest_partition(p: FiniteDistribution, q: FiniteDistribution) -> Partition:
     """Fibers of the ratio map x -> q_x / p_x, in canonical order."""
-    _check_prior(p)
-    if len(q) != len(p):
-        raise LengthMismatch(f"lengths differ: {len(p)} vs {len(q)}")
+    check_prior(p, q)
     return Partition.of(RatioIndex.of(q.probs, p.probs).fibres())
 
 
@@ -211,9 +210,7 @@ def accessible_brute_force(p: FiniteDistribution, q: FiniteDistribution) -> Acce
     Independent oracle for the ratio-distinctness characterization; result
     order is fixed by the RGS enumeration regardless of any internal fan-out.
     """
-    _check_prior(p)
-    if len(q) != len(p):
-        raise LengthMismatch(f"lengths differ: {len(p)} vs {len(q)}")
+    check_prior(p, q)
     if len(p) > BRUTE_FORCE_MAX_N:
         raise TooLarge(f"brute force limited to n <= {BRUTE_FORCE_MAX_N}")
     for e in partitions(len(p)):

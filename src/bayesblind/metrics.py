@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .distributions import Distribution, FiniteDistribution, TruncatedDistribution
+from .distributions import Distribution, require_stored
 from .errors import LengthMismatch, OutOfRange
 
 #: comparison slack documented for float-mode lp distances (p not in {1, inf})
@@ -88,21 +88,13 @@ def _seq_distance(us, vs, norm: Norm):
     return sum(float(d) ** p for d in diffs) ** (1.0 / p)
 
 
-def _values_and_tail(d: Distribution):
-    if isinstance(d, FiniteDistribution):
-        return d.probs, Fraction(0) if d.is_exact else 0.0
-    if isinstance(d, TruncatedDistribution):
-        return d.prefix, d.tail_mass
-    raise LengthMismatch("truncate parametric distributions before measuring distances")
-
-
 def lp_distance(u: Distribution, v: Distribution, norm: Norm = L1):
     """Distance between u and v; scalar when both are tail-free, else an interval."""
-    uv, ut = _values_and_tail(u)
-    vv, vt = _values_and_tail(v)
-    if len(uv) != len(vv):
-        raise LengthMismatch(f"lengths differ: {len(uv)} vs {len(vv)}")
-    lower = _seq_distance(uv, vv, norm)
+    require_stored(u, v)
+    if len(u) != len(v):
+        raise LengthMismatch(f"lengths differ: {len(u)} vs {len(v)}")
+    lower = _seq_distance(u.prefix, v.prefix, norm)
+    ut, vt = u.tail_mass, v.tail_mass
     if ut == 0 and vt == 0:
         return lower
     if norm.p is None:

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from bayesblind import (
+    FiniteDistribution,
     Partition,
+    coarsest_partition,
     collision_count,
     family_membership,
     finite_from_rationals,
@@ -47,6 +49,7 @@ class TestMembershipFinite:
             p = random_positive_dist(rng, n)
             q = random_dist(rng, n)
             v = membership_finite(p, q)
+            assert v.coarsest == (coarsest_partition(p, q) if v.witness else None)
             if v.witness is not None:
                 i, j = v.witness
                 assert q.value(i) * p.value(j) == q.value(j) * p.value(i)
@@ -59,6 +62,20 @@ class TestMembershipFinite:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             membership_finite(P3, finite_from_rationals([F(1, 2), F(1, 2)]))
+
+    def test_float_prior_needs_exactness_only_for_the_partition(self):
+        p = FiniteDistribution((0.5, 0.25, 0.25))
+        assert membership_finite(p, finite_from_rationals([F(1, 2), F(3, 10), F(1, 5)])).in_blind_spot
+        with pytest.raises(ZeroPrior):
+            membership_finite(p, P3)
+
+    @pytest.mark.parametrize("other", [truncate(geometric(F(1, 2)), 3), geometric(F(1, 2))])
+    def test_non_finite_input_needs_a_horizon(self, other):
+        for p, q in ((P3, other), (other, P3)):
+            with pytest.raises(LengthMismatch):
+                membership_finite(p, q)
+            with pytest.raises(LengthMismatch):
+                collision_count(p, q)
 
 
 class TestMembershipPrefix:

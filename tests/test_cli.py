@@ -9,6 +9,8 @@ PRIOR = '{"kind":"finite","probs":["1/2","1/4","1/4"]}'
 UNIFORM = '{"kind":"finite","probs":["1/3","1/3","1/3"]}'
 DISTINCT = '{"kind":"finite","probs":["1/2","3/10","1/5"]}'
 GEO_HALF = '{"kind":"geometric","ratio":"1/2"}'
+TRUNC = '{"kind":"truncated","prefix":["1/2","1/4","1/8"],"tail_mass":"1/8"}'
+PARTITION = '{"blocks":[[1],[2,3]]}'
 
 
 def run(capsys, *argv):
@@ -196,3 +198,42 @@ class TestErrorContract:
              "tail_mass": d.tail_mass},
             sort_keys=True,
         )
+
+
+def _kind_mismatches():
+    """Truncated or geometric inputs where finite vectors are needed."""
+    cases = []
+    for other, kind in ((TRUNC, "truncated"), (GEO_HALF, "geometric")):
+        cases.append((f"jc-apply-{kind}-prior", ("jc", "apply", "--prior", other,
+                      "--partition", PARTITION, "--weights", '["1/3","2/3"]')))
+        for cmd, extra in (("coarsest", ()), ("brute", ()),
+                           ("rigidity", ("--partition", PARTITION))):
+            cases.append((f"jc-{cmd}-{kind}-prior", ("jc", cmd, "--prior", other,
+                          "--posterior", UNIFORM, *extra)))
+            cases.append((f"jc-{cmd}-{kind}-posterior", ("jc", cmd, "--prior", PRIOR,
+                          "--posterior", other, *extra)))
+        # without --horizon, bs test gives a full verdict, so both must be finite
+        cases.append((f"bs-test-{kind}-prior", ("bs", "test", "--prior", other,
+                      "--posterior", DISTINCT)))
+        cases.append((f"bs-test-{kind}-posterior", ("bs", "test", "--prior", UNIFORM,
+                      "--posterior", other)))
+    return cases
+
+
+KIND_MISMATCHES = _kind_mismatches()
+
+
+class TestInputKinds:
+    @pytest.mark.parametrize(
+        "argv", [c[1] for c in KIND_MISMATCHES], ids=[c[0] for c in KIND_MISMATCHES]
+    )
+    def test_kind_mismatch_exit_two(self, capsys, argv):
+        code, out = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+
+    def test_nan_entry_exit_two(self, capsys):
+        nan = '{"kind":"finite","probs":[NaN,0.5,0.5]}'
+        code, out = run(capsys, "bs", "test", "--prior", UNIFORM, "--posterior", nan)
+        assert code == 2
+        assert out == ""

@@ -20,7 +20,7 @@ from bayesblind import (
     truncate,
 )
 from bayesblind.construct import generate_raw_sequence
-from bayesblind.distributions import TruncatedDistribution, prefix_of
+from bayesblind.distributions import TruncatedDistribution
 from bayesblind.errors import (
     DegenerateSecondCoordinate,
     DeltaTooLarge,
@@ -56,7 +56,7 @@ class TestGenerator:
             assert sum(q.prefix) + q.tail_mass == 1
 
     def test_exclusion_set_size(self):
-        prefixes = [prefix_of(p, 8) for p in TWO_PRIORS]
+        prefixes = [p.prefix_values(8) for p in TWO_PRIORS]
         ms = [F(1, 2), F(1, 8), F(1, 32)]
         forbidden = exclusion_set(ms, prefixes, 4)
         assert len(forbidden) <= 3 * 2
@@ -182,7 +182,7 @@ class TestExteriorize:
         (i, n), = result.pairs
         assert i == 1
         d = result.distribution
-        assert d.value(n) * prefix_of(GEO_HALF, 1)[0] == d.value(1) * GEO_HALF.value(n)
+        assert d.value(n) * GEO_HALF.prefix_values(1)[0] == d.value(1) * GEO_HALF.value(n)
         assert collision_count(GEO_HALF, d, 64) >= 1
         assert sum(d.prefix) + d.tail_mass == 1
 

@@ -20,10 +20,12 @@ from bayesblind.distributions import (
     dist_to_json,
     format_rational,
     parse_rational,
-    prefix_of,
+    require_finite,
+    require_stored,
 )
 from bayesblind.errors import (
     AllZero,
+    HorizonTooLarge,
     LengthMismatch,
     NegativeEntry,
     NotNormalized,
@@ -263,4 +265,66 @@ class TestFloatMode:
 
 def test_prefix_of_geometric_any_horizon():
     g = geometric(F(1, 2))
-    assert prefix_of(g, 3) == (F(1, 2), F(1, 4), F(1, 8))
+    assert g.prefix_values(3) == (F(1, 2), F(1, 4), F(1, 8))
+
+
+NAN = float("nan")
+
+
+class TestNaNRejected:
+    """NaN fails every order comparison, so it must be caught on its own."""
+
+    def test_finite(self):
+        with pytest.raises(OutOfRange):
+            FiniteDistribution((NAN, 0.5, 0.5))
+
+    def test_truncated_prefix(self):
+        with pytest.raises(OutOfRange):
+            TruncatedDistribution((0.5, NAN), 0.5)
+
+    def test_truncated_tail_mass(self):
+        with pytest.raises(OutOfRange):
+            TruncatedDistribution((0.5, 0.5), NAN)
+
+    def test_json_nan(self):
+        with pytest.raises(OutOfRange):
+            dist_from_json(json.loads('{"kind":"finite","probs":[NaN,0.5,0.5]}'))
+
+
+class TestDistributionView:
+    """Every kind answers prefix_values / tail_after / is_exact."""
+
+    FINITE = finite_from_rationals([F(1, 2), F(1, 4), F(1, 4)])
+    TRUNC = TruncatedDistribution((F(1, 2), F(1, 4), F(1, 8)), F(1, 8))
+    GEO = geometric(F(1, 2))
+
+    def test_finite_is_a_prefix_with_zero_tail(self):
+        assert self.FINITE.prefix == self.FINITE.probs
+        assert self.FINITE.tail_mass == 0 and isinstance(self.FINITE.tail_mass, Fraction)
+        float_finite = FiniteDistribution((0.5, 0.5))
+        assert float_finite.tail_mass == 0.0 and isinstance(float_finite.tail_mass, float)
+        assert not float_finite.is_exact
+
+    @pytest.mark.parametrize("kind", ["FINITE", "TRUNC", "GEO"])
+    def test_prefix_and_tail_agree(self, kind):
+        d = getattr(self, kind)
+        assert d.is_exact
+        for n in (1, 2, 3):
+            assert sum(d.prefix_values(n)) + d.tail_after(n) == 1
+            assert d.prefix_values(n) == tuple(d.value(i) for i in range(1, n + 1))
+
+    def test_stored_horizon_too_large(self):
+        for d in (self.FINITE, self.TRUNC):
+            with pytest.raises(HorizonTooLarge):
+                d.prefix_values(4)
+            with pytest.raises(HorizonTooLarge):
+                d.tail_after(4)
+
+    def test_guards(self):
+        require_stored(self.FINITE, self.TRUNC)
+        require_finite(self.FINITE, self.FINITE)
+        with pytest.raises(LengthMismatch):
+            require_stored(self.FINITE, self.GEO)
+        for other in (self.TRUNC, self.GEO):
+            with pytest.raises(LengthMismatch):
+                require_finite(self.FINITE, other)
