@@ -65,7 +65,8 @@ class TestMembershipFinite:
 
     def test_float_prior_needs_exactness_only_for_the_partition(self):
         p = FiniteDistribution((0.5, 0.25, 0.25))
-        assert membership_finite(p, finite_from_rationals([F(1, 2), F(3, 10), F(1, 5)])).in_blind_spot
+        blind = finite_from_rationals([F(1, 2), F(3, 10), F(1, 5)])
+        assert membership_finite(p, blind).in_blind_spot
         with pytest.raises(ZeroPrior):
             membership_finite(p, P3)
 

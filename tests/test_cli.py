@@ -200,40 +200,28 @@ class TestErrorContract:
         )
 
 
-def _kind_mismatches():
-    """Truncated or geometric inputs where finite vectors are needed."""
-    cases = []
+def _exit_two_inputs():
+    """Truncated or geometric inputs where finite vectors are needed, and NaN."""
     for other, kind in ((TRUNC, "truncated"), (GEO_HALF, "geometric")):
-        cases.append((f"jc-apply-{kind}-prior", ("jc", "apply", "--prior", other,
-                      "--partition", PARTITION, "--weights", '["1/3","2/3"]')))
+        yield pytest.param(("jc", "apply", "--prior", other, "--partition", PARTITION,
+                            "--weights", '["1/3","2/3"]'), id=f"jc-apply-{kind}-prior")
         for cmd, extra in (("coarsest", ()), ("brute", ()),
                            ("rigidity", ("--partition", PARTITION))):
-            cases.append((f"jc-{cmd}-{kind}-prior", ("jc", cmd, "--prior", other,
-                          "--posterior", UNIFORM, *extra)))
-            cases.append((f"jc-{cmd}-{kind}-posterior", ("jc", cmd, "--prior", PRIOR,
-                          "--posterior", other, *extra)))
+            yield pytest.param(("jc", cmd, "--prior", other, "--posterior", UNIFORM, *extra),
+                               id=f"jc-{cmd}-{kind}-prior")
+            yield pytest.param(("jc", cmd, "--prior", PRIOR, "--posterior", other, *extra),
+                               id=f"jc-{cmd}-{kind}-posterior")
         # without --horizon, bs test gives a full verdict, so both must be finite
-        cases.append((f"bs-test-{kind}-prior", ("bs", "test", "--prior", other,
-                      "--posterior", DISTINCT)))
-        cases.append((f"bs-test-{kind}-posterior", ("bs", "test", "--prior", UNIFORM,
-                      "--posterior", other)))
-    return cases
+        yield pytest.param(("bs", "test", "--prior", other, "--posterior", DISTINCT),
+                           id=f"bs-test-{kind}-prior")
+        yield pytest.param(("bs", "test", "--prior", UNIFORM, "--posterior", other),
+                           id=f"bs-test-{kind}-posterior")
+    nan = '{"kind":"finite","probs":[NaN,0.5,0.5]}'
+    yield pytest.param(("bs", "test", "--prior", UNIFORM, "--posterior", nan), id="nan-entry")
 
 
-KIND_MISMATCHES = _kind_mismatches()
-
-
-class TestInputKinds:
-    @pytest.mark.parametrize(
-        "argv", [c[1] for c in KIND_MISMATCHES], ids=[c[0] for c in KIND_MISMATCHES]
-    )
-    def test_kind_mismatch_exit_two(self, capsys, argv):
-        code, out = run(capsys, *argv)
-        assert code == 2
-        assert out == ""
-
-    def test_nan_entry_exit_two(self, capsys):
-        nan = '{"kind":"finite","probs":[NaN,0.5,0.5]}'
-        code, out = run(capsys, "bs", "test", "--prior", UNIFORM, "--posterior", nan)
-        assert code == 2
-        assert out == ""
+@pytest.mark.parametrize("argv", list(_exit_two_inputs()))
+def test_input_error_exit_two(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert out == ""

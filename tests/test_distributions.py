@@ -286,10 +286,6 @@ class TestNaNRejected:
         with pytest.raises(OutOfRange):
             TruncatedDistribution((0.5, 0.5), NAN)
 
-    def test_json_nan(self):
-        with pytest.raises(OutOfRange):
-            dist_from_json(json.loads('{"kind":"finite","probs":[NaN,0.5,0.5]}'))
-
 
 class TestDistributionView:
     """Every kind answers prefix_values / tail_after / is_exact."""
