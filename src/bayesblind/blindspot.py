@@ -21,7 +21,7 @@ from .distributions import (
     require_finite,
     require_positive_prefix,
 )
-from .errors import LengthMismatch, ZeroPrior
+from .errors import ZeroPrior
 from .jeffrey import Partition, check_prior
 
 IN_BLIND_SPOT = "in_blind_spot"
@@ -56,10 +56,7 @@ def membership_finite(p: FiniteDistribution, q: FiniteDistribution) -> BlindSpot
     """Full membership test on a finite index set.  An accessible verdict
     carries the coarsest witness partition, whose blocks are the fibres of
     the same ratio index; like ``coarsest_partition`` it needs an exact prior."""
-    require_finite(p, q)
-    if len(p) != len(q):
-        raise LengthMismatch(f"lengths differ: {len(p)} vs {len(q)}")
-    pv = require_positive_prefix(p, len(p))
+    pv = require_positive_prefix(p, require_finite(p, q))
     index = RatioIndex.of(q.probs, pv)
     if index.first_collision is None:
         return BlindSpotVerdict(IN_BLIND_SPOT)
@@ -106,10 +103,7 @@ def family_membership(
 def collision_count(p: Distribution, q: Distribution, n: int | None = None) -> int:
     """Number of unordered index pairs with exactly equal ratios."""
     if n is None:
-        require_finite(p, q)
-        if len(p) != len(q):
-            raise LengthMismatch(f"lengths differ: {len(p)} vs {len(q)}")
-        n = len(p)
+        n = require_finite(p, q)
     pv = require_positive_prefix(p, n)
     fibres = RatioIndex.of(q.prefix_values(n), pv).fibres()
     return sum(len(f) * (len(f) - 1) // 2 for f in fibres)

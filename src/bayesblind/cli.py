@@ -1,9 +1,15 @@
 """Single command-line entry point.
 
-Payloads go to stdout as JSON; a one-line human summary goes to stderr.
-Exit codes: 0 success/member, 10 accessible/collision, 2 input error,
-3 horizon insufficient.  Every randomized subcommand requires an explicit
+Payloads go to stdout as JSON (CSV for ``bs montecarlo --format csv``); a
+one-line human summary goes to stderr.  Exit codes: 0 success/member,
+10 accessible/collision, 2 input error (including any malformed argument),
+3 horizon insufficient, 4 a certificate claim failed to re-verify (the
+payload is still written).  Every randomized subcommand requires an explicit
 --seed so runs are reproducible byte for byte.
+
+One table, ``COMMANDS``, maps each (group, command) to its handler, its flags
+and the arguments its certificate is bound to.  ``dispatch`` parses, decodes
+every flag that has a decoder, runs the handler and writes its payload.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import blindspot, construct, jeffrey, metrics, sampler
 from .distributions import (
@@ -31,6 +38,10 @@ EXIT_OK = 0
 EXIT_ACCESSIBLE = 10
 EXIT_INPUT = 2
 EXIT_HORIZON = 3
+EXIT_CLAIM_FAILED = 4
+
+#: what malformed text raises while it is decoded; all of it is an input error
+DECODE_ERRORS = (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError)
 
 
 def _load_json_arg(text: str):
@@ -38,40 +49,7 @@ def _load_json_arg(text: str):
     if os.path.isfile(text):
         with open(text) as fh:
             return json.load(fh)
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise BayesBlindError(f"not valid JSON and not a file: {text!r} ({exc})") from exc
-
-
-def _load_dist(text: str):
-    return dist_from_json(_load_json_arg(text))
-
-
-def _digest(payload) -> str:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _certificate(operation, inputs, claims, seed=None) -> dict:
-    cert = {"operation": operation, "inputs_digest": _digest(inputs), "claims": claims}
-    if seed is not None:
-        cert["seed"] = seed
-    return cert
-
-
-def _claim(prop, bound_or_value, verified) -> dict:
-    return {"property": prop, "bound_or_value": bound_or_value, "verified": bool(verified)}
-
-
-def _emit(payload: dict, summary: str, out: str | None = None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    print(summary, file=sys.stderr)
+    return json.loads(text)
 
 
 def _number_str(x) -> str:
@@ -80,274 +58,229 @@ def _number_str(x) -> str:
     return f"{float(x):.12f}"
 
 
-# ---------------------------------------------------------------- jc group
+def _certificate(args, claims) -> dict:
+    """Claims (property, bound or value, verified) bound to a digest of the
+    raw arguments the command table certifies, plus the seed if any."""
+    inputs = {name: args.raw[name] for name in COMMANDS[args.group, args.cmd].certified}
+    blob = json.dumps(inputs, sort_keys=True, separators=(",", ":"))
+    cert = {
+        "operation": f"{args.group} {args.cmd}",
+        "inputs_digest": hashlib.sha256(blob.encode()).hexdigest(),
+        "claims": [
+            {"property": prop, "bound_or_value": bound, "verified": bool(ok)}
+            for prop, bound, ok in claims
+        ],
+    }
+    if "seed" in args.raw:
+        cert["seed"] = args.seed
+    return cert
 
 
-def _cmd_jc_apply(args) -> int:
-    p = _load_dist(args.prior)
-    e = jeffrey.Partition.from_json(_load_json_arg(args.partition))
-    w = jeffrey.BlockWeights(tuple(parse_rational(str(x)) for x in _load_json_arg(args.weights)))
-    q = jeffrey.jc_apply(p, e, w)
-    _emit(
-        {"posterior": dist_to_json(q)},
-        "jc apply: " + ", ".join(format_rational(v) for v in q.probs),
-        args.out,
-    )
-    return EXIT_OK
+# ---------------------------------------------------------------- handlers
+# Each takes the decoded arguments and returns (payload, summary, exit code);
+# the payload is a dict written as JSON, or CSV text written as is.
 
 
-def _cmd_jc_rigidity(args) -> int:
-    p = _load_dist(args.prior)
-    q = _load_dist(args.posterior)
-    e = jeffrey.Partition.from_json(_load_json_arg(args.partition))
-    holds = jeffrey.rigidity_holds(p, q, e)
-    _emit({"rigidity_holds": holds}, f"rigidity holds: {holds}", args.out)
-    return EXIT_OK
+def _jc_apply(a):
+    q = jeffrey.jc_apply(a.prior, a.partition, jeffrey.BlockWeights(tuple(a.weights)))
+    summary = "jc apply: " + ", ".join(format_rational(v) for v in q.probs)
+    return {"posterior": dist_to_json(q)}, summary, EXIT_OK
 
 
-def _cmd_jc_coarsest(args) -> int:
-    p = _load_dist(args.prior)
-    q = _load_dist(args.posterior)
-    e = jeffrey.coarsest_partition(p, q)
-    _emit({"coarsest": e.to_json()}, f"coarsest partition: {e.to_json()['blocks']}", args.out)
-    return EXIT_OK
+def _jc_rigidity(a):
+    holds = jeffrey.rigidity_holds(a.prior, a.posterior, a.partition)
+    return {"rigidity_holds": holds}, f"rigidity holds: {holds}", EXIT_OK
 
 
-def _cmd_jc_brute(args) -> int:
-    p = _load_dist(args.prior)
-    q = _load_dist(args.posterior)
-    verdict = jeffrey.accessible_brute_force(p, q)
+def _jc_coarsest(a):
+    e = jeffrey.coarsest_partition(a.prior, a.posterior).to_json()
+    return {"coarsest": e}, f"coarsest partition: {e['blocks']}", EXIT_OK
+
+
+def _jc_brute(a):
+    verdict = jeffrey.accessible_brute_force(a.prior, a.posterior)
     payload = {"accessible": verdict.accessible}
     if verdict.witness is not None:
         payload["witness"] = verdict.witness.to_json()
-    _emit(payload, f"accessible: {verdict.accessible}", args.out)
-    return EXIT_ACCESSIBLE if verdict.accessible else EXIT_OK
+    code = EXIT_ACCESSIBLE if verdict.accessible else EXIT_OK
+    return payload, f"accessible: {verdict.accessible}", code
 
 
-# ---------------------------------------------------------------- bs group
-
-
-def _cmd_bs_test(args) -> int:
-    p = _load_dist(args.prior)
-    q = _load_dist(args.posterior)
-    if args.horizon is not None:
-        v = blindspot.membership_prefix(p, q, args.horizon)
-        payload = {
-            "status": v.status,
-            "horizon_limited": True,
-            "horizon": v.horizon,
-        }
-        if v.collision is not None:
-            payload["witness"] = list(v.collision)
-        member = v.distinct
+def _bs_test(a):
+    if a.horizon is not None:
+        v = blindspot.membership_prefix(a.prior, a.posterior, a.horizon)
+        payload = {"status": v.status, "horizon_limited": True, "horizon": v.horizon}
+        witness, member = v.collision, v.distinct
     else:
-        v = blindspot.membership_finite(p, q)
+        v = blindspot.membership_finite(a.prior, a.posterior)
         payload = {"status": v.status, "horizon_limited": False}
-        if v.witness is not None:
-            payload["witness"] = list(v.witness)
+        witness, member = v.witness, v.in_blind_spot
         if v.coarsest is not None:
             payload["coarsest"] = v.coarsest.to_json()
-        member = v.in_blind_spot
-    _emit(payload, f"verdict: {payload['status']}", args.out)
-    return EXIT_OK if member else EXIT_ACCESSIBLE
+    if witness is not None:
+        payload["witness"] = list(witness)
+    return payload, f"verdict: {payload['status']}", EXIT_OK if member else EXIT_ACCESSIBLE
 
 
-def _cmd_bs_construct(args) -> int:
-    priors = [dist_from_json(obj) for obj in _load_json_arg(args.priors)]
-    q = construct.generate_blindspot_member(priors, args.horizon, args.seed)
-    verdicts = [blindspot.membership_prefix(p, q, args.horizon) for p in priors]
-    inputs = {"priors": args.priors, "horizon": args.horizon, "seed": args.seed}
+def _bs_construct(a):
+    q = construct.generate_blindspot_member(a.priors, a.horizon, a.seed)
     claims = [
-        _claim(f"prefix_distinct[prior {k}]", args.horizon, v.distinct)
-        for k, v in enumerate(verdicts, start=1)
+        (f"prefix_distinct[prior {k}]", a.horizon,
+         blindspot.membership_prefix(p, q, a.horizon).distinct)
+        for k, p in enumerate(a.priors, start=1)
     ]
-    claims.append(_claim("mass", "1", sum(q.prefix) + q.tail_mass == 1))
-    cert = _certificate("bs construct", inputs, claims, args.seed)
-    _emit(
-        {"distribution": dist_to_json(q), "certificate": cert},
-        f"generated blind-spot member at horizon {args.horizon}",
-        args.out,
-    )
-    return EXIT_OK
+    claims.append(("mass", "1", sum(q.prefix) + q.tail_mass == 1))
+    payload = {"distribution": dist_to_json(q), "certificate": _certificate(a, claims)}
+    return payload, f"generated blind-spot member at horizon {a.horizon}", EXIT_OK
 
 
-def _cmd_bs_densify(args) -> int:
-    p = _load_dist(args.prior)
-    q_target = _load_dist(args.target)
-    eps = parse_rational(args.epsilon)
-    result = construct.densify(p, q_target, eps)
-    n = len(result.distribution)
-    verdict = blindspot.membership_prefix(p, result.distribution, n)
-    upper = metrics.l1_upper_bound(result.distribution, q_target)
-    cert = _certificate(
-        "bs densify",
-        {"prior": args.prior, "target": args.target, "epsilon": args.epsilon},
-        [
-            _claim("l1_upper < 4*eps", format_rational(4 * eps), upper < 4 * eps),
-            _claim(f"prefix_distinct({n})", n, verdict.distinct),
-        ],
-        args.seed,
-    )
-    _emit(
-        {
-            "distribution": dist_to_json(result.distribution),
-            "l1_upper": format_rational(result.l1_upper),
-            "certificate": cert,
-        },
-        f"densified within l1 upper bound {_number_str(result.l1_upper)}",
-        args.out,
-    )
-    return EXIT_OK
+def _bs_densify(a):
+    result = construct.densify(a.prior, a.target, a.epsilon)
+    q, bound = result.distribution, 4 * a.epsilon
+    claims = [
+        ("l1_upper < 4*eps", format_rational(bound), metrics.l1_upper_bound(q, a.target) < bound),
+        (f"prefix_distinct({len(q)})", len(q),
+         blindspot.membership_prefix(a.prior, q, len(q)).distinct),
+    ]
+    payload = {
+        "distribution": dist_to_json(q),
+        "l1_upper": format_rational(result.l1_upper),
+        "certificate": _certificate(a, claims),
+    }
+    return payload, f"densified within l1 upper bound {_number_str(result.l1_upper)}", EXIT_OK
 
 
-def _cmd_bs_exteriorize(args) -> int:
-    p = _load_dist(args.prior)
-    q = _load_dist(args.posterior)
-    eps = parse_rational(args.epsilon)
-    result = construct.exteriorize(p, q, eps)
-    n = len(result.distribution)
-    count = blindspot.collision_count(p, result.distribution, n)
-    cert = _certificate(
-        "bs exteriorize",
-        {"prior": args.prior, "posterior": args.posterior, "epsilon": args.epsilon},
-        [
-            _claim("l1_distance < 2*eps", format_rational(2 * eps), result.l1_distance < 2 * eps),
-            _claim("collision_count >= 1", count, count >= 1),
-        ],
-    )
-    _emit(
-        {
-            "distribution": dist_to_json(result.distribution),
-            "collision_pairs": [list(pr) for pr in result.pairs],
-            "branch": result.branch,
-            "l1_distance": format_rational(result.l1_distance),
-            "certificate": cert,
-        },
-        f"collision at pair {result.pairs[0]}, l1 distance {_number_str(result.l1_distance)}",
-        args.out,
-    )
-    return EXIT_OK
+def _near_collision(a, result, bound_name, bound, pairs):
+    """Payload of a move to `pairs` or more ratio collisions within l1 `bound`,
+    and the collision count it certifies."""
+    q = result.distribution
+    count = blindspot.collision_count(a.prior, q, len(q))
+    claims = [
+        (f"l1_distance < {bound_name}", format_rational(bound), result.l1_distance < bound),
+        (f"collision_count >= {pairs}", count, count >= pairs),
+    ]
+    payload = {
+        "distribution": dist_to_json(q),
+        "collision_pairs": [list(pr) for pr in result.pairs],
+        "l1_distance": format_rational(result.l1_distance),
+        "certificate": _certificate(a, claims),
+    }
+    return payload, count
 
 
-def _cmd_bs_multicollide(args) -> int:
-    p = _load_dist(args.prior)
-    q = _load_dist(args.posterior)
-    eps = parse_rational(args.epsilon)
-    result = construct.multi_collision_near(p, q, args.pairs, eps)
-    n = len(result.distribution)
-    count = blindspot.collision_count(p, result.distribution, n)
-    bound = 2 * args.pairs * eps
-    cert = _certificate(
-        "bs multicollide",
-        {
-            "prior": args.prior,
-            "posterior": args.posterior,
-            "pairs": args.pairs,
-            "epsilon": args.epsilon,
-        },
-        [
-            _claim("l1_distance < 2*pairs*eps", format_rational(bound), result.l1_distance < bound),
-            _claim(f"collision_count >= {args.pairs}", count, count >= args.pairs),
-        ],
-    )
-    _emit(
-        {
-            "distribution": dist_to_json(result.distribution),
-            "collision_pairs": [list(pr) for pr in result.pairs],
-            "l1_distance": format_rational(result.l1_distance),
-            "certificate": cert,
-        },
-        f"{count} collisions within l1 distance {_number_str(result.l1_distance)}",
-        args.out,
-    )
-    return EXIT_OK
+def _bs_exteriorize(a):
+    result = construct.exteriorize(a.prior, a.posterior, a.epsilon)
+    payload, _ = _near_collision(a, result, "2*eps", 2 * a.epsilon, 1)
+    summary = f"collision at pair {result.pairs[0]}, l1 distance {_number_str(result.l1_distance)}"
+    return {**payload, "branch": result.branch}, summary, EXIT_OK
 
 
-def _cmd_bs_sample(args) -> int:
-    base = sampler.parse_base(args.base)
-    d = sampler.stick_breaking_sample(args.seed, args.horizon, base)
-    _emit(
-        {"distribution": dist_to_json(d)},
-        f"stick-breaking sample at horizon {args.horizon}, residual {d.tail_mass:.3e}",
-        args.out,
-    )
-    return EXIT_OK
+def _bs_multicollide(a):
+    result = construct.multi_collision_near(a.prior, a.posterior, a.pairs, a.epsilon)
+    payload, count = _near_collision(a, result, "2*pairs*eps", 2 * a.pairs * a.epsilon, a.pairs)
+    summary = f"{count} collisions within l1 distance {_number_str(result.l1_distance)}"
+    return payload, summary, EXIT_OK
 
 
-def _cmd_bs_montecarlo(args) -> int:
-    prior = _load_dist(args.prior)
-    base = sampler.parse_base(args.base)
-    want_csv = args.format == "csv"
+def _bs_sample(a):
+    d = sampler.stick_breaking_sample(a.seed, a.horizon, a.base)
+    summary = f"stick-breaking sample at horizon {a.horizon}, residual {d.tail_mass:.3e}"
+    return {"distribution": dist_to_json(d)}, summary, EXIT_OK
+
+
+def _bs_montecarlo(a):
+    want_csv = a.format == "csv"
     result = sampler.monte_carlo_blindspot_fraction(
-        prior,
-        args.trials,
-        args.horizon,
-        base,
-        args.seed,
-        workers=args.workers,
-        collect_trials=want_csv,
+        a.prior, a.trials, a.horizon, a.base, a.seed,
+        workers=a.workers, collect_trials=want_csv,
     )
-    if want_csv:
-        report, records = result
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(
-            ["trial", "in_blindspot", "first_collision_i", "first_collision_j", "residual_mass"]
-        )
-        for rec in records:
-            i, j = rec.first_collision if rec.first_collision else ("", "")
-            writer.writerow([rec.trial, int(rec.in_blindspot), i, j, repr(rec.residual_mass)])
-        text = buf.getvalue()
-        if args.out:
-            with open(args.out, "w", newline="") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        print(
-            f"monte carlo: {report.in_blindspot}/{report.trials} in blind spot",
-            file=sys.stderr,
-        )
-    else:
-        report = result
-        _emit(
-            {"report": report.to_json()},
-            f"monte carlo: {report.in_blindspot}/{report.trials} in blind spot",
-            args.out,
-        )
-    return EXIT_OK
+    report, records = result if want_csv else (result, None)
+    summary = f"monte carlo: {report.in_blindspot}/{report.trials} in blind spot"
+    if not want_csv:
+        return {"report": report.to_json()}, summary, EXIT_OK
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["trial", "in_blindspot", "first_collision_i", "first_collision_j",
+                     "residual_mass"])
+    for rec in records:
+        i, j = rec.first_collision if rec.first_collision else ("", "")
+        writer.writerow([rec.trial, int(rec.in_blindspot), i, j, repr(rec.residual_mass)])
+    return buf.getvalue(), summary, EXIT_OK
 
 
-# -------------------------------------------------------------- dist group
+def _dist_normalize(a):
+    d = normalize(a.values)
+    summary = "normalized: " + ", ".join(format_rational(v) for v in d.probs)
+    return {"distribution": dist_to_json(d)}, summary, EXIT_OK
 
 
-def _cmd_dist_normalize(args) -> int:
-    values = [parse_rational(str(v)) for v in _load_json_arg(args.values)]
-    d = normalize(values)
-    _emit(
-        {"distribution": dist_to_json(d)},
-        "normalized: " + ", ".join(format_rational(v) for v in d.probs),
-        args.out,
-    )
-    return EXIT_OK
-
-
-def _cmd_dist_distance(args) -> int:
-    u = _load_dist(args.u)
-    v = _load_dist(args.v)
-    norm = metrics.parse_norm(args.norm)
-    fn = metrics.bounded_metric if args.bounded else metrics.lp_distance
-    t = fn(u, v, norm)
+def _dist_distance(a):
+    fn = metrics.bounded_metric if a.bounded else metrics.lp_distance
+    t = fn(a.u, a.v, a.norm)
     if isinstance(t, metrics.DistanceInterval):
         payload = {"lower": _number_str(t.lower), "upper": _number_str(t.upper)}
         summary = f"distance in [{payload['lower']}, {payload['upper']}]"
     else:
         payload = {"value": _number_str(t)}
         summary = f"distance: {payload['value']}"
-    _emit({"norm": str(norm), "bounded": args.bounded, **payload}, summary, args.out)
-    return EXIT_OK
+    return {"norm": str(a.norm), "bounded": a.bounded, **payload}, summary, EXIT_OK
 
 
-# ------------------------------------------------------------------ parser
+# ------------------------------------------------------------------- table
+
+
+class Command(NamedTuple):
+    handler: Callable
+    flags: dict  # "--name" -> (argparse spec, decoder of its text or None)
+    certified: tuple = ()  # raw arguments the certificate digest covers
+
+
+def _flag(decode=None, **spec):
+    return spec, decode
+
+
+DIST = _flag(lambda text: dist_from_json(_load_json_arg(text)), required=True)
+DISTS = _flag(lambda text: [dist_from_json(obj) for obj in _load_json_arg(text)], required=True)
+RATIONAL = _flag(parse_rational, required=True)
+RATIONALS = _flag(lambda text: [parse_rational(str(x)) for x in _load_json_arg(text)],
+                  required=True)
+PARTITION = _flag(lambda text: jeffrey.Partition.from_json(_load_json_arg(text)), required=True)
+BASE = _flag(sampler.parse_base, default="uniform")
+INT = _flag(type=int, required=True)
+
+COMMANDS = {
+    ("jc", "apply"): Command(
+        _jc_apply, {"--prior": DIST, "--partition": PARTITION, "--weights": RATIONALS}),
+    ("jc", "rigidity"): Command(
+        _jc_rigidity, {"--prior": DIST, "--posterior": DIST, "--partition": PARTITION}),
+    ("jc", "coarsest"): Command(_jc_coarsest, {"--prior": DIST, "--posterior": DIST}),
+    ("jc", "brute"): Command(_jc_brute, {"--prior": DIST, "--posterior": DIST}),
+    ("bs", "test"): Command(_bs_test, {
+        "--prior": DIST, "--posterior": DIST, "--horizon": _flag(type=int, default=None)}),
+    ("bs", "construct"): Command(
+        _bs_construct, {"--priors": DISTS, "--horizon": INT, "--seed": INT},
+        ("priors", "horizon", "seed")),
+    ("bs", "densify"): Command(
+        _bs_densify,
+        {"--prior": DIST, "--target": DIST, "--epsilon": RATIONAL, "--seed": INT},
+        ("prior", "target", "epsilon")),
+    ("bs", "exteriorize"): Command(
+        _bs_exteriorize, {"--prior": DIST, "--posterior": DIST, "--epsilon": RATIONAL},
+        ("prior", "posterior", "epsilon")),
+    ("bs", "multicollide"): Command(
+        _bs_multicollide,
+        {"--prior": DIST, "--posterior": DIST, "--pairs": INT, "--epsilon": RATIONAL},
+        ("prior", "posterior", "pairs", "epsilon")),
+    ("bs", "sample"): Command(_bs_sample, {"--seed": INT, "--horizon": INT, "--base": BASE}),
+    ("bs", "montecarlo"): Command(_bs_montecarlo, {
+        "--prior": DIST, "--trials": INT, "--horizon": INT, "--seed": INT, "--base": BASE,
+        "--workers": _flag(type=int, default=1),
+        "--format": _flag(choices=["json", "csv"], default="json")}),
+    ("dist", "normalize"): Command(_dist_normalize, {"--values": RATIONALS}),
+    ("dist", "distance"): Command(_dist_distance, {
+        "--u": DIST, "--v": DIST, "--norm": _flag(metrics.parse_norm, default="l1"),
+        "--bounded": _flag(action="store_true")}),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -356,73 +289,54 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Jeffrey conditioning and blind-spot analysis toolkit",
     )
     top = parser.add_subparsers(dest="group", required=True)
-
-    def add(sub, name, fn, **flags):
-        sp = sub.add_parser(name)
-        for flag, spec in flags.items():
+    groups = {}
+    for (group, name), command in COMMANDS.items():
+        if group not in groups:
+            groups[group] = top.add_parser(group).add_subparsers(dest="cmd", required=True)
+        sp = groups[group].add_parser(name)
+        for flag, (spec, _) in command.flags.items():
             sp.add_argument(flag, **spec)
         sp.add_argument("--out", default=None, help="write payload to a file")
-        sp.set_defaults(fn=fn)
-        return sp
-
-    dist_arg = {"required": True}
-    jc = top.add_parser("jc").add_subparsers(dest="cmd", required=True)
-    add(jc, "apply", _cmd_jc_apply, **{
-        "--prior": dist_arg, "--partition": dist_arg, "--weights": dist_arg})
-    add(jc, "rigidity", _cmd_jc_rigidity, **{
-        "--prior": dist_arg, "--posterior": dist_arg, "--partition": dist_arg})
-    add(jc, "coarsest", _cmd_jc_coarsest, **{"--prior": dist_arg, "--posterior": dist_arg})
-    add(jc, "brute", _cmd_jc_brute, **{"--prior": dist_arg, "--posterior": dist_arg})
-
-    bs = top.add_parser("bs").add_subparsers(dest="cmd", required=True)
-    add(bs, "test", _cmd_bs_test, **{
-        "--prior": dist_arg, "--posterior": dist_arg,
-        "--horizon": {"type": int, "default": None}})
-    add(bs, "construct", _cmd_bs_construct, **{
-        "--priors": dist_arg,
-        "--horizon": {"type": int, "required": True},
-        "--seed": {"type": int, "required": True}})
-    add(bs, "densify", _cmd_bs_densify, **{
-        "--prior": dist_arg, "--target": dist_arg,
-        "--epsilon": dist_arg, "--seed": {"type": int, "required": True}})
-    add(bs, "exteriorize", _cmd_bs_exteriorize, **{
-        "--prior": dist_arg, "--posterior": dist_arg, "--epsilon": dist_arg})
-    add(bs, "multicollide", _cmd_bs_multicollide, **{
-        "--prior": dist_arg, "--posterior": dist_arg,
-        "--pairs": {"type": int, "required": True}, "--epsilon": dist_arg})
-    add(bs, "sample", _cmd_bs_sample, **{
-        "--seed": {"type": int, "required": True},
-        "--horizon": {"type": int, "required": True},
-        "--base": {"default": "uniform"}})
-    add(bs, "montecarlo", _cmd_bs_montecarlo, **{
-        "--prior": dist_arg,
-        "--trials": {"type": int, "required": True},
-        "--horizon": {"type": int, "required": True},
-        "--seed": {"type": int, "required": True},
-        "--base": {"default": "uniform"},
-        "--workers": {"type": int, "default": 1},
-        "--format": {"choices": ["json", "csv"], "default": "json"}})
-
-    dg = top.add_parser("dist").add_subparsers(dest="cmd", required=True)
-    add(dg, "normalize", _cmd_dist_normalize, **{"--values": dist_arg})
-    add(dg, "distance", _cmd_dist_distance, **{
-        "--u": dist_arg, "--v": dist_arg,
-        "--norm": {"default": "l1"},
-        "--bounded": {"action": "store_true"}})
     return parser
 
 
+def _decode(args, flags) -> None:
+    """Replace each decodable flag's text by its value; ``args.raw`` keeps
+    the texts for the certificate."""
+    args.raw = dict(vars(args))
+    for flag, (_, decode) in flags.items():
+        if decode is not None:
+            name = flag[2:]
+            try:
+                setattr(args, name, decode(getattr(args, name)))
+            except DECODE_ERRORS as exc:
+                raise BayesBlindError(f"malformed {flag}: {exc!r}") from exc
+
+
 def dispatch(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
+    command = COMMANDS[args.group, args.cmd]
     try:
-        return args.fn(args)
+        _decode(args, command.flags)
+        payload, summary, code = command.handler(args)
     except BayesBlindError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    if isinstance(payload, dict):
+        claims = payload.get("certificate", {}).get("claims", ())
+        if not all(c["verified"] for c in claims):
+            code = EXIT_CLAIM_FAILED
+        payload = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
+            fh.write(payload)
+    else:
+        sys.stdout.write(payload)
+    print(summary, file=sys.stderr)
+    return code
 
 
 def main() -> None:

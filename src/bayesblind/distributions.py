@@ -262,11 +262,15 @@ def require_stored(*ds: Distribution) -> None:
         raise LengthMismatch("a geometric distribution has no stored prefix; truncate it first")
 
 
-def require_finite(*ds: Distribution) -> None:
-    """Guard for operations on finite vectors: rejects truncated and geometric,
-    which need a horizon."""
+def require_finite(*ds: Distribution) -> int:
+    """Guard for operations on finite vectors of one length: rejects truncated
+    and geometric, which need a horizon, and unequal lengths.  Returns the
+    common length."""
     if not all(isinstance(d, FiniteDistribution) for d in ds):
         raise LengthMismatch("truncated and geometric distributions need a horizon")
+    if len({len(d) for d in ds}) > 1:
+        raise LengthMismatch("lengths differ: " + " vs ".join(str(len(d)) for d in ds))
+    return len(ds[0])
 
 
 def require_positive_prefix(d: Distribution, n: int) -> tuple:
@@ -278,12 +282,10 @@ def require_positive_prefix(d: Distribution, n: int) -> tuple:
 
 
 def ratio_profile(q: Distribution, p: Distribution, n: int | None = None) -> RatioProfile:
-    """Componentwise q_i / p_i; prior must be strictly positive."""
+    """Componentwise q_i / p_i; prior must be strictly positive.  Without a
+    horizon n both must be finite vectors of one length."""
     if n is None:
-        require_stored(q, p)
-        n = len(q)
-        if len(p) != n:
-            raise LengthMismatch(f"lengths differ: {len(q)} vs {len(p)}")
+        n = require_finite(q, p)
     pv = require_positive_prefix(p, n)
     qv = q.prefix_values(n)
     return RatioProfile(tuple(a / b for a, b in zip(qv, pv)))

@@ -135,9 +135,6 @@ def check_prior(p: FiniteDistribution, *posteriors: FiniteDistribution) -> None:
         raise ZeroPrior("priors must be exact-rational distributions")
     if any(v <= 0 for v in p.probs):
         raise ZeroPrior("prior must be strictly positive")
-    for q in posteriors:
-        if len(q) != len(p):
-            raise LengthMismatch(f"lengths differ: {len(p)} vs {len(q)}")
 
 
 def _check_shapes(p: FiniteDistribution, e: Partition) -> None:

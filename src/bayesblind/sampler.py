@@ -14,6 +14,7 @@ identical for any worker count.
 from __future__ import annotations
 
 import multiprocessing
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -203,7 +204,9 @@ def monte_carlo_blindspot_fraction(
         tasks.append((seed, chunk, m, n, base, p_float, collect_trials, done))
         done += m
         chunk += 1
-    if workers > 1 and len(tasks) > 1:
+    # more processes than chunks or cores would only add start-up cost
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         with multiprocessing.Pool(workers) as pool:
             results = pool.map(_mc_chunk, tasks)
     else:

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from bayesblind import blindspot, metrics
+from bayesblind.blindspot import PrefixVerdict
 from bayesblind.cli import dispatch
 from bayesblind.distributions import dist_from_json
 
@@ -11,6 +13,7 @@ DISTINCT = '{"kind":"finite","probs":["1/2","3/10","1/5"]}'
 GEO_HALF = '{"kind":"geometric","ratio":"1/2"}'
 TRUNC = '{"kind":"truncated","prefix":["1/2","1/4","1/8"],"tail_mass":"1/8"}'
 PARTITION = '{"blocks":[[1],[2,3]]}'
+BAD_JSON_FILE = "<file holding invalid JSON>"  # replaced by a real path in the test
 
 
 def run(capsys, *argv):
@@ -218,10 +221,68 @@ def _exit_two_inputs():
                            id=f"bs-test-{kind}-posterior")
     nan = '{"kind":"finite","probs":[NaN,0.5,0.5]}'
     yield pytest.param(("bs", "test", "--prior", UNIFORM, "--posterior", nan), id="nan-entry")
+    # malformed arguments, caught where they are decoded
+    ext = ("bs", "exteriorize", "--prior", GEO_HALF, "--posterior", TRUNC, "--epsilon")
+    test = ("bs", "test", "--posterior", UNIFORM, "--prior")
+    apply = ("jc", "apply", "--prior", UNIFORM)
+    for case_id, argv in {
+        "epsilon-not-a-number": (*ext, "abc"),
+        "epsilon-zero-denominator": (*ext, "1/0"),
+        "values-zero-denominator": ("dist", "normalize", "--values", '["1/0","1"]'),
+        "prior-missing-field": (*test, '{"kind":"finite"}'),
+        "prior-not-an-object": (*test, "3"),
+        "prior-file-invalid-json": (*test, BAD_JSON_FILE),
+        "priors-not-a-list": ("bs", "construct", "--priors", GEO_HALF,
+                              "--horizon", "8", "--seed", "1"),
+        "base-one-parameter": ("bs", "sample", "--seed", "1", "--horizon", "4",
+                               "--base", "beta:1"),
+        "partition-without-blocks": (*apply, "--partition", "{}", "--weights", '["1"]'),
+        "weight-not-a-number": (*apply, "--partition", PARTITION, "--weights", '["abc"]'),
+        "norm-not-a-number": ("dist", "distance", "--u", UNIFORM, "--v", UNIFORM,
+                              "--norm", "lp:x"),
+        "ratio-not-a-number": ("bs", "test", "--prior", '{"kind":"geometric","ratio":"x"}',
+                               "--posterior", GEO_HALF, "--horizon", "3"),
+    }.items():
+        yield pytest.param(argv, id=case_id)
 
 
 @pytest.mark.parametrize("argv", list(_exit_two_inputs()))
-def test_input_error_exit_two(capsys, argv):
-    code, out = run(capsys, *argv)
+def test_input_error_exit_two(capsys, tmp_path, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    code, out = run(capsys, *(str(bad) if a == BAD_JSON_FILE else a for a in argv))
     assert code == 2
     assert out == ""
+
+
+CONSTRUCT = ("bs", "construct", "--priors", TestConstructCommands.PRIORS,
+             "--horizon", "24", "--seed", "7")
+DENSIFY = ("bs", "densify", "--prior", GEO_HALF, "--target", TRUNC,
+           "--epsilon", "1/10", "--seed", "0")
+
+
+@pytest.mark.parametrize("argv, module, name, fake", [
+    pytest.param(CONSTRUCT, blindspot, "membership_prefix",
+                 lambda p, q, n: PrefixVerdict(False, n, (1, 2)), id="construct"),
+    pytest.param(DENSIFY, metrics, "l1_upper_bound", lambda u, v: 1, id="densify"),
+])
+def test_failed_claim_exits_four(capsys, monkeypatch, argv, module, name, fake):
+    monkeypatch.setattr(module, name, fake)
+    code, out = run(capsys, *argv)
+    assert code == 4
+    claims = json.loads(out)["certificate"]["claims"]
+    assert not all(c["verified"] for c in claims)
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(CONSTRUCT, id="json"),
+    pytest.param(("bs", "montecarlo", "--prior", GEO_HALF, "--trials", "40",
+                  "--horizon", "3", "--seed", "1", "--format", "csv"), id="csv"),
+])
+def test_out_file_holds_stdout_bytes(capsysbinary, tmp_path, argv):
+    assert dispatch(list(argv)) == 0
+    printed = capsysbinary.readouterr().out
+    out = tmp_path / "payload"
+    assert dispatch([*argv, "--out", str(out)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert out.read_bytes() == printed

@@ -149,6 +149,13 @@ class TestRatioProfile:
         with pytest.raises(LengthMismatch):
             ratio_profile(q, p)
 
+    def test_truncated_needs_horizon(self):
+        p = TruncatedDistribution((F(1, 2), F(1, 4)), F(1, 4))
+        q = TruncatedDistribution((F(1, 4), F(1, 2)), F(1, 4))
+        with pytest.raises(LengthMismatch):
+            ratio_profile(q, p)
+        assert ratio_profile(q, p, 2).ratios == (F(1, 2), F(2))
+
     def test_multiply_back_recovers_posterior(self):
         rng = random.Random(5)
         for _ in range(50):
@@ -318,7 +325,9 @@ class TestDistributionView:
 
     def test_guards(self):
         require_stored(self.FINITE, self.TRUNC)
-        require_finite(self.FINITE, self.FINITE)
+        assert require_finite(self.FINITE, self.FINITE) == 3
+        with pytest.raises(LengthMismatch):
+            require_finite(self.FINITE, finite_from_rationals([F(1, 2), F(1, 2)]))
         with pytest.raises(LengthMismatch):
             require_stored(self.FINITE, self.GEO)
         for other in (self.TRUNC, self.GEO):

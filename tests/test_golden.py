@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from bayesblind.cli import dispatch
+from bayesblind.cli import COMMANDS, dispatch
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text())
@@ -24,6 +24,11 @@ def test_golden_replay(case, capsysbinary):
     out = capsysbinary.readouterr().out
     assert code == case["exit"]
     assert out == (GOLDEN / f"{case['name']}.out").read_bytes()
+
+
+def test_corpus_covers_command_table():
+    """Every command in the CLI table is under the byte-identity gate."""
+    assert set(COMMANDS) <= {tuple(case["argv"][:2]) for case in CASES}
 
 
 def _record() -> None:

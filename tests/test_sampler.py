@@ -10,7 +10,9 @@ from bayesblind import (
     monte_carlo_blindspot_fraction,
     stick_breaking_sample,
 )
+from bayesblind import sampler
 from bayesblind.sampler import (
+    CHUNK_TRIALS,
     UNIFORM,
     parse_base,
     stick_breaking_matrix,
@@ -134,3 +136,35 @@ class TestMonteCarlo:
                     expected = (i + 1, i + 2 + int(later[0]))
                     break
             assert rec.first_collision == expected
+
+
+@pytest.mark.parametrize("workers, chunks, cpus, pool_size", [
+    (64, 3, 4, 3),    # capped by the chunk count
+    (64, 5, 2, 2),    # capped by the cores
+    (2, 5, 4, 2),     # as asked
+    (8, 1, 4, None),  # one chunk runs serially
+    (8, 3, 1, None),  # one core runs serially
+    (1, 3, 4, None),
+])
+def test_worker_clamp(monkeypatch, workers, chunks, cpus, pool_size):
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    kwargs = dict(trials=chunks * CHUNK_TRIALS, n=4, seed=2)
+    serial = monte_carlo_blindspot_fraction(GEO_HALF, **kwargs)
+    monkeypatch.setattr(sampler.multiprocessing, "Pool", InProcessPool)
+    monkeypatch.setattr(sampler.os, "cpu_count", lambda: cpus)
+    assert monte_carlo_blindspot_fraction(GEO_HALF, **kwargs, workers=workers) == serial
+    assert sizes == ([] if pool_size is None else [pool_size])
