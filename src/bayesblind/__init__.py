@@ -40,12 +40,16 @@ from .construct import (
     pick_valid_delta,
 )
 from .metrics import L1, L2, LINF, Norm, bounded_metric, lp_distance
-from .sampler import (
-    McReport,
-    StickBase,
-    finite_stick_sample,
-    monte_carlo_blindspot_fraction,
-    stick_breaking_sample,
-)
 
 __version__ = "0.1.0"
+
+#: resolved on first use, so that the exact paths never import numpy
+_SAMPLER_NAMES = frozenset({"McReport", "StickBase", "finite_stick_sample",
+                            "monte_carlo_blindspot_fraction", "stick_breaking_sample"})
+
+
+def __getattr__(name):
+    if name in _SAMPLER_NAMES:
+        from . import sampler
+        return getattr(sampler, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

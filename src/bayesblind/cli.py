@@ -10,13 +10,14 @@ payload is still written).  Every randomized subcommand requires an explicit
 One table, ``COMMANDS``, maps each (group, command) to its handler, its flags
 and the arguments its certificate is bound to.  ``dispatch`` parses, decodes
 every flag that has a decoder, runs the handler and writes its payload.
+Only ``bs sample`` and ``bs montecarlo`` import the float sampler, and with
+it numpy; every exact command runs without it.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import os
@@ -24,7 +25,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from . import blindspot, construct, jeffrey, metrics, sampler
+from . import blindspot, construct, jeffrey, metrics
 from .distributions import (
     dist_from_json,
     dist_to_json,
@@ -61,6 +62,8 @@ def _number_str(x) -> str:
 def _certificate(args, claims) -> dict:
     """Claims (property, bound or value, verified) bound to a digest of the
     raw arguments the command table certifies, plus the seed if any."""
+    import hashlib  # only the certifying commands pay for it
+
     inputs = {name: args.raw[name] for name in COMMANDS[args.group, args.cmd].certified}
     blob = json.dumps(inputs, sort_keys=True, separators=(",", ":"))
     cert = {
@@ -182,15 +185,22 @@ def _bs_multicollide(a):
     return payload, summary, EXIT_OK
 
 
+def _sampler():
+    """The float sampler, imported on first use because it imports numpy."""
+    from . import sampler
+
+    return sampler
+
+
 def _bs_sample(a):
-    d = sampler.stick_breaking_sample(a.seed, a.horizon, a.base)
+    d = _sampler().stick_breaking_sample(a.seed, a.horizon, a.base)
     summary = f"stick-breaking sample at horizon {a.horizon}, residual {d.tail_mass:.3e}"
     return {"distribution": dist_to_json(d)}, summary, EXIT_OK
 
 
 def _bs_montecarlo(a):
     want_csv = a.format == "csv"
-    result = sampler.monte_carlo_blindspot_fraction(
+    result = _sampler().monte_carlo_blindspot_fraction(
         a.prior, a.trials, a.horizon, a.base, a.seed,
         workers=a.workers, collect_trials=want_csv,
     )
@@ -245,7 +255,7 @@ RATIONAL = _flag(parse_rational, required=True)
 RATIONALS = _flag(lambda text: [parse_rational(str(x)) for x in _load_json_arg(text)],
                   required=True)
 PARTITION = _flag(lambda text: jeffrey.Partition.from_json(_load_json_arg(text)), required=True)
-BASE = _flag(sampler.parse_base, default="uniform")
+BASE = _flag(lambda text: _sampler().parse_base(text), default="uniform")
 INT = _flag(type=int, required=True)
 
 COMMANDS = {

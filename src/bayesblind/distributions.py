@@ -274,6 +274,9 @@ def require_finite(*ds: Distribution) -> int:
 
 
 def require_positive_prefix(d: Distribution, n: int) -> tuple:
+    """Components 1..n of a prior, all strictly positive; n must be at least 1."""
+    if n < 1:
+        raise OutOfRange(f"horizon must be at least 1, got {n}")
     vals = d.prefix_values(n)
     for i, v in enumerate(vals, start=1):
         if v <= 0:

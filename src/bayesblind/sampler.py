@@ -66,6 +66,12 @@ def parse_base(text: str) -> StickBase:
     raise OutOfRange(f"unknown stick base {text!r}; expected uniform|beta:a,b")
 
 
+def _require_seed(seed: int) -> None:
+    """Checked in the calling process, before any draw or worker pool."""
+    if seed < 0:
+        raise OutOfRange(f"seed must be non-negative, got {seed}")
+
+
 def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk,)))
 
@@ -97,6 +103,7 @@ def _stick_chunk(rng: np.random.Generator, m: int, n: int, base: StickBase):
 
 def stick_breaking_matrix(seed: int, trials: int, n: int, base: StickBase = UNIFORM):
     """(trials, n) coordinate matrix plus residuals, chunk-deterministic."""
+    _require_seed(seed)
     xs, residuals = [], []
     done = 0
     chunk = 0
@@ -114,6 +121,7 @@ def stick_breaking_sample(seed: int, n: int, base: StickBase = UNIFORM) -> Trunc
     """One stick-breaking sample, deterministic given the seed."""
     if n < 2:
         raise OutOfRange("horizon must be at least 2")
+    _require_seed(seed)
     x, residual = _stick_chunk(_chunk_rng(seed, 0), 1, n, base)
     return TruncatedDistribution(tuple(float(v) for v in x[0]), float(residual[0]))
 
@@ -122,6 +130,7 @@ def finite_stick_sample(seed: int, n: int, base: StickBase = UNIFORM) -> FiniteD
     """Finite variant: n-1 breaks, last coordinate absorbs the residual."""
     if n < 2:
         raise OutOfRange("need at least 2 components")
+    _require_seed(seed)
     x, residual = _stick_chunk(_chunk_rng(seed, 0), 1, n - 1, base)
     probs = tuple(float(v) for v in x[0]) + (float(residual[0]),)
     return FiniteDistribution(probs)
@@ -195,6 +204,7 @@ def monte_carlo_blindspot_fraction(
     when per-trial records are requested."""
     if trials < 1:
         raise OutOfRange("need at least one trial")
+    _require_seed(seed)
     p_float = np.array([float(v) for v in require_positive_prefix(prior, n)])
     tasks = []
     done = 0

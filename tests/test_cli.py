@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from bayesblind import blindspot, metrics
+import bayesblind
+from bayesblind import blindspot, metrics, sampler
 from bayesblind.blindspot import PrefixVerdict
 from bayesblind.cli import dispatch
 from bayesblind.distributions import dist_from_json
@@ -225,6 +230,10 @@ def _exit_two_inputs():
     ext = ("bs", "exteriorize", "--prior", GEO_HALF, "--posterior", TRUNC, "--epsilon")
     test = ("bs", "test", "--posterior", UNIFORM, "--prior")
     apply = ("jc", "apply", "--prior", UNIFORM)
+    horizon_test = ("bs", "test", "--prior", GEO_HALF, "--posterior",
+                    '{"kind":"truncated","prefix":["1/4","1/8","1/4","1/8"],"tail_mass":"1/4"}',
+                    "--horizon")
+    montecarlo = ("bs", "montecarlo", "--prior", GEO_HALF, "--trials", "10")
     for case_id, argv in {
         "epsilon-not-a-number": (*ext, "abc"),
         "epsilon-zero-denominator": (*ext, "1/0"),
@@ -242,6 +251,13 @@ def _exit_two_inputs():
                               "--norm", "lp:x"),
         "ratio-not-a-number": ("bs", "test", "--prior", '{"kind":"geometric","ratio":"x"}',
                                "--posterior", GEO_HALF, "--horizon", "3"),
+        # a horizon below 1 and a negative sampler seed are out of range
+        "test-horizon-negative": (*horizon_test, "-1"),
+        "test-horizon-zero": (*horizon_test, "0"),
+        "montecarlo-horizon-zero": (*montecarlo, "--seed", "1", "--horizon", "0"),
+        "montecarlo-horizon-negative": (*montecarlo, "--seed", "1", "--horizon", "-3"),
+        "montecarlo-seed-negative": (*montecarlo, "--horizon", "5", "--seed", "-1"),
+        "sample-seed-negative": ("bs", "sample", "--seed", "-1", "--horizon", "5"),
     }.items():
         yield pytest.param(argv, id=case_id)
 
@@ -286,3 +302,48 @@ def test_out_file_holds_stdout_bytes(capsysbinary, tmp_path, argv):
     assert dispatch([*argv, "--out", str(out)]) == 0
     assert capsysbinary.readouterr().out == b""
     assert out.read_bytes() == printed
+
+
+GOLDEN_CASES = json.loads((Path(__file__).parent / "golden" / "cases.json").read_text())
+SAMPLING = (["bs", "sample"], ["bs", "montecarlo"])
+#: a fresh interpreter: import the CLI, replay the exact golden cases, and
+#: report which float modules were loaded after each step, plus the exit codes
+EXACT_REPLAY = """
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+
+import bayesblind.cli as cli
+
+
+def loaded():
+    return sorted({"numpy", "multiprocessing"} & set(sys.modules))
+
+
+after_import, codes = loaded(), {}
+for case in json.loads(sys.stdin.read()):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        codes[case["name"]] = cli.dispatch(case["argv"])
+print(json.dumps([after_import, loaded(), codes]))
+"""
+
+
+def test_exact_commands_import_no_numpy():
+    exact = [case for case in GOLDEN_CASES if case["argv"][:2] not in SAMPLING]
+    src = Path(bayesblind.__file__).parents[1]
+    proc = subprocess.run([sys.executable, "-c", EXACT_REPLAY], input=json.dumps(exact),
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    after_import, after_replay, codes = json.loads(proc.stdout)
+    assert after_import == []
+    assert after_replay == []
+    assert codes == {case["name"]: case["exit"] for case in exact}
+
+
+def test_package_resolves_sampler_names_on_use():
+    from bayesblind import monte_carlo_blindspot_fraction
+
+    assert monte_carlo_blindspot_fraction is sampler.monte_carlo_blindspot_fraction
+    assert bayesblind.McReport is sampler.McReport
+    with pytest.raises(AttributeError):
+        bayesblind.no_such_name

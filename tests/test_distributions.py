@@ -149,6 +149,12 @@ class TestRatioProfile:
         with pytest.raises(LengthMismatch):
             ratio_profile(q, p)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_horizon_below_one(self, n):
+        p = geometric(F(1, 2))
+        with pytest.raises(OutOfRange):
+            ratio_profile(p, p, n)
+
     def test_truncated_needs_horizon(self):
         p = TruncatedDistribution((F(1, 2), F(1, 4)), F(1, 4))
         q = TruncatedDistribution((F(1, 4), F(1, 2)), F(1, 4))

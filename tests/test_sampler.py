@@ -168,3 +168,20 @@ def test_worker_clamp(monkeypatch, workers, chunks, cpus, pool_size):
     monkeypatch.setattr(sampler.os, "cpu_count", lambda: cpus)
     assert monte_carlo_blindspot_fraction(GEO_HALF, **kwargs, workers=workers) == serial
     assert sizes == ([] if pool_size is None else [pool_size])
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: stick_breaking_sample(-1, 8), id="sample"),
+    pytest.param(lambda: finite_stick_sample(-1, 8), id="finite-sample"),
+    pytest.param(lambda: stick_breaking_matrix(-1, 10, 8), id="matrix"),
+    pytest.param(lambda: monte_carlo_blindspot_fraction(  # two chunks: two workers
+        GEO_HALF, CHUNK_TRIALS + 1, 8, seed=-1, workers=2), id="montecarlo"),
+])
+def test_negative_seed_rejected_before_any_pool(monkeypatch, call):
+    def no_pool(size):
+        raise AssertionError("a pool was started for a negative seed")
+
+    monkeypatch.setattr(sampler.multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(sampler.os, "cpu_count", lambda: 2)
+    with pytest.raises(OutOfRange, match="seed"):
+        call()
