@@ -3,12 +3,9 @@
 from .distributions import (
     FiniteDistribution,
     Geometric,
-    RatioProfile,
     TruncatedDistribution,
-    finite_from_rationals,
     geometric,
     normalize,
-    ratio_profile,
     truncate,
 )
 from .jeffrey import (

@@ -38,7 +38,6 @@ from .errors import BayesBlindError
 EXIT_OK = 0
 EXIT_ACCESSIBLE = 10
 EXIT_INPUT = 2
-EXIT_HORIZON = 3
 EXIT_CLAIM_FAILED = 4
 
 #: what malformed text raises while it is decoded; all of it is an input error

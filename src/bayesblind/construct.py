@@ -30,6 +30,8 @@ from .errors import (
 
 #: extra dyadic resolution below the 2^-i envelope for generated coordinates
 _DYADIC_BITS = 32
+#: seeded deltas pick_valid_delta tries before it gives up
+DELTA_TRIES = 10000
 
 
 def generate_raw_sequence(
@@ -91,7 +93,6 @@ def pick_valid_delta(
     priors: Sequence[Distribution],
     eps: Fraction,
     seed: int,
-    max_tries: int = 10000,
 ) -> Fraction:
     """A delta in (0, eps) whose shifted distribution stays prefix-distinct
     for every prior.  Only finitely many deltas fail at a fixed horizon, so
@@ -116,7 +117,7 @@ def pick_valid_delta(
         raise HorizonInsufficient("indices 3..N already collide; no delta can help")
     q1, q2 = q.prefix[0], q.prefix[1]
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(DELTA_TRIES):
         delta = eps * Fraction(rng.randrange(1, 1 << 40), 1 << 40)
         if all(
             (r1 := (q1 + delta) / p1) != (r2 := (q2 - delta) / p2)

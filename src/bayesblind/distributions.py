@@ -7,7 +7,6 @@ only appear in sampler output.  Indices are 1-based in all public reporting
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -175,19 +174,6 @@ def geometric(r: Fraction) -> Geometric:
 Distribution = Union[FiniteDistribution, TruncatedDistribution, Geometric]
 
 
-@dataclass(frozen=True)
-class RatioProfile:
-    """The vector q_i / p_i whose injectivity decides blind-spot membership."""
-
-    ratios: tuple
-
-    def __len__(self) -> int:
-        return len(self.ratios)
-
-    def has_repeat(self) -> bool:
-        return len(set(self.ratios)) < len(self.ratios)
-
-
 def _ratio_key(r):
     """(numerator, denominator) of a finite Fraction, int or float, so exactly
     equal numbers of any type share a key; far cheaper to hash than a
@@ -235,11 +221,6 @@ class RatioIndex:
         return list(self._fibres.values())
 
 
-def finite_from_rationals(values: Iterable[Fraction]) -> FiniteDistribution:
-    vals = tuple(Fraction(v) for v in values)
-    return FiniteDistribution(vals)
-
-
 def normalize(values: Iterable[Fraction]) -> FiniteDistribution:
     vals = tuple(Fraction(v) for v in values)
     _check_entries(vals)
@@ -284,16 +265,6 @@ def require_positive_prefix(d: Distribution, n: int) -> tuple:
     return vals
 
 
-def ratio_profile(q: Distribution, p: Distribution, n: int | None = None) -> RatioProfile:
-    """Componentwise q_i / p_i; prior must be strictly positive.  Without a
-    horizon n both must be finite vectors of one length."""
-    if n is None:
-        n = require_finite(q, p)
-    pv = require_positive_prefix(p, n)
-    qv = q.prefix_values(n)
-    return RatioProfile(tuple(a / b for a, b in zip(qv, pv)))
-
-
 def dist_to_json(d: Distribution) -> dict:
     if isinstance(d, FiniteDistribution):
         return {"kind": "finite", "probs": [_encode(v) for v in d.probs]}
@@ -330,10 +301,3 @@ def dist_from_json(obj: dict) -> Distribution:
         return Geometric(parse_rational(obj["ratio"]))
     raise OutOfRange(f"unknown distribution kind {kind!r}")
 
-
-def dumps(d: Distribution) -> str:
-    return json.dumps(dist_to_json(d), sort_keys=True)
-
-
-def loads(text: str) -> Distribution:
-    return dist_from_json(json.loads(text))

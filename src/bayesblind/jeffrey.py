@@ -71,17 +71,6 @@ class Partition:
     def from_json(cls, obj: dict) -> "Partition":
         return cls.of(obj["blocks"])
 
-    def refines(self, other: "Partition") -> bool:
-        """True iff every block of self is contained in some block of other."""
-        where = {}
-        for k, block in enumerate(other.blocks):
-            for i in block:
-                where[i] = k
-        for block in self.blocks:
-            if len({where[i] for i in block}) != 1:
-                return False
-        return True
-
 
 @dataclass(frozen=True)
 class BlockWeights:

@@ -15,10 +15,6 @@ from typing import Union
 from .distributions import Distribution, require_stored
 from .errors import LengthMismatch, OutOfRange
 
-#: comparison slack documented for float-mode lp distances (p not in {1, inf})
-LP_FLOAT_SLACK = 1e-12
-
-
 @dataclass(frozen=True)
 class Norm:
     """lp norm selector; ``p is None`` means the sup norm."""
@@ -72,10 +68,6 @@ class DistanceInterval:
 
     lower: object
     upper: object
-
-    @property
-    def is_point(self) -> bool:
-        return self.lower == self.upper
 
 
 def _seq_distance(us, vs, norm: Norm):

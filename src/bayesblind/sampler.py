@@ -5,17 +5,18 @@ its almost-sure claims are probed statistically, never asserted exactly.
 Exact float ratio equality counts as a collision; near-equality within a
 1e-12 relative threshold is reported separately and never flips a verdict.
 
-Reproducibility contract: trials are partitioned into fixed-size chunks and
-chunk c draws from ``SeedSequence(entropy=seed, spawn_key=(c,))``.  Workers
-process whole chunks and results are reduced in chunk order, so output is
-identical for any worker count.
+Reproducibility contract: ``_chunks`` alone plans the work.  It checks the
+seed and trial count, then partitions the trials into chunks of at most
+``CHUNK_TRIALS``; chunk c draws from ``SeedSequence(entropy=seed,
+spawn_key=(c,))``.  Workers process whole chunks and results are reduced in
+chunk order, so output is identical for any worker count.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -47,11 +48,6 @@ class StickBase:
         if self.kind == "beta" and (self.a <= 0 or self.b <= 0):
             raise OutOfRange("beta parameters must be positive")
 
-    def __str__(self) -> str:
-        if self.kind == "uniform":
-            return "uniform"
-        return f"beta:{self.a},{self.b}"
-
 
 UNIFORM = StickBase("uniform")
 
@@ -66,10 +62,16 @@ def parse_base(text: str) -> StickBase:
     raise OutOfRange(f"unknown stick base {text!r}; expected uniform|beta:a,b")
 
 
-def _require_seed(seed: int) -> None:
-    """Checked in the calling process, before any draw or worker pool."""
+def _chunks(seed: int, trials: int) -> list:
+    """The chunk plan: (chunk, size, first_trial) for each chunk of at most
+    CHUNK_TRIALS trials.  The trial count and seed are checked here, in the
+    calling process, before any draw or worker pool."""
+    if trials < 1:
+        raise OutOfRange("need at least one trial")
     if seed < 0:
         raise OutOfRange(f"seed must be non-negative, got {seed}")
+    return [(chunk, min(CHUNK_TRIALS, trials - first), first)
+            for chunk, first in enumerate(range(0, trials, CHUNK_TRIALS))]
 
 
 def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
@@ -103,17 +105,10 @@ def _stick_chunk(rng: np.random.Generator, m: int, n: int, base: StickBase):
 
 def stick_breaking_matrix(seed: int, trials: int, n: int, base: StickBase = UNIFORM):
     """(trials, n) coordinate matrix plus residuals, chunk-deterministic."""
-    _require_seed(seed)
-    xs, residuals = [], []
-    done = 0
-    chunk = 0
-    while done < trials:
-        m = min(CHUNK_TRIALS, trials - done)
-        x, r = _stick_chunk(_chunk_rng(seed, chunk), m, n, base)
-        xs.append(x)
-        residuals.append(r)
-        done += m
-        chunk += 1
+    if n < 1:
+        raise OutOfRange(f"horizon must be at least 1, got {n}")
+    xs, residuals = zip(*(_stick_chunk(_chunk_rng(seed, chunk), m, n, base)
+                          for chunk, m, _ in _chunks(seed, trials)))
     return np.concatenate(xs, axis=0), np.concatenate(residuals, axis=0)
 
 
@@ -121,8 +116,7 @@ def stick_breaking_sample(seed: int, n: int, base: StickBase = UNIFORM) -> Trunc
     """One stick-breaking sample, deterministic given the seed."""
     if n < 2:
         raise OutOfRange("horizon must be at least 2")
-    _require_seed(seed)
-    x, residual = _stick_chunk(_chunk_rng(seed, 0), 1, n, base)
+    x, residual = stick_breaking_matrix(seed, 1, n, base)
     return TruncatedDistribution(tuple(float(v) for v in x[0]), float(residual[0]))
 
 
@@ -130,8 +124,7 @@ def finite_stick_sample(seed: int, n: int, base: StickBase = UNIFORM) -> FiniteD
     """Finite variant: n-1 breaks, last coordinate absorbs the residual."""
     if n < 2:
         raise OutOfRange("need at least 2 components")
-    _require_seed(seed)
-    x, residual = _stick_chunk(_chunk_rng(seed, 0), 1, n - 1, base)
+    x, residual = stick_breaking_matrix(seed, 1, n - 1, base)
     probs = tuple(float(v) for v in x[0]) + (float(residual[0]),)
     return FiniteDistribution(probs)
 
@@ -155,15 +148,7 @@ class McReport:
     seed: int
 
     def to_json(self) -> dict:
-        return {
-            "trials": self.trials,
-            "horizon": self.horizon,
-            "in_blindspot": self.in_blindspot,
-            "exact_float_collisions": self.exact_float_collisions,
-            "near_collisions": self.near_collisions,
-            "mean_residual_mass": self.mean_residual_mass,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _mc_chunk(args):
@@ -202,18 +187,10 @@ def monte_carlo_blindspot_fraction(
     """Monte Carlo frequency of (prefix) blind-spot membership under the
     stick-breaking measure.  Returns an McReport, or (McReport, records)
     when per-trial records are requested."""
-    if trials < 1:
-        raise OutOfRange("need at least one trial")
-    _require_seed(seed)
+    plan = _chunks(seed, trials)
     p_float = np.array([float(v) for v in require_positive_prefix(prior, n)])
-    tasks = []
-    done = 0
-    chunk = 0
-    while done < trials:
-        m = min(CHUNK_TRIALS, trials - done)
-        tasks.append((seed, chunk, m, n, base, p_float, collect_trials, done))
-        done += m
-        chunk += 1
+    tasks = [(seed, chunk, m, n, base, p_float, collect_trials, first)
+             for chunk, m, first in plan]
     # more processes than chunks or cores would only add start-up cost
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:

@@ -6,6 +6,16 @@ from bayesblind import BlockWeights, FiniteDistribution, Partition, normalize
 from bayesblind.jeffrey import _restricted_growth_strings
 
 
+def finite_from_rationals(values) -> FiniteDistribution:
+    return FiniteDistribution(tuple(Fraction(v) for v in values))
+
+
+def refines(fine: Partition, coarse: Partition) -> bool:
+    """True iff every block of fine lies inside one block of coarse."""
+    where = {i: k for k, block in enumerate(coarse.blocks) for i in block}
+    return all(len({where[i] for i in block}) == 1 for block in fine.blocks)
+
+
 def random_positive_dist(rng, n, max_int=20) -> FiniteDistribution:
     values = [Fraction(rng.randint(1, max_int)) for _ in range(n)]
     return normalize(values)

@@ -9,9 +9,24 @@ from fractions import Fraction
 from typing import Sequence
 
 from bayesblind import delta_family
-from bayesblind.distributions import require_positive_prefix
+from bayesblind.distributions import require_finite, require_positive_prefix
 
 _DYADIC_BITS = 32
+
+
+def ratio_profile(q, p, n=None) -> tuple:
+    """Componentwise q_i / p_i, whose injectivity decides blind-spot
+    membership; the prior must be strictly positive.  Without a horizon n
+    both must be finite vectors of one length."""
+    if n is None:
+        n = require_finite(q, p)
+    pv = require_positive_prefix(p, n)
+    return tuple(a / b for a, b in zip(q.prefix_values(n), pv))
+
+
+def has_repeat(ratios) -> bool:
+    """The set-based collision check: some ratio occurs twice."""
+    return len(set(ratios)) < len(ratios)
 
 
 def exclusion_set(ms: Sequence[Fraction], prior_prefixes: Sequence[tuple], i: int) -> set:

@@ -9,7 +9,6 @@ from bayesblind import (
     coarsest_partition,
     collision_count,
     family_membership,
-    finite_from_rationals,
     geometric,
     membership_finite,
     membership_prefix,
@@ -17,7 +16,7 @@ from bayesblind import (
 )
 from bayesblind.distributions import TruncatedDistribution
 from bayesblind.errors import HorizonTooLarge, LengthMismatch, ZeroPrior
-from helpers import random_dist, random_positive_dist
+from helpers import finite_from_rationals, random_dist, random_positive_dist
 
 F = Fraction
 

@@ -4,10 +4,9 @@ from fractions import Fraction
 import pytest
 
 from bayesblind import L1, L2, LINF, Norm, bounded_metric, geometric, lp_distance, truncate
-from bayesblind.distributions import finite_from_rationals
 from bayesblind.metrics import DistanceInterval, l1_upper_bound, parse_norm
 from bayesblind.errors import LengthMismatch, OutOfRange
-from helpers import random_dist
+from helpers import finite_from_rationals, random_dist
 
 F = Fraction
 

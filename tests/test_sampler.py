@@ -185,3 +185,20 @@ def test_negative_seed_rejected_before_any_pool(monkeypatch, call):
     monkeypatch.setattr(sampler.os, "cpu_count", lambda: 2)
     with pytest.raises(OutOfRange, match="seed"):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: stick_breaking_matrix(1, 0, 5), id="matrix-no-trials"),
+    pytest.param(lambda: stick_breaking_matrix(1, -3, 5), id="matrix-negative-trials"),
+    pytest.param(lambda: stick_breaking_matrix(1, 10, 0), id="matrix-no-horizon"),
+    pytest.param(lambda: monte_carlo_blindspot_fraction(
+        GEO_HALF, 0, 8, workers=2), id="montecarlo-no-trials"),
+])
+def test_bad_trials_or_horizon_rejected_before_any_draw(monkeypatch, call):
+    def no_draw(*args):
+        raise AssertionError("a draw was made for a bad trial count or horizon")
+
+    monkeypatch.setattr(sampler, "_chunk_rng", no_draw)
+    monkeypatch.setattr(sampler.multiprocessing, "Pool", no_draw)
+    with pytest.raises(OutOfRange):
+        call()
