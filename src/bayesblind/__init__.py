@@ -20,9 +20,8 @@ from .jeffrey import (
     rigidity_holds,
 )
 from .blindspot import (
-    BlindSpotVerdict,
     FamilyVerdict,
-    PrefixVerdict,
+    Verdict,
     collision_count,
     family_membership,
     membership_finite,
@@ -41,8 +40,8 @@ from .metrics import L1, L2, LINF, Norm, bounded_metric, lp_distance
 __version__ = "0.1.0"
 
 #: resolved on first use, so that the exact paths never import numpy
-_SAMPLER_NAMES = frozenset({"McReport", "StickBase", "finite_stick_sample",
-                            "monte_carlo_blindspot_fraction", "stick_breaking_sample"})
+_SAMPLER_NAMES = frozenset({"McReport", "StickBase", "monte_carlo_blindspot_fraction",
+                            "stick_breaking_sample"})
 
 
 def __getattr__(name):

@@ -5,8 +5,8 @@ when the ratios q_i / p_i are pairwise distinct.  Collision detection groups
 the ratios in a ``RatioIndex``; the prior is strictly positive, so zero
 posterior entries need no special case, and rational mode stays exact.
 
-Prefix verdicts are horizon-limited: PrefixDistinct(N) certifies
-distinctness among the first N ratios only, never full membership.
+A verdict with a horizon N is limited to the first N ratios: it certifies
+distinctness among those only, never full membership.
 """
 
 from __future__ import annotations
@@ -24,53 +24,58 @@ from .distributions import (
 from .errors import ZeroPrior
 from .jeffrey import Partition, check_prior
 
-IN_BLIND_SPOT = "in_blind_spot"
-ACCESSIBLE = "accessible"
-
 
 @dataclass(frozen=True)
-class BlindSpotVerdict:
-    status: str
-    witness: Optional[tuple] = None  # (i, j), 1-based, i < j
-    coarsest: Optional[Partition] = None
-
-    @property
-    def in_blind_spot(self) -> bool:
-        return self.status == IN_BLIND_SPOT
-
-
-@dataclass(frozen=True)
-class PrefixVerdict:
-    """Horizon-limited verdict over the first N ratios."""
+class Verdict:
+    """Whether the ratios are pairwise distinct, over all indices or, with a
+    horizon, over the first ``horizon`` only."""
 
     distinct: bool
-    horizon: int
-    collision: Optional[tuple] = None  # (i, j), 1-based, i < j
+    horizon: Optional[int] = None
+    witness: Optional[tuple] = None  # first colliding pair (i, j), 1-based, i < j
+    coarsest: Optional[Partition] = None  # full verdicts with a collision only
 
     @property
     def status(self) -> str:
+        if self.horizon is None:
+            return "in_blind_spot" if self.distinct else "accessible"
         return f"prefix_distinct({self.horizon})" if self.distinct else "collision_found"
 
+    def to_json(self) -> dict:
+        out = {"status": self.status, "horizon_limited": self.horizon is not None}
+        if self.horizon is not None:
+            out["horizon"] = self.horizon
+        if self.witness is not None:
+            out["witness"] = list(self.witness)
+        if self.coarsest is not None:
+            out["coarsest"] = self.coarsest.to_json()
+        return out
 
-def membership_finite(p: FiniteDistribution, q: FiniteDistribution) -> BlindSpotVerdict:
+
+def _scan(p: Distribution, q: Distribution, n: int | None) -> RatioIndex:
+    """The ratio index of the first n coordinates; all of them, on finite
+    inputs of one length, when n is None."""
+    if n is None:
+        n = require_finite(p, q)
+    pv = require_positive_prefix(p, n)
+    return RatioIndex.of(q.prefix_values(n), pv)
+
+
+def membership_finite(p: FiniteDistribution, q: FiniteDistribution) -> Verdict:
     """Full membership test on a finite index set.  An accessible verdict
     carries the coarsest witness partition, whose blocks are the fibres of
     the same ratio index; like ``coarsest_partition`` it needs an exact prior."""
-    pv = require_positive_prefix(p, require_finite(p, q))
-    index = RatioIndex.of(q.probs, pv)
+    index = _scan(p, q, None)
     if index.first_collision is None:
-        return BlindSpotVerdict(IN_BLIND_SPOT)
+        return Verdict(True)
     check_prior(p)
-    return BlindSpotVerdict(ACCESSIBLE, index.first_collision, Partition.of(index.fibres()))
+    return Verdict(False, None, index.first_collision, Partition.of(index.fibres()))
 
 
-def membership_prefix(p: Distribution, q: Distribution, n: int) -> PrefixVerdict:
+def membership_prefix(p: Distribution, q: Distribution, n: int) -> Verdict:
     """Exact collision scan over the first n ratios."""
-    pv = require_positive_prefix(p, n)
-    pair = RatioIndex.of(q.prefix_values(n), pv).first_collision
-    if pair is None:
-        return PrefixVerdict(True, n)
-    return PrefixVerdict(False, n, pair)
+    pair = _scan(p, q, n).first_collision
+    return Verdict(pair is None, n, pair)
 
 
 @dataclass(frozen=True)
@@ -86,24 +91,16 @@ def family_membership(
 ) -> FamilyVerdict:
     """q is in BS(P) iff it is in BS(p) for every prior p in the family.
 
-    With a horizon, per-prior results are PrefixVerdicts; without one, all
-    inputs must be finite and results are full BlindSpotVerdicts.
+    With a horizon, per-prior verdicts cover the first n ratios; without one,
+    all inputs must be finite and verdicts are full.
     """
     if not priors:
         raise ZeroPrior("prior family must be nonempty")
-    if n is None:
-        verdicts = tuple(membership_finite(p, q) for p in priors)
-        member = all(v.in_blind_spot for v in verdicts)
-    else:
-        verdicts = tuple(membership_prefix(p, q, n) for p in priors)
-        member = all(v.distinct for v in verdicts)
-    return FamilyVerdict(verdicts, member)
+    verdicts = tuple(membership_finite(p, q) if n is None else membership_prefix(p, q, n)
+                     for p in priors)
+    return FamilyVerdict(verdicts, all(v.distinct for v in verdicts))
 
 
 def collision_count(p: Distribution, q: Distribution, n: int | None = None) -> int:
     """Number of unordered index pairs with exactly equal ratios."""
-    if n is None:
-        n = require_finite(p, q)
-    pv = require_positive_prefix(p, n)
-    fibres = RatioIndex.of(q.prefix_values(n), pv).fibres()
-    return sum(len(f) * (len(f) - 1) // 2 for f in fibres)
+    return sum(len(f) * (len(f) - 1) // 2 for f in _scan(p, q, n).fibres())

@@ -109,19 +109,11 @@ def _jc_brute(a):
 
 
 def _bs_test(a):
-    if a.horizon is not None:
-        v = blindspot.membership_prefix(a.prior, a.posterior, a.horizon)
-        payload = {"status": v.status, "horizon_limited": True, "horizon": v.horizon}
-        witness, member = v.collision, v.distinct
-    else:
+    if a.horizon is None:
         v = blindspot.membership_finite(a.prior, a.posterior)
-        payload = {"status": v.status, "horizon_limited": False}
-        witness, member = v.witness, v.in_blind_spot
-        if v.coarsest is not None:
-            payload["coarsest"] = v.coarsest.to_json()
-    if witness is not None:
-        payload["witness"] = list(witness)
-    return payload, f"verdict: {payload['status']}", EXIT_OK if member else EXIT_ACCESSIBLE
+    else:
+        v = blindspot.membership_prefix(a.prior, a.posterior, a.horizon)
+    return v.to_json(), f"verdict: {v.status}", EXIT_OK if v.distinct else EXIT_ACCESSIBLE
 
 
 def _bs_construct(a):

@@ -30,8 +30,6 @@ from .errors import (
 
 #: extra dyadic resolution below the 2^-i envelope for generated coordinates
 _DYADIC_BITS = 32
-#: seeded deltas pick_valid_delta tries before it gives up
-DELTA_TRIES = 10000
 
 
 def generate_raw_sequence(
@@ -95,13 +93,15 @@ def pick_valid_delta(
     seed: int,
 ) -> Fraction:
     """A delta in (0, eps) whose shifted distribution stays prefix-distinct
-    for every prior.  Only finitely many deltas fail at a fixed horizon, so
-    seeded dyadic retries succeed quickly.
+    for every prior.
 
-    A shift moves only coordinates 1 and 2, so each prior's ratios at
-    indices 3..N are indexed once (O(N * K)) and a try tests just the two
-    moved ratios against them (O(K)).  A repeat among indices 3..N cannot be
-    shifted away, so it raises HorizonInsufficient at once.
+    The deltas are eps * k / 2^40 for 0 < k < 2^40.  The seed draws the first
+    k, and while its delta fails k steps to k % (2^40 - 1) + 1.  Each prior
+    excludes at most 2N - 3 deltas (r_1 rises and r_2 falls with delta, so
+    each meets r_2 or one of the N - 2 fixed ratios once), and the scan ends
+    within K(2N - 3) + 1 steps.  Only coordinates 1 and 2 move: each prior's
+    ratios at indices 3..N are indexed once, and a step tests the two moved
+    ratios against them.  A repeat among 3..N raises HorizonInsufficient.
     """
     if q.value(2) == 0:
         raise DegenerateSecondCoordinate("q_2 = 0: the delta shift is unavailable")
@@ -116,9 +116,10 @@ def pick_valid_delta(
     if any(rest.first_collision for _, _, rest in fixed):
         raise HorizonInsufficient("indices 3..N already collide; no delta can help")
     q1, q2 = q.prefix[0], q.prefix[1]
-    rng = random.Random(seed)
-    for _ in range(DELTA_TRIES):
-        delta = eps * Fraction(rng.randrange(1, 1 << 40), 1 << 40)
+    scale = 1 << 40
+    k = random.Random(seed).randrange(1, scale)
+    while True:
+        delta = eps * Fraction(k, scale)
         if all(
             (r1 := (q1 + delta) / p1) != (r2 := (q2 - delta) / p2)
             and r1 not in rest
@@ -126,7 +127,7 @@ def pick_valid_delta(
             for p1, p2, rest in fixed
         ):
             return delta
-    raise HorizonInsufficient("no valid delta found within the retry budget")
+        k = k % (scale - 1) + 1
 
 
 @dataclass(frozen=True)
@@ -210,19 +211,19 @@ def _threshold_index(qv, pv, eps: Fraction, n: int) -> int:
     return ok_from
 
 
-def _collision_move(work, qv, pv, target_idx, dump_idx, budget_idx):
+def _collision_move(work, qv, pv, target_idx, budget_idx):
     """Retarget coordinate target_idx onto the prior's ray through q_1.
 
-    Returns (branch, cost): excess mass moves to dump_idx (positive branch)
-    or is taken from budget_idx (negative branch).  Cost is the exact l1
-    change, < 2*eps by the threshold condition on target_idx.
+    Returns (branch, cost): excess mass moves to the next coordinate
+    (positive branch) or is taken from budget_idx (negative branch).  Cost is
+    the exact l1 change, < 2*eps by the threshold condition on target_idx.
     """
     t = target_idx - 1
     aligned = qv[0] * pv[t] / pv[0]
     if work[t] > aligned:
         delta = work[t] - aligned
         work[t] = aligned
-        work[dump_idx - 1] += delta
+        work[t + 1] += delta
         return "positive", 2 * delta
     rho = aligned - work[t]
     if work[budget_idx - 1] < rho:
@@ -230,6 +231,27 @@ def _collision_move(work, qv, pv, target_idx, dump_idx, budget_idx):
     work[t] = aligned
     work[budget_idx - 1] -= rho
     return "negative", 2 * rho
+
+
+def _collide(q, pv, targets, budget, bound, bound_name) -> CollisionMoveResult:
+    """Collision moves at the sorted ``targets``, each dumping into the next
+    coordinate, with their exact total l1 cost certified below ``bound``."""
+    work = list(q.prefix)
+    branches = set()
+    total = Fraction(0)
+    for t in targets:
+        branch, cost = _collision_move(work, q.prefix, pv, t, budget)
+        branches.add(branch)
+        total += cost
+    if total >= bound:
+        raise HorizonInsufficient(f"cannot certify the {bound_name} bound: cost {total}")
+    return CollisionMoveResult(
+        TruncatedDistribution(tuple(work), q.tail_mass),
+        tuple((1, t) for t in targets),
+        branches.pop() if len(branches) == 1 else "mixed",
+        total,
+        fallback_used=(budget == 3),
+    )
 
 
 def exteriorize(
@@ -248,17 +270,7 @@ def exteriorize(
         )
     pv = require_positive_prefix(p, n)
     idx = _threshold_index(q.prefix, pv, eps, n)
-    work = list(q.prefix)
-    branch, cost = _collision_move(work, q.prefix, pv, idx, idx + 1, budget)
-    if cost >= 2 * eps:
-        raise HorizonInsufficient(f"cannot certify the 2*eps bound: cost {cost}")
-    return CollisionMoveResult(
-        TruncatedDistribution(tuple(work), q.tail_mass),
-        ((1, idx),),
-        branch,
-        cost,
-        fallback_used=(budget == 3),
-    )
+    return _collide(q, pv, [idx], budget, 2 * eps, "2*eps")
 
 
 def multi_collision_near(
@@ -288,19 +300,4 @@ def multi_collision_near(
         raise HorizonInsufficient(
             f"only {len(targets)} disjoint moves available at this horizon"
         )
-    work = list(q.prefix)
-    branches = set()
-    total_cost = Fraction(0)
-    for t in sorted(targets):
-        branch, cost = _collision_move(work, q.prefix, pv, t, t + 1, budget)
-        branches.add(branch)
-        total_cost += cost
-    if total_cost >= 2 * pairs * eps:
-        raise HorizonInsufficient(f"cannot certify the 2*pairs*eps bound: cost {total_cost}")
-    return CollisionMoveResult(
-        TruncatedDistribution(tuple(work), q.tail_mass),
-        tuple((1, t) for t in sorted(targets)),
-        branches.pop() if len(branches) == 1 else "mixed",
-        total_cost,
-        fallback_used=(budget == 3),
-    )
+    return _collide(q, pv, sorted(targets), budget, 2 * pairs * eps, "2*pairs*eps")

@@ -87,29 +87,20 @@ class BlockWeights:
             raise NotNormalized(f"block weights sum to {sum(self.weights)}, not 1")
 
 
-def _restricted_growth_strings(n: int) -> Iterator[tuple]:
-    """All RGS of length n in lexicographic order."""
-    a = [0] * n
-
-    def rec(i: int, mx: int):
-        if i == n:
-            yield tuple(a)
-            return
-        for v in range(mx + 2):
-            a[i] = v
-            yield from rec(i + 1, max(mx, v))
-
-    yield from rec(1, 0)
-
-
 def partitions(n: int) -> Iterator[Partition]:
-    """All set partitions of {1..n}, RGS-lexicographic (canonical) order."""
-    for rgs in _restricted_growth_strings(n):
-        nblocks = max(rgs) + 1
-        blocks = [[] for _ in range(nblocks)]
-        for i, label in enumerate(rgs, start=1):
-            blocks[label].append(i)
-        yield Partition(tuple(tuple(b) for b in blocks))
+    """All set partitions of {1..n} in canonical order: their restricted
+    growth strings (the block label of each index) ascend lexicographically.
+    Index i joins each open block in turn, then opens a block of its own."""
+
+    def grow(blocks: tuple, i: int):
+        if i > n:
+            yield Partition(blocks)
+            return
+        for k, b in enumerate(blocks):
+            yield from grow(blocks[:k] + (b + (i,),) + blocks[k + 1:], i + 1)
+        yield from grow(blocks + ((i,),), i + 1)
+
+    return grow((), 1)
 
 
 def is_nontrivial(e: Partition) -> bool:

@@ -14,6 +14,7 @@ chunk order, so output is identical for any worker count.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 from dataclasses import asdict, dataclass
@@ -23,7 +24,6 @@ import numpy as np
 
 from .distributions import (
     Distribution,
-    FiniteDistribution,
     RatioIndex,
     TruncatedDistribution,
     require_positive_prefix,
@@ -45,8 +45,8 @@ class StickBase:
     def __post_init__(self):
         if self.kind not in ("uniform", "beta"):
             raise OutOfRange(f"unknown stick base {self.kind!r}")
-        if self.kind == "beta" and (self.a <= 0 or self.b <= 0):
-            raise OutOfRange("beta parameters must be positive")
+        if self.kind == "beta" and not all(0 < x < math.inf for x in (self.a, self.b)):
+            raise OutOfRange("beta parameters must be positive and finite")
 
 
 UNIFORM = StickBase("uniform")
@@ -79,17 +79,15 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
 
 
 def _unit_draws(rng: np.random.Generator, shape, base: StickBase) -> np.ndarray:
-    if base.kind == "uniform":
-        u = rng.random(shape)
-    else:
-        u = rng.beta(base.a, base.b, shape)
+    def draw(size):
+        return rng.random(size) if base.kind == "uniform" else rng.beta(base.a, base.b, size)
+
+    u = draw(shape)
     # a draw exactly equal to the remaining mass (u == 1) is re-drawn;
     # the half-open convention keeps every break strictly below the stick
     mask = u >= 1.0
     while mask.any():
-        u[mask] = rng.random(int(mask.sum())) if base.kind == "uniform" else rng.beta(
-            base.a, base.b, int(mask.sum())
-        )
+        u[mask] = draw(int(mask.sum()))
         mask = u >= 1.0
     return u
 
@@ -118,15 +116,6 @@ def stick_breaking_sample(seed: int, n: int, base: StickBase = UNIFORM) -> Trunc
         raise OutOfRange("horizon must be at least 2")
     x, residual = stick_breaking_matrix(seed, 1, n, base)
     return TruncatedDistribution(tuple(float(v) for v in x[0]), float(residual[0]))
-
-
-def finite_stick_sample(seed: int, n: int, base: StickBase = UNIFORM) -> FiniteDistribution:
-    """Finite variant: n-1 breaks, last coordinate absorbs the residual."""
-    if n < 2:
-        raise OutOfRange("need at least 2 components")
-    x, residual = stick_breaking_matrix(seed, 1, n - 1, base)
-    probs = tuple(float(v) for v in x[0]) + (float(residual[0]),)
-    return FiniteDistribution(probs)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 from bayesblind import BlockWeights, FiniteDistribution, Partition, normalize
-from bayesblind.jeffrey import _restricted_growth_strings
+from bayesblind.jeffrey import partitions
 
 
 def finite_from_rationals(values) -> FiniteDistribution:
@@ -30,12 +30,8 @@ def random_dist(rng, n, max_int=8) -> FiniteDistribution:
 
 
 def random_partition(rng, n) -> Partition:
-    all_rgs = list(_restricted_growth_strings(n))
-    rgs = all_rgs[rng.randrange(len(all_rgs))]
-    blocks: dict = {}
-    for i, label in enumerate(rgs, start=1):
-        blocks.setdefault(label, []).append(i)
-    return Partition.of(blocks.values())
+    every = list(partitions(n))
+    return every[rng.randrange(len(every))]
 
 
 def random_weights(rng, k, max_int=6) -> BlockWeights:

@@ -27,12 +27,12 @@ class TestMembershipFinite:
     def test_distinct_ratios(self):
         q = finite_from_rationals([F(1, 2), F(3, 10), F(1, 5)])
         v = membership_finite(P3, q)
-        assert v.in_blind_spot
+        assert v.distinct
         assert v.witness is None
 
     def test_identity_accessible(self):
         v = membership_finite(P3, P3)
-        assert not v.in_blind_spot
+        assert not v.distinct
         assert v.witness == (1, 2)
         assert v.coarsest == Partition.of([[1, 2, 3]])
 
@@ -49,6 +49,8 @@ class TestMembershipFinite:
             q = random_dist(rng, n)
             v = membership_finite(p, q)
             assert v.coarsest == (coarsest_partition(p, q) if v.witness else None)
+            prefix = membership_prefix(p, q, n)
+            assert (prefix.distinct, prefix.witness) == (v.distinct, v.witness)
             if v.witness is not None:
                 i, j = v.witness
                 assert q.value(i) * p.value(j) == q.value(j) * p.value(i)
@@ -65,7 +67,7 @@ class TestMembershipFinite:
     def test_float_prior_needs_exactness_only_for_the_partition(self):
         p = FiniteDistribution((0.5, 0.25, 0.25))
         blind = finite_from_rationals([F(1, 2), F(3, 10), F(1, 5)])
-        assert membership_finite(p, blind).in_blind_spot
+        assert membership_finite(p, blind).distinct
         with pytest.raises(ZeroPrior):
             membership_finite(p, P3)
 
@@ -92,7 +94,7 @@ class TestMembershipPrefix:
         q = truncate(geometric(F(1, 2)), 8)
         v = membership_prefix(p, q, 8)
         assert not v.distinct
-        assert v.collision == (1, 2)
+        assert v.witness == (1, 2)
 
     def test_constructed_collision(self):
         p = geometric(F(1, 2))
@@ -104,7 +106,7 @@ class TestMembershipPrefix:
         prefix[1] = prefix[1] + shift  # rebalance on a large coordinate
         q = TruncatedDistribution(tuple(prefix), base.tail_mass)
         v = membership_prefix(p, q, 8)
-        assert v.collision == (1, 5)
+        assert v.witness == (1, 5)
 
     def test_horizon_too_large(self):
         q = truncate(geometric(F(1, 3)), 8)
@@ -117,7 +119,7 @@ class TestFamilyMembership:
         q = finite_from_rationals([F(1, 2), F(3, 10), F(1, 5)])
         fv = family_membership([P3], q)
         assert fv.member
-        assert fv.verdicts[0].in_blind_spot
+        assert fv.verdicts[0].distinct
 
     def test_self_prior_not_member(self):
         fv = family_membership([P3], P3)
@@ -159,4 +161,4 @@ class TestCollisionCount:
             n = rng.randint(2, 6)
             p = random_positive_dist(rng, n)
             q = random_dist(rng, n)
-            assert (collision_count(p, q) == 0) == membership_finite(p, q).in_blind_spot
+            assert (collision_count(p, q) == 0) == membership_finite(p, q).distinct

@@ -8,7 +8,7 @@ import pytest
 
 import bayesblind
 from bayesblind import blindspot, metrics, sampler
-from bayesblind.blindspot import PrefixVerdict
+from bayesblind.blindspot import Verdict
 from bayesblind.cli import dispatch
 from bayesblind.distributions import dist_from_json
 
@@ -258,6 +258,13 @@ def _exit_two_inputs():
         "montecarlo-horizon-negative": (*montecarlo, "--seed", "1", "--horizon", "-3"),
         "montecarlo-seed-negative": (*montecarlo, "--horizon", "5", "--seed", "-1"),
         "sample-seed-negative": ("bs", "sample", "--seed", "-1", "--horizon", "5"),
+        # beta parameters must be positive and finite
+        "montecarlo-beta-nan": (*montecarlo, "--seed", "1", "--horizon", "5",
+                                "--base", "beta:nan,1"),
+        "montecarlo-beta-inf": (*montecarlo, "--seed", "1", "--horizon", "5",
+                                "--base", "beta:inf,1"),
+        "montecarlo-beta-second-inf": (*montecarlo, "--seed", "1", "--horizon", "5",
+                                       "--base", "beta:1,inf"),
     }.items():
         yield pytest.param(argv, id=case_id)
 
@@ -279,7 +286,7 @@ DENSIFY = ("bs", "densify", "--prior", GEO_HALF, "--target", TRUNC,
 
 @pytest.mark.parametrize("argv, module, name, fake", [
     pytest.param(CONSTRUCT, blindspot, "membership_prefix",
-                 lambda p, q, n: PrefixVerdict(False, n, (1, 2)), id="construct"),
+                 lambda p, q, n: Verdict(False, n, (1, 2)), id="construct"),
     pytest.param(DENSIFY, metrics, "l1_upper_bound", lambda u, v: 1, id="densify"),
 ])
 def test_failed_claim_exits_four(capsys, monkeypatch, argv, module, name, fake):

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -134,6 +135,15 @@ class TestPickValidDelta:
             q = generate_blindspot_member(priors, 16 + seed % 3 * 24, seed)
             for eps in (min(1 - q.value(1), q.value(2)), F(1, 10 ** 6)):
                 assert pick_valid_delta(q, priors, eps, seed) == valid_delta(q, priors, eps, seed)
+
+    def test_excluded_first_draw_steps_to_the_next_dyadic(self):
+        # the seed-0 draw delta_0 makes r_1 = r_2 = 1 + 2 * delta_0 under geometric(1/2)
+        eps, scale = F(1, 8), 1 << 40
+        k0 = random.Random(0).randrange(1, scale)
+        d0 = eps * F(k0, scale)
+        q = TruncatedDistribution((F(1, 2), F(1, 4) + 3 * d0 / 2, F(1, 4) - 3 * d0 / 2), F(0))
+        assert (q.value(1) + d0) / GEO_HALF.value(1) == (q.value(2) - d0) / GEO_HALF.value(2)
+        assert pick_valid_delta(q, [GEO_HALF], eps, seed=0) == eps * F(k0 + 1, scale)
 
     def test_fixed_repeat_fails_at_once(self):
         # q_3 / p_3 == q_4 / p_4 under geometric(1/2): no shift of q_1, q_2 helps

@@ -65,6 +65,14 @@ class TestEnumeration:
     def test_bell_counts(self, n, bell):
         assert sum(1 for _ in partitions(n)) == bell
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_growth_strings_strictly_increase(self, n):
+        def labels(e):
+            return [k for i in range(1, n + 1) for k, b in enumerate(e.blocks) if i in b]
+
+        strings = [labels(e) for e in partitions(n)]
+        assert all(a < b for a, b in zip(strings, strings[1:]))
+
     def test_order_endpoints(self):
         all3 = list(partitions(3))
         assert all3[0] == Partition.of([[1, 2, 3]])

@@ -5,7 +5,6 @@ import pytest
 
 from bayesblind import (
     StickBase,
-    finite_stick_sample,
     geometric,
     monte_carlo_blindspot_fraction,
     stick_breaking_sample,
@@ -62,24 +61,6 @@ class TestStickBreakingSample:
         u = _unit_draws(_chunk_rng(3, 0), (1, 32), UNIFORM)[0]
         d = stick_breaking_sample(3, 32)
         assert abs(d.tail_mass - np.prod(1.0 - u)) <= 1e-12 * d.tail_mass
-
-
-class TestFiniteStickSample:
-    def test_two_components(self):
-        d = finite_stick_sample(5, 2)
-        assert len(d) == 2
-        assert abs(d.probs[0] + d.probs[1] - 1.0) <= 2.0 ** -40
-
-    def test_nonnegative(self):
-        for seed in range(10):
-            assert all(v >= 0 for v in finite_stick_sample(seed, 6).probs)
-
-    def test_last_coordinate_mean_is_residual_not_dirichlet(self):
-        last = [finite_stick_sample(seed, 4).probs[-1] for seed in range(20000)]
-        # stick-breaking residual expectation is 2^-(n-1), not the 1/n of
-        # symmetric Dirichlet sampling
-        assert abs(np.mean(last) - 0.125) < 0.01
-        assert abs(np.mean(last) - 0.25) > 0.05
 
 
 class TestMeans:
@@ -172,7 +153,6 @@ def test_worker_clamp(monkeypatch, workers, chunks, cpus, pool_size):
 
 @pytest.mark.parametrize("call", [
     pytest.param(lambda: stick_breaking_sample(-1, 8), id="sample"),
-    pytest.param(lambda: finite_stick_sample(-1, 8), id="finite-sample"),
     pytest.param(lambda: stick_breaking_matrix(-1, 10, 8), id="matrix"),
     pytest.param(lambda: monte_carlo_blindspot_fraction(  # two chunks: two workers
         GEO_HALF, CHUNK_TRIALS + 1, 8, seed=-1, workers=2), id="montecarlo"),
