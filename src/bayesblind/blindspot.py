@@ -21,7 +21,7 @@ from .distributions import (
     require_finite,
     require_positive_prefix,
 )
-from .errors import ZeroPrior
+from .errors import InputError
 from .jeffrey import Partition, check_prior
 
 
@@ -95,7 +95,7 @@ def family_membership(
     all inputs must be finite and verdicts are full.
     """
     if not priors:
-        raise ZeroPrior("prior family must be nonempty")
+        raise InputError("prior family must be nonempty")
     verdicts = tuple(membership_finite(p, q) if n is None else membership_prefix(p, q, n)
                      for p in priors)
     return FamilyVerdict(verdicts, all(v.distinct for v in verdicts))

@@ -33,7 +33,7 @@ from .distributions import (
     normalize,
     parse_rational,
 )
-from .errors import BayesBlindError
+from .errors import BayesBlindError, InputError
 
 EXIT_OK = 0
 EXIT_ACCESSIBLE = 10
@@ -311,7 +311,7 @@ def _decode(args, flags) -> None:
             try:
                 setattr(args, name, decode(getattr(args, name)))
             except DECODE_ERRORS as exc:
-                raise BayesBlindError(f"malformed {flag}: {exc!r}") from exc
+                raise InputError(f"malformed {flag}: {exc!r}") from exc
 
 
 def dispatch(argv) -> int:

@@ -20,13 +20,7 @@ from .distributions import (
     require_positive_prefix,
     require_stored,
 )
-from .errors import (
-    DegenerateSecondCoordinate,
-    DeltaTooLarge,
-    HorizonInsufficient,
-    OutOfRange,
-    ZeroPrior,
-)
+from .errors import HorizonInsufficient, InputError
 
 #: extra dyadic resolution below the 2^-i envelope for generated coordinates
 _DYADIC_BITS = 32
@@ -46,9 +40,9 @@ def generate_raw_sequence(
     the retry loop always terminates.
     """
     if not priors:
-        raise ZeroPrior("prior family must be nonempty")
+        raise InputError("prior family must be nonempty")
     if n < 2:
-        raise OutOfRange("horizon must be at least 2")
+        raise InputError("horizon must be at least 2")
     prefixes = [require_positive_prefix(p, n) for p in priors]
     rng = random.Random(seed)
     ms = [Fraction(1, 2)]
@@ -76,12 +70,18 @@ def generate_blindspot_member(
     return TruncatedDistribution(tuple(m / total for m in ms), Fraction(0))
 
 
+def _require_exact(q: Distribution, what: str) -> None:
+    """The construction guard: q has a stored, exact-rational prefix."""
+    require_stored(q)
+    if not q.is_exact:
+        raise InputError(f"{what} requires an exact-rational distribution")
+
+
 def delta_family(q: TruncatedDistribution, delta: Fraction) -> TruncatedDistribution:
     """The shift (q_1 + delta, q_2 - delta, q_3, ...); mass preserved."""
-    if not q.is_exact:
-        raise OutOfRange("delta_family requires an exact-rational distribution")
+    _require_exact(q, "delta_family")
     if not (0 < delta < q.value(2)):
-        raise DeltaTooLarge(f"delta must lie in (0, q_2) = (0, {q.value(2)}), got {delta}")
+        raise InputError(f"delta must lie in (0, q_2) = (0, {q.value(2)}), got {delta}")
     prefix = (q.prefix[0] + delta, q.prefix[1] - delta) + q.prefix[2:]
     return TruncatedDistribution(prefix, q.tail_mass)
 
@@ -103,13 +103,12 @@ def pick_valid_delta(
     ratios at indices 3..N are indexed once, and a step tests the two moved
     ratios against them.  A repeat among 3..N raises HorizonInsufficient.
     """
+    _require_exact(q, "pick_valid_delta")
     if q.value(2) == 0:
-        raise DegenerateSecondCoordinate("q_2 = 0: the delta shift is unavailable")
+        raise InputError("q_2 = 0: the delta shift is unavailable")
     cap = min(1 - q.value(1), q.value(2))
     if not (0 < eps <= cap):
-        raise OutOfRange(f"eps must lie in (0, {cap}], got {eps}")
-    if not q.is_exact:
-        raise OutOfRange("the delta shift requires an exact-rational distribution")
+        raise InputError(f"eps must lie in (0, {cap}], got {eps}")
     n = len(q)
     pvs = [require_positive_prefix(p, n) for p in priors]
     fixed = [(pv[0], pv[1], RatioIndex.of(q.prefix[2:], pv[2:])) for pv in pvs]
@@ -145,10 +144,8 @@ def densify(p: Distribution, q_target: Distribution, eps: Fraction) -> DensifyRe
     then normalized by its total mass.  The rule is deterministic.
     """
     if not (0 < eps < Fraction(1, 2)):
-        raise OutOfRange(f"eps must lie in (0, 1/2), got {eps}")
-    require_stored(q_target)
-    if not q_target.is_exact:
-        raise OutOfRange("densify requires an exact-rational target")
+        raise InputError(f"eps must lie in (0, 1/2), got {eps}")
+    _require_exact(q_target, "densify")
     n = len(q_target)
     pv = require_positive_prefix(p, n)
     qv = q_target.prefix
@@ -193,7 +190,7 @@ def _budget_index(q: TruncatedDistribution) -> int:
         return 2
     if q.value(3) > 0:
         return 3
-    raise DegenerateSecondCoordinate("q_2 = q_3 = 0: no budget coordinate")
+    raise InputError("q_2 = q_3 = 0: no budget coordinate")
 
 
 def _threshold_index(qv, pv, eps: Fraction, n: int) -> int:
@@ -259,13 +256,11 @@ def exteriorize(
 ) -> CollisionMoveResult:
     """Minimal perturbation out of the blind spot: coordinate n is retargeted
     so that the pair (1, n) collides exactly, at l1 cost below 2*eps."""
-    require_stored(q)
-    if not q.is_exact:
-        raise OutOfRange("exteriorize requires an exact-rational distribution")
+    _require_exact(q, "exteriorize")
     n = len(q)
     budget = _budget_index(q)
     if not (0 < eps < q.value(budget)):
-        raise OutOfRange(
+        raise InputError(
             f"eps must lie in (0, q_{budget}) = (0, {q.value(budget)}), got {eps}"
         )
     pv = require_positive_prefix(p, n)
@@ -283,10 +278,8 @@ def multi_collision_near(
     positive-branch dump coordinate stays untouched by other moves).
     """
     if pairs < 1:
-        raise OutOfRange(f"pair count must be positive, got {pairs}")
-    require_stored(q)
-    if not q.is_exact:
-        raise OutOfRange("multi_collision_near requires an exact-rational distribution")
+        raise InputError(f"pair count must be positive, got {pairs}")
+    _require_exact(q, "multi_collision_near")
     n = len(q)
     budget = _budget_index(q)
     if not (0 < pairs * eps < q.value(budget)):

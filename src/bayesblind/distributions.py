@@ -11,15 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import (
-    AllZero,
-    HorizonTooLarge,
-    LengthMismatch,
-    NegativeEntry,
-    NotNormalized,
-    OutOfRange,
-    ZeroPrior,
-)
+from .errors import InputError
 
 #: absolute slack allowed when a float-mode distribution is validated
 FLOAT_TOL = 2.0 ** -40
@@ -35,7 +27,7 @@ def parse_rational(text: str) -> Fraction:
     if "." in s:
         digits = len(s.split(".", 1)[1])
         if digits > 18:
-            raise OutOfRange(f"decimal input limited to 18 fractional digits: {text!r}")
+            raise InputError(f"decimal input limited to 18 fractional digits: {text!r}")
         return Fraction(s)
     return Fraction(int(s))
 
@@ -58,8 +50,8 @@ def _check_entries(values: Sequence[Number]) -> None:
     for v in values:
         if not v >= 0:  # NaN fails every comparison, so it lands here too
             if v < 0:
-                raise NegativeEntry(f"negative probability entry {v}")
-            raise OutOfRange("NaN probability entry")
+                raise InputError(f"negative probability entry {v}")
+            raise InputError("NaN probability entry")
 
 
 class StoredDistribution:
@@ -68,15 +60,15 @@ class StoredDistribution:
 
     def _validate(self) -> None:
         if len(self.prefix) < 2:
-            raise OutOfRange("a distribution needs at least 2 components")
+            raise InputError("a distribution needs at least 2 components")
         values = self.prefix + (self.tail_mass,)
         _check_entries(values)
         total = sum(values)
         if _is_exact(values):
             if total != 1:
-                raise NotNormalized(f"entries sum to {total}, not 1")
+                raise InputError(f"entries sum to {total}, not 1")
         elif abs(total - 1.0) > FLOAT_TOL:
-            raise NotNormalized(f"float entries sum to {total}")
+            raise InputError(f"float entries sum to {total}")
 
     def __len__(self) -> int:
         return len(self.prefix)
@@ -91,7 +83,7 @@ class StoredDistribution:
 
     def _check_horizon(self, n: int) -> None:
         if n > len(self):
-            raise HorizonTooLarge(f"horizon {n} exceeds available prefix length {len(self)}")
+            raise InputError(f"horizon {n} exceeds available prefix length {len(self)}")
 
     def prefix_values(self, n: int) -> tuple:
         """Components 1..n."""
@@ -145,7 +137,7 @@ class Geometric:
         if not isinstance(self.ratio, Fraction):
             object.__setattr__(self, "ratio", Fraction(self.ratio))
         if not (0 < self.ratio < 1):
-            raise OutOfRange(f"geometric ratio must lie in (0, 1), got {self.ratio}")
+            raise InputError(f"geometric ratio must lie in (0, 1), got {self.ratio}")
 
     @property
     def is_exact(self) -> bool:
@@ -226,21 +218,21 @@ def normalize(values: Iterable[Fraction]) -> FiniteDistribution:
     _check_entries(vals)
     total = sum(vals)
     if total == 0:
-        raise AllZero("cannot normalize the zero vector")
+        raise InputError("cannot normalize the zero vector")
     return FiniteDistribution(tuple(v / total for v in vals))
 
 
 def truncate(d: Geometric, n: int) -> TruncatedDistribution:
     """Exact N-term prefix of a parametric distribution, tail via closed form."""
     if n < 2:
-        raise OutOfRange("truncation horizon must be at least 2")
+        raise InputError("truncation horizon must be at least 2")
     return TruncatedDistribution(d.prefix_values(n), d.tail_after(n))
 
 
 def require_stored(*ds: Distribution) -> None:
     """Guard for operations that read a stored prefix: rejects geometric."""
     if any(isinstance(d, Geometric) for d in ds):
-        raise LengthMismatch("a geometric distribution has no stored prefix; truncate it first")
+        raise InputError("a geometric distribution has no stored prefix; truncate it first")
 
 
 def require_finite(*ds: Distribution) -> int:
@@ -248,20 +240,20 @@ def require_finite(*ds: Distribution) -> int:
     and geometric, which need a horizon, and unequal lengths.  Returns the
     common length."""
     if not all(isinstance(d, FiniteDistribution) for d in ds):
-        raise LengthMismatch("truncated and geometric distributions need a horizon")
+        raise InputError("truncated and geometric distributions need a horizon")
     if len({len(d) for d in ds}) > 1:
-        raise LengthMismatch("lengths differ: " + " vs ".join(str(len(d)) for d in ds))
+        raise InputError("lengths differ: " + " vs ".join(str(len(d)) for d in ds))
     return len(ds[0])
 
 
 def require_positive_prefix(d: Distribution, n: int) -> tuple:
     """Components 1..n of a prior, all strictly positive; n must be at least 1."""
     if n < 1:
-        raise OutOfRange(f"horizon must be at least 1, got {n}")
+        raise InputError(f"horizon must be at least 1, got {n}")
     vals = d.prefix_values(n)
     for i, v in enumerate(vals, start=1):
         if v <= 0:
-            raise ZeroPrior(f"prior has nonpositive component {v} at index {i}")
+            raise InputError(f"prior has nonpositive component {v} at index {i}")
     return vals
 
 
@@ -280,13 +272,11 @@ def dist_to_json(d: Distribution) -> dict:
 def _decode(v) -> Number:
     if isinstance(v, str):
         return parse_rational(v)
-    if isinstance(v, bool):
-        raise OutOfRange(f"not a probability value: {v!r}")
-    if isinstance(v, int):
-        return Fraction(v)
     if isinstance(v, float):
         return v
-    raise OutOfRange(f"not a probability value: {v!r}")
+    if isinstance(v, int) and not isinstance(v, bool):
+        return Fraction(v)
+    raise InputError(f"not a probability value: {v!r}")
 
 
 def dist_from_json(obj: dict) -> Distribution:
@@ -299,5 +289,5 @@ def dist_from_json(obj: dict) -> Distribution:
         )
     if kind == "geometric":
         return Geometric(parse_rational(obj["ratio"]))
-    raise OutOfRange(f"unknown distribution kind {kind!r}")
+    raise InputError(f"unknown distribution kind {kind!r}")
 

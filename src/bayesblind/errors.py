@@ -1,56 +1,18 @@
-"""Exception hierarchy shared across the package.
+"""The package's two exceptions, one per CLI exit code.
 
-Every error carries an ``exit_code`` so the CLI can map failures onto its
-documented exit-code contract (2 = input error, 3 = horizon insufficient).
+``InputError`` (exit 2): an input the operation cannot take.
+``HorizonInsufficient`` (exit 3): a horizon too short to certify the result.
+Both subclass ``BayesBlindError``, which the CLI catches; each message names
+the check that fired.
 """
 
 
 class BayesBlindError(Exception):
+    exit_code: int
+
+
+class InputError(BayesBlindError):
     exit_code = 2
-
-
-class NegativeEntry(BayesBlindError):
-    pass
-
-
-class NotNormalized(BayesBlindError):
-    pass
-
-
-class AllZero(BayesBlindError):
-    pass
-
-
-class OutOfRange(BayesBlindError):
-    pass
-
-
-class ZeroPrior(BayesBlindError):
-    pass
-
-
-class LengthMismatch(BayesBlindError):
-    pass
-
-
-class WeightCountMismatch(BayesBlindError):
-    pass
-
-
-class TooLarge(BayesBlindError):
-    pass
-
-
-class HorizonTooLarge(BayesBlindError):
-    pass
-
-
-class DegenerateSecondCoordinate(BayesBlindError):
-    pass
-
-
-class DeltaTooLarge(BayesBlindError):
-    pass
 
 
 class HorizonInsufficient(BayesBlindError):

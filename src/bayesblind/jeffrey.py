@@ -13,15 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
 from .distributions import FiniteDistribution, RatioIndex, require_finite
-from .errors import (
-    LengthMismatch,
-    NegativeEntry,
-    NotNormalized,
-    OutOfRange,
-    TooLarge,
-    WeightCountMismatch,
-    ZeroPrior,
-)
+from .errors import InputError
 
 #: Bell-number enumeration bound for accessible_brute_force
 BRUTE_FORCE_MAX_N = 8
@@ -29,35 +21,28 @@ BRUTE_FORCE_MAX_N = 8
 
 @dataclass(frozen=True)
 class Partition:
-    """Set partition of {1..n} in canonical block order."""
+    """Set partition of {1..n} in canonical block order.  ``of`` (which
+    ``from_json`` calls) is the validating entry for outside data; the
+    constructor trusts its caller, such as ``partitions``, to pass canonical blocks."""
 
     blocks: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(tuple(b) for b in self.blocks))
-        seen = set()
-        for block in self.blocks:
-            if not block:
-                raise OutOfRange("empty partition block")
-            if list(block) != sorted(block):
-                raise OutOfRange(f"block indices must be ascending: {block}")
-            for i in block:
-                if not isinstance(i, int) or i < 1:
-                    raise OutOfRange(f"partition indices are positive integers, got {i!r}")
-                if i in seen:
-                    raise OutOfRange(f"index {i} appears in two blocks")
-                seen.add(i)
-        n = len(seen)
-        if seen != set(range(1, n + 1)):
-            raise OutOfRange("blocks must cover {1..n} without gaps")
-        mins = [b[0] for b in self.blocks]
-        if mins != sorted(mins):
-            raise OutOfRange("blocks must be ordered by smallest element")
 
     @classmethod
     def of(cls, blocks: Iterable[Iterable[int]]) -> "Partition":
         """Canonicalize arbitrary block order/content and validate."""
-        canon = sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0] if b else 0)
+        canon = sorted(tuple(sorted(b)) for b in blocks)
+        seen = set()
+        for block in canon:
+            if not block:
+                raise InputError("empty partition block")
+            for i in block:
+                if isinstance(i, bool) or not isinstance(i, int) or i < 1:
+                    raise InputError(f"partition indices are positive integers, got {i!r}")
+                if i in seen:
+                    raise InputError(f"index {i} appears in two blocks")
+                seen.add(i)
+        if seen != set(range(1, len(seen) + 1)):
+            raise InputError("blocks must cover {1..n} without gaps")
         return cls(tuple(canon))
 
     @property
@@ -82,9 +67,9 @@ class BlockWeights:
         object.__setattr__(self, "weights", tuple(Fraction(w) for w in self.weights))
         for w in self.weights:
             if w < 0:
-                raise NegativeEntry(f"negative block weight {w}")
+                raise InputError(f"negative block weight {w}")
         if sum(self.weights) != 1:
-            raise NotNormalized(f"block weights sum to {sum(self.weights)}, not 1")
+            raise InputError(f"block weights sum to {sum(self.weights)}, not 1")
 
 
 def partitions(n: int) -> Iterator[Partition]:
@@ -112,14 +97,14 @@ def check_prior(p: FiniteDistribution, *posteriors: FiniteDistribution) -> None:
     """Finite vectors on one index set, and an exact, strictly positive prior."""
     require_finite(p, *posteriors)
     if not p.is_exact:
-        raise ZeroPrior("priors must be exact-rational distributions")
+        raise InputError("priors must be exact-rational distributions")
     if any(v <= 0 for v in p.probs):
-        raise ZeroPrior("prior must be strictly positive")
+        raise InputError("prior must be strictly positive")
 
 
 def _check_shapes(p: FiniteDistribution, e: Partition) -> None:
     if e.n != len(p):
-        raise LengthMismatch(f"partition covers {e.n} indices, distribution has {len(p)}")
+        raise InputError(f"partition covers {e.n} indices, distribution has {len(p)}")
 
 
 def jc_apply(p: FiniteDistribution, e: Partition, w: BlockWeights) -> FiniteDistribution:
@@ -127,7 +112,7 @@ def jc_apply(p: FiniteDistribution, e: Partition, w: BlockWeights) -> FiniteDist
     check_prior(p)
     _check_shapes(p, e)
     if len(w.weights) != len(e.blocks):
-        raise WeightCountMismatch(
+        raise InputError(
             f"{len(w.weights)} weights for {len(e.blocks)} blocks"
         )
     out = [Fraction(0)] * len(p)
@@ -153,18 +138,23 @@ def rigidity_holds(p: FiniteDistribution, q: FiniteDistribution, e: Partition) -
     return True
 
 
+def _ratio_constant(pv: tuple, qv: tuple, blocks: tuple) -> bool:
+    """Within every block, all q_x / p_x agree (cross-multiplied, so exact)."""
+    for block in blocks:
+        first = block[0] - 1
+        for i in block[1:]:
+            if qv[first] * pv[i - 1] != qv[i - 1] * pv[first]:
+                return False
+    return True
+
+
 def ratio_constant_on_blocks(
     p: FiniteDistribution, q: FiniteDistribution, e: Partition
 ) -> bool:
-    """Within every block, all q_x / p_x agree (cross-multiplied, so exact)."""
+    """Within every block of e, all q_x / p_x agree."""
     check_prior(p, q)
     _check_shapes(p, e)
-    for block in e.blocks:
-        first = block[0]
-        for i in block[1:]:
-            if q.value(first) * p.value(i) != q.value(i) * p.value(first):
-                return False
-    return True
+    return _ratio_constant(p.probs, q.probs, e.blocks)
 
 
 def coarsest_partition(p: FiniteDistribution, q: FiniteDistribution) -> Partition:
@@ -189,10 +179,8 @@ def accessible_brute_force(p: FiniteDistribution, q: FiniteDistribution) -> Acce
     """
     check_prior(p, q)
     if len(p) > BRUTE_FORCE_MAX_N:
-        raise TooLarge(f"brute force limited to n <= {BRUTE_FORCE_MAX_N}")
+        raise InputError(f"brute force limited to n <= {BRUTE_FORCE_MAX_N}")
     for e in partitions(len(p)):
-        if not is_nontrivial(e):
-            continue
-        if ratio_constant_on_blocks(p, q, e):
+        if is_nontrivial(e) and _ratio_constant(p.probs, q.probs, e.blocks):
             return Accessibility(True, e)
     return Accessibility(False, None)

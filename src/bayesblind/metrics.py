@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Union
 
 from .distributions import Distribution, require_stored
-from .errors import LengthMismatch, OutOfRange
+from .errors import InputError
 
 @dataclass(frozen=True)
 class Norm:
@@ -26,7 +26,7 @@ class Norm:
             if not isinstance(self.p, Fraction):
                 object.__setattr__(self, "p", Fraction(self.p))
             if self.p < 1:
-                raise OutOfRange(f"lp norms require p >= 1, got {self.p}")
+                raise InputError(f"lp norms require p >= 1, got {self.p}")
 
     @property
     def is_exact(self) -> bool:
@@ -59,7 +59,7 @@ def parse_norm(text: str) -> Norm:
         from .distributions import parse_rational
 
         return Norm(parse_rational(s[3:]))
-    raise OutOfRange(f"unknown norm {text!r}; expected l1|l2|linf|lp:<p>")
+    raise InputError(f"unknown norm {text!r}; expected l1|l2|linf|lp:<p>")
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ def lp_distance(u: Distribution, v: Distribution, norm: Norm = L1):
     """Distance between u and v; scalar when both are tail-free, else an interval."""
     require_stored(u, v)
     if len(u) != len(v):
-        raise LengthMismatch(f"lengths differ: {len(u)} vs {len(v)}")
+        raise InputError(f"lengths differ: {len(u)} vs {len(v)}")
     lower = _seq_distance(u.prefix, v.prefix, norm)
     ut, vt = u.tail_mass, v.tail_mass
     if ut == 0 and vt == 0:

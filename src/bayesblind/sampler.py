@@ -28,7 +28,7 @@ from .distributions import (
     TruncatedDistribution,
     require_positive_prefix,
 )
-from .errors import OutOfRange
+from .errors import InputError
 
 NEAR_COLLISION_RTOL = 1e-12
 CHUNK_TRIALS = 4096
@@ -44,9 +44,9 @@ class StickBase:
 
     def __post_init__(self):
         if self.kind not in ("uniform", "beta"):
-            raise OutOfRange(f"unknown stick base {self.kind!r}")
+            raise InputError(f"unknown stick base {self.kind!r}")
         if self.kind == "beta" and not all(0 < x < math.inf for x in (self.a, self.b)):
-            raise OutOfRange("beta parameters must be positive and finite")
+            raise InputError("beta parameters must be positive and finite")
 
 
 UNIFORM = StickBase("uniform")
@@ -59,7 +59,7 @@ def parse_base(text: str) -> StickBase:
     if s.startswith("beta:"):
         a, b = (float(t) for t in s[5:].split(","))
         return StickBase("beta", a, b)
-    raise OutOfRange(f"unknown stick base {text!r}; expected uniform|beta:a,b")
+    raise InputError(f"unknown stick base {text!r}; expected uniform|beta:a,b")
 
 
 def _chunks(seed: int, trials: int) -> list:
@@ -67,9 +67,9 @@ def _chunks(seed: int, trials: int) -> list:
     CHUNK_TRIALS trials.  The trial count and seed are checked here, in the
     calling process, before any draw or worker pool."""
     if trials < 1:
-        raise OutOfRange("need at least one trial")
+        raise InputError("need at least one trial")
     if seed < 0:
-        raise OutOfRange(f"seed must be non-negative, got {seed}")
+        raise InputError(f"seed must be non-negative, got {seed}")
     return [(chunk, min(CHUNK_TRIALS, trials - first), first)
             for chunk, first in enumerate(range(0, trials, CHUNK_TRIALS))]
 
@@ -104,7 +104,7 @@ def _stick_chunk(rng: np.random.Generator, m: int, n: int, base: StickBase):
 def stick_breaking_matrix(seed: int, trials: int, n: int, base: StickBase = UNIFORM):
     """(trials, n) coordinate matrix plus residuals, chunk-deterministic."""
     if n < 1:
-        raise OutOfRange(f"horizon must be at least 1, got {n}")
+        raise InputError(f"horizon must be at least 1, got {n}")
     xs, residuals = zip(*(_stick_chunk(_chunk_rng(seed, chunk), m, n, base)
                           for chunk, m, _ in _chunks(seed, trials)))
     return np.concatenate(xs, axis=0), np.concatenate(residuals, axis=0)
@@ -113,7 +113,7 @@ def stick_breaking_matrix(seed: int, trials: int, n: int, base: StickBase = UNIF
 def stick_breaking_sample(seed: int, n: int, base: StickBase = UNIFORM) -> TruncatedDistribution:
     """One stick-breaking sample, deterministic given the seed."""
     if n < 2:
-        raise OutOfRange("horizon must be at least 2")
+        raise InputError("horizon must be at least 2")
     x, residual = stick_breaking_matrix(seed, 1, n, base)
     return TruncatedDistribution(tuple(float(v) for v in x[0]), float(residual[0]))
 

@@ -18,6 +18,7 @@ DISTINCT = '{"kind":"finite","probs":["1/2","3/10","1/5"]}'
 GEO_HALF = '{"kind":"geometric","ratio":"1/2"}'
 TRUNC = '{"kind":"truncated","prefix":["1/2","1/4","1/8"],"tail_mass":"1/8"}'
 PARTITION = '{"blocks":[[1],[2,3]]}'
+BOOL_PARTITION = '{"blocks":[[true],[2,3]]}'
 BAD_JSON_FILE = "<file holding invalid JSON>"  # replaced by a real path in the test
 
 
@@ -247,6 +248,11 @@ def _exit_two_inputs():
                                "--base", "beta:1"),
         "partition-without-blocks": (*apply, "--partition", "{}", "--weights", '["1"]'),
         "weight-not-a-number": (*apply, "--partition", PARTITION, "--weights", '["abc"]'),
+        # JSON true is not the partition index 1
+        "apply-boolean-index": ("jc", "apply", "--prior", PRIOR, "--partition", BOOL_PARTITION,
+                                "--weights", '["1/3","2/3"]'),
+        "rigidity-boolean-index": ("jc", "rigidity", "--prior", PRIOR, "--posterior", UNIFORM,
+                                   "--partition", BOOL_PARTITION),
         "norm-not-a-number": ("dist", "distance", "--u", UNIFORM, "--v", UNIFORM,
                               "--norm", "lp:x"),
         "ratio-not-a-number": ("bs", "test", "--prior", '{"kind":"geometric","ratio":"x"}',

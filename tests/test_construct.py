@@ -22,12 +22,7 @@ from bayesblind import (
 )
 from bayesblind.construct import generate_raw_sequence
 from bayesblind.distributions import TruncatedDistribution
-from bayesblind.errors import (
-    DegenerateSecondCoordinate,
-    DeltaTooLarge,
-    HorizonInsufficient,
-    OutOfRange,
-)
+from bayesblind.errors import HorizonInsufficient, InputError
 from reference import exclusion_set, raw_sequence, valid_delta
 
 F = Fraction
@@ -96,7 +91,7 @@ class TestDeltaFamily:
 
     def test_delta_too_large(self):
         q = TruncatedDistribution((F(1, 2), F(1, 4), F(1, 4)), F(0))
-        with pytest.raises(DeltaTooLarge):
+        with pytest.raises(InputError, match="delta must lie in"):
             delta_family(q, F(1, 4))
 
 
@@ -120,12 +115,12 @@ class TestPickValidDelta:
 
     def test_eps_bounds(self):
         q = generate_blindspot_member(TWO_PRIORS, 16, seed=4)
-        with pytest.raises(OutOfRange):
+        with pytest.raises(InputError, match="eps must lie in"):
             pick_valid_delta(q, TWO_PRIORS, F(0), seed=0)
 
     def test_degenerate_second_coordinate(self):
         q = TruncatedDistribution((F(1, 2), F(0), F(1, 2)), F(0))
-        with pytest.raises(DegenerateSecondCoordinate):
+        with pytest.raises(InputError, match="q_2 = 0"):
             pick_valid_delta(q, [GEO_HALF], F(1, 10), seed=0)
 
     @pytest.mark.parametrize("k", [1, 2, 5])
@@ -153,6 +148,16 @@ class TestPickValidDelta:
             pick_valid_delta(q, [GEO_HALF], F(1, 8), seed=0)
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda q: delta_family(q, F(1, 10)), id="delta_family"),
+    pytest.param(lambda q: pick_valid_delta(q, [GEO_HALF], F(1, 10), seed=0),
+                 id="pick_valid_delta"),
+])
+def test_delta_shift_needs_a_stored_prefix(call):
+    with pytest.raises(InputError, match="no stored prefix"):
+        call(GEO_THIRD)
+
+
 class TestDensify:
     def test_prior_itself_becomes_distinct(self):
         target = truncate(GEO_HALF, 32)  # not prefix-distinct against itself
@@ -174,7 +179,7 @@ class TestDensify:
             assert abs(r - q) < 4 * eps
 
     def test_eps_range(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(InputError, match="eps must lie in"):
             densify(GEO_HALF, truncate(GEO_HALF, 8), F(1, 2))
 
     def test_horizon_insufficient_for_fat_tail(self):

@@ -21,15 +21,7 @@ from bayesblind.distributions import (
     require_finite,
     require_stored,
 )
-from bayesblind.errors import (
-    AllZero,
-    HorizonTooLarge,
-    LengthMismatch,
-    NegativeEntry,
-    NotNormalized,
-    OutOfRange,
-    ZeroPrior,
-)
+from bayesblind.errors import InputError
 from helpers import finite_from_rationals
 from reference import ratio_profile
 
@@ -42,7 +34,7 @@ class TestFiniteFromRationals:
         assert d.probs == (F(1, 2), F(1, 4), F(1, 4))
 
     def test_not_normalized(self):
-        with pytest.raises(NotNormalized):
+        with pytest.raises(InputError, match="entries sum to"):
             finite_from_rationals([F(1, 2), F(1, 2), F(1, 4)])
 
     def test_point_mass_allowed(self):
@@ -50,11 +42,11 @@ class TestFiniteFromRationals:
         assert d.value(1) == 1
 
     def test_negative_entry(self):
-        with pytest.raises(NegativeEntry):
+        with pytest.raises(InputError, match="negative probability entry"):
             finite_from_rationals([F(3, 2), F(-1, 2)])
 
     def test_too_short(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(InputError, match="at least 2 components"):
             finite_from_rationals([F(1)])
 
 
@@ -71,7 +63,7 @@ class TestNormalize:
         assert d.probs == (F(16, 23), F(4, 23), F(2, 23), F(1, 23))
 
     def test_all_zero(self):
-        with pytest.raises(AllZero):
+        with pytest.raises(InputError, match="zero vector"):
             normalize([F(0), F(0)])
 
     @given(st.lists(st.fractions(min_value=0, max_value=50), min_size=2, max_size=8))
@@ -94,9 +86,9 @@ class TestGeometric:
         assert g.value(2) == F(2, 9)
 
     def test_boundary(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(InputError, match="geometric ratio must lie in"):
             geometric(F(1))
-        with pytest.raises(OutOfRange):
+        with pytest.raises(InputError, match="geometric ratio must lie in"):
             geometric(F(0))
 
 
@@ -111,7 +103,7 @@ class TestTruncate:
         assert t.tail_mass == F(1, 2 ** 64)
 
     def test_horizon_too_small(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(InputError, match="truncation horizon"):
             truncate(geometric(F(1, 2)), 1)
 
     def test_mass_exact_on_grid(self):
@@ -140,25 +132,25 @@ class TestRatioProfile:
     def test_zero_prior(self):
         p = finite_from_rationals([F(1), F(0), F(0)])
         q = finite_from_rationals([F(1, 3), F(1, 3), F(1, 3)])
-        with pytest.raises(ZeroPrior):
+        with pytest.raises(InputError, match="nonpositive component"):
             ratio_profile(q, p)
 
     def test_length_mismatch(self):
         p = finite_from_rationals([F(1, 2), F(1, 2)])
         q = finite_from_rationals([F(1, 3), F(1, 3), F(1, 3)])
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(InputError, match="lengths differ"):
             ratio_profile(q, p)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_horizon_below_one(self, n):
         p = geometric(F(1, 2))
-        with pytest.raises(OutOfRange):
+        with pytest.raises(InputError, match="horizon must be at least 1"):
             ratio_profile(p, p, n)
 
     def test_truncated_needs_horizon(self):
         p = TruncatedDistribution((F(1, 2), F(1, 4)), F(1, 4))
         q = TruncatedDistribution((F(1, 4), F(1, 2)), F(1, 4))
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(InputError, match="need a horizon"):
             ratio_profile(q, p)
         assert ratio_profile(q, p, 2) == (F(1, 2), F(2))
 
@@ -236,7 +228,7 @@ class TestRationalText:
         assert parse_rational(text) == value
 
     def test_decimal_digit_limit(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(InputError, match="18 fractional digits"):
             parse_rational("0." + "1" * 19)
 
     def test_format_roundtrip(self):
@@ -268,7 +260,7 @@ class TestJson:
 
 class TestFloatMode:
     def test_tolerance_enforced(self):
-        with pytest.raises(NotNormalized):
+        with pytest.raises(InputError, match="float entries sum to"):
             TruncatedDistribution((0.5, 0.25), 0.2501)
 
     def test_within_tolerance(self):
@@ -288,15 +280,15 @@ class TestNaNRejected:
     """NaN fails every order comparison, so it must be caught on its own."""
 
     def test_finite(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(InputError, match="NaN probability entry"):
             FiniteDistribution((NAN, 0.5, 0.5))
 
     def test_truncated_prefix(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(InputError, match="NaN probability entry"):
             TruncatedDistribution((0.5, NAN), 0.5)
 
     def test_truncated_tail_mass(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(InputError, match="NaN probability entry"):
             TruncatedDistribution((0.5, 0.5), NAN)
 
 
@@ -324,18 +316,18 @@ class TestDistributionView:
 
     def test_stored_horizon_too_large(self):
         for d in (self.FINITE, self.TRUNC):
-            with pytest.raises(HorizonTooLarge):
+            with pytest.raises(InputError, match="exceeds available prefix length"):
                 d.prefix_values(4)
-            with pytest.raises(HorizonTooLarge):
+            with pytest.raises(InputError, match="exceeds available prefix length"):
                 d.tail_after(4)
 
     def test_guards(self):
         require_stored(self.FINITE, self.TRUNC)
         assert require_finite(self.FINITE, self.FINITE) == 3
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(InputError, match="lengths differ"):
             require_finite(self.FINITE, finite_from_rationals([F(1, 2), F(1, 2)]))
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(InputError, match="no stored prefix"):
             require_stored(self.FINITE, self.GEO)
         for other in (self.TRUNC, self.GEO):
-            with pytest.raises(LengthMismatch):
+            with pytest.raises(InputError, match="need a horizon"):
                 require_finite(self.FINITE, other)

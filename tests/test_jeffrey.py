@@ -14,13 +14,7 @@ from bayesblind import (
     rigidity_holds,
 )
 from bayesblind.jeffrey import partitions
-from bayesblind.errors import (
-    NotNormalized,
-    OutOfRange,
-    TooLarge,
-    WeightCountMismatch,
-    ZeroPrior,
-)
+from bayesblind.errors import InputError
 from helpers import (
     finite_from_rationals,
     random_dist,
@@ -42,12 +36,21 @@ class TestPartition:
         assert e.blocks == ((1,), (2, 3))
 
     def test_rejects_gap(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(InputError, match="without gaps"):
             Partition.of([[1], [3]])
 
     def test_rejects_overlap(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(InputError, match="appears in two blocks"):
             Partition.of([[1, 2], [2, 3]])
+
+    @pytest.mark.parametrize("blocks, fragment", [
+        pytest.param([[1], [], [2]], "empty partition block", id="empty-block"),
+        pytest.param([[0], [1, 2]], "positive integers, got 0", id="index-zero"),
+        pytest.param([[True], [2, 3]], "positive integers, got True", id="index-true"),
+    ])
+    def test_rejects_bad_blocks(self, blocks, fragment):
+        with pytest.raises(InputError, match=fragment):
+            Partition.of(blocks)
 
     def test_json_roundtrip(self):
         e = Partition.of([[1], [2, 3]])
@@ -106,16 +109,16 @@ class TestJcApply:
         assert jc_apply(P3, e, w).probs == w.weights
 
     def test_weight_count_mismatch(self):
-        with pytest.raises(WeightCountMismatch):
+        with pytest.raises(InputError, match="weights for 2 blocks"):
             jc_apply(P3, Partition.of([[1], [2, 3]]), BlockWeights((F(1),)))
 
     def test_zero_prior_rejected(self):
         p = finite_from_rationals([F(1), F(0), F(0)])
-        with pytest.raises(ZeroPrior):
+        with pytest.raises(InputError, match="prior must be strictly positive"):
             jc_apply(p, Partition.of([[1], [2, 3]]), BlockWeights((F(1, 2), F(1, 2))))
 
     def test_weights_validated(self):
-        with pytest.raises(NotNormalized):
+        with pytest.raises(InputError, match="block weights sum to"):
             BlockWeights((F(1, 2), F(1, 4)))
 
 
@@ -178,7 +181,7 @@ class TestBruteForce:
 
     def test_too_large(self):
         p = random_positive_dist(random.Random(0), 9)
-        with pytest.raises(TooLarge):
+        with pytest.raises(InputError, match="brute force limited"):
             accessible_brute_force(p, p)
 
 

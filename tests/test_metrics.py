@@ -5,7 +5,7 @@ import pytest
 
 from bayesblind import L1, L2, LINF, Norm, bounded_metric, geometric, lp_distance, truncate
 from bayesblind.metrics import DistanceInterval, l1_upper_bound, parse_norm
-from bayesblind.errors import LengthMismatch, OutOfRange
+from bayesblind.errors import InputError
 from helpers import finite_from_rationals, random_dist
 
 F = Fraction
@@ -38,7 +38,7 @@ class TestLpDistance:
         assert abs(t - 2 ** 0.5) < 1e-12
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(InputError, match="lengths differ"):
             lp_distance(POINT, dist("1/2", "1/2"), L1)
 
     def test_truncated_interval(self):
@@ -108,11 +108,11 @@ class TestNormParsing:
         assert str(parse_norm(text)) in (text, "l1", "l2", "linf", "lp:3", "lp:3/2")
 
     def test_p_below_one_rejected(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(InputError, match="lp norms require p"):
             Norm(F(1, 2))
 
     def test_unknown(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(InputError, match="unknown norm"):
             parse_norm("l0")
 
 

@@ -18,7 +18,7 @@ from bayesblind.sampler import (
     _chunk_rng,
     _unit_draws,
 )
-from bayesblind.errors import OutOfRange
+from bayesblind.errors import InputError
 
 F = Fraction
 GEO_HALF = geometric(F(1, 2))
@@ -33,9 +33,9 @@ class TestStickBase:
         assert (b.kind, b.a, b.b) == ("beta", 2.0, 3.0)
 
     def test_bad_base(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(InputError, match="unknown stick base"):
             parse_base("cauchy")
-        with pytest.raises(OutOfRange):
+        with pytest.raises(InputError, match="beta parameters"):
             StickBase("beta", -1.0, 1.0)
 
 
@@ -163,7 +163,7 @@ def test_negative_seed_rejected_before_any_pool(monkeypatch, call):
 
     monkeypatch.setattr(sampler.multiprocessing, "Pool", no_pool)
     monkeypatch.setattr(sampler.os, "cpu_count", lambda: 2)
-    with pytest.raises(OutOfRange, match="seed"):
+    with pytest.raises(InputError, match="seed"):
         call()
 
 
@@ -180,5 +180,5 @@ def test_bad_trials_or_horizon_rejected_before_any_draw(monkeypatch, call):
 
     monkeypatch.setattr(sampler, "_chunk_rng", no_draw)
     monkeypatch.setattr(sampler.multiprocessing, "Pool", no_draw)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(InputError, match="at least"):
         call()
