@@ -30,14 +30,16 @@ class Partition:
     @classmethod
     def of(cls, blocks: Iterable[Iterable[int]]) -> "Partition":
         """Canonicalize arbitrary block order/content and validate."""
+        blocks = [tuple(b) for b in blocks]
+        for i in (i for b in blocks for i in b):  # before sorting mixed types
+            if isinstance(i, bool) or not isinstance(i, int) or i < 1:
+                raise InputError(f"partition indices are positive integers, got {i!r}")
         canon = sorted(tuple(sorted(b)) for b in blocks)
         seen = set()
         for block in canon:
             if not block:
                 raise InputError("empty partition block")
             for i in block:
-                if isinstance(i, bool) or not isinstance(i, int) or i < 1:
-                    raise InputError(f"partition indices are positive integers, got {i!r}")
                 if i in seen:
                     raise InputError(f"index {i} appears in two blocks")
                 seen.add(i)

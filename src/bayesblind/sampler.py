@@ -8,8 +8,13 @@ Exact float ratio equality counts as a collision; near-equality within a
 Reproducibility contract: ``_chunks`` alone plans the work.  It checks the
 seed and trial count, then partitions the trials into chunks of at most
 ``CHUNK_TRIALS``; chunk c draws from ``SeedSequence(entropy=seed,
-spawn_key=(c,))``.  Workers process whole chunks and results are reduced in
-chunk order, so output is identical for any worker count.
+spawn_key=(c,))``.  Workers take contiguous runs of chunks; results are
+reduced in chunk order, so output is identical for any worker count.
+
+Kernel layout: a call, or each pool worker, reuses one workspace (``_sticks``)
+for all its chunks.  Survivals and coordinates are built transposed, a
+contiguous row per stick index, and ratios are sorted in place in the draw
+buffer.  Buffer reuse changes no arithmetic, so the contract above holds.
 """
 
 from __future__ import annotations
@@ -78,36 +83,48 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk,)))
 
 
-def _unit_draws(rng: np.random.Generator, shape, base: StickBase) -> np.ndarray:
-    def draw(size):
-        return rng.random(size) if base.kind == "uniform" else rng.beta(base.a, base.b, size)
-
-    u = draw(shape)
+def _unit_draws(rng: np.random.Generator, u: np.ndarray, base: StickBase) -> None:
+    """Fill u with base draws, in the stream order of one ``u.shape`` draw."""
+    if base.kind == "uniform":
+        rng.random(out=u)
+    else:
+        u[...] = rng.beta(base.a, base.b, u.shape)
     # a draw exactly equal to the remaining mass (u == 1) is re-drawn;
     # the half-open convention keeps every break strictly below the stick
-    mask = u >= 1.0
-    while mask.any():
-        u[mask] = draw(int(mask.sum()))
-        mask = u >= 1.0
-    return u
+    if u.max() >= 1.0:
+        redrawn = u[u >= 1.0]
+        _unit_draws(rng, redrawn, base)
+        u[u >= 1.0] = redrawn
 
 
-def _stick_chunk(rng: np.random.Generator, m: int, n: int, base: StickBase):
-    """m stick-breaking samples of length n: coordinates and residual mass."""
-    u = _unit_draws(rng, (m, n), base)
-    kept = np.cumprod(1.0 - u, axis=1)
-    prev = np.concatenate([np.ones((m, 1)), kept[:, :-1]], axis=1)
-    x = u * prev
-    return x, kept[:, -1]
+def _sticks(seed: int, run: list, n: int, base: StickBase):
+    """Stick-breaking samples for a run of chunks through one workspace, sized
+    by the run's first (largest) chunk of m: draws, then sorted ratios (m, n);
+    coordinates, then ratios, and survivals (n, m); compare buffers (m, n - 1).
+    Yields each chunk's trial rows, coordinates (n, m), residuals, workspace."""
+    m = run[0][1]
+    ws = (np.empty((m, n)), np.empty((n, m)), np.empty((n, m)),
+          np.empty((m, n - 1)), np.empty((m, n - 1)), np.empty((m, n - 1), dtype=bool))
+    for chunk, m, first in run:
+        u, x, kept = ws[0][:m], ws[1][:, :m], ws[2][:, :m]
+        _unit_draws(_chunk_rng(seed, chunk), u, base)
+        x[...] = u.T
+        np.subtract(1.0, x, out=kept)
+        for i in range(1, n):  # np.cumprod's left-to-right product, row by row
+            kept[i] *= kept[i - 1]
+        x[1:] *= kept[:-1]
+        yield slice(first, first + m), x, kept[-1], ws
 
 
 def stick_breaking_matrix(seed: int, trials: int, n: int, base: StickBase = UNIFORM):
     """(trials, n) coordinate matrix plus residuals, chunk-deterministic."""
     if n < 1:
         raise InputError(f"horizon must be at least 1, got {n}")
-    xs, residuals = zip(*(_stick_chunk(_chunk_rng(seed, chunk), m, n, base)
-                          for chunk, m, _ in _chunks(seed, trials)))
-    return np.concatenate(xs, axis=0), np.concatenate(residuals, axis=0)
+    plan = _chunks(seed, trials)
+    xs, residuals = np.empty((trials, n)), np.empty(trials)
+    for rows, x, residual, _ in _sticks(seed, plan, n, base):
+        xs[rows], residuals[rows] = x.T, residual
+    return xs, residuals
 
 
 def stick_breaking_sample(seed: int, n: int, base: StickBase = UNIFORM) -> TruncatedDistribution:
@@ -140,28 +157,39 @@ class McReport:
         return asdict(self)
 
 
-def _mc_chunk(args):
-    seed, chunk, m, n, base, p_float, collect, trial_offset = args
-    x, residual = _stick_chunk(_chunk_rng(seed, chunk), m, n, base)
-    ratios = x / p_float
-    s = np.sort(ratios, axis=1)
+def _mc_chunk(trials, x, residual, ws, p_float, collect):
+    m = x.shape[1]
+    ratios = np.divide(x, p_float[:, None], out=x)  # transposed: a trial per column
+    s = ws[0][:m]
+    s[...] = ratios.T
+    s.sort(axis=1)
+    rows = slice(None)
+    if np.isfinite(s[:, -1]).all():
+        # finite non-negative sorted ratios: every equal or near pair has a
+        # gap within the tolerance, so only rows with such a gap are compared
+        gap, tol, close = (buf[:m] for buf in ws[3:])
+        np.subtract(s[:, 1:], s[:, :-1], out=gap)
+        np.multiply(s[:, 1:], NEAR_COLLISION_RTOL, out=tol)
+        rows = np.flatnonzero(np.less_equal(gap, tol, out=close).any(axis=1))
+    s = s[rows]
     eq = s[:, 1:] == s[:, :-1]
     near = (s[:, 1:] - s[:, :-1]) <= NEAR_COLLISION_RTOL * np.abs(s[:, 1:])
-    exact_trials = eq.any(axis=1)
-    near_trials = (near & ~eq).any(axis=1)
+    exact = np.zeros(m, dtype=bool)
+    exact[rows] = eq.any(axis=1)
     records = []
     if collect:
         for t in range(m):
-            pair = RatioIndex(ratios[t].tolist()).first_collision if exact_trials[t] else None
+            pair = RatioIndex(ratios[:, t].tolist()).first_collision if exact[t] else None
             records.append(
-                TrialRecord(trial_offset + t, not exact_trials[t], pair, float(residual[t]))
+                TrialRecord(trials.start + t, not exact[t], pair, float(residual[t]))
             )
-    return (
-        int(exact_trials.sum()),
-        int(near_trials.sum()),
-        float(residual.sum()),
-        records,
-    )
+    return int(exact.sum()), int((near & ~eq).any(axis=1).sum()), float(residual.sum()), records
+
+
+def _mc_run(args):
+    """One worker's contiguous run of chunks: a result per chunk."""
+    seed, run, n, base, p_float, collect = args
+    return [_mc_chunk(*chunk, p_float, collect) for chunk in _sticks(seed, run, n, base)]
 
 
 def monte_carlo_blindspot_fraction(
@@ -178,27 +206,26 @@ def monte_carlo_blindspot_fraction(
     when per-trial records are requested."""
     plan = _chunks(seed, trials)
     p_float = np.array([float(v) for v in require_positive_prefix(prior, n)])
-    tasks = [(seed, chunk, m, n, base, p_float, collect_trials, first)
-             for chunk, m, first in plan]
     # more processes than chunks or cores would only add start-up cost
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    workers = min(workers, len(plan), os.cpu_count() or 1)
+    tasks = [(seed, plan[w * len(plan) // workers:(w + 1) * len(plan) // workers],
+              n, base, p_float, collect_trials) for w in range(workers)]
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_mc_chunk, tasks)
+            runs = pool.map(_mc_run, tasks)
     else:
-        results = [_mc_chunk(t) for t in tasks]
-    exact = sum(r[0] for r in results)
-    near = sum(r[1] for r in results)
-    residual_sum = 0.0
-    for r in results:  # fixed chunk order keeps the float sum reproducible
-        residual_sum += r[2]
-    records = [rec for r in results for rec in r[3]]
+        runs = [_mc_run(t) for t in tasks]
+    exact, near, sums, chunk_records = zip(*(r for run in runs for r in run))
+    exact, residual_sum = sum(exact), 0.0
+    for r in sums:  # fixed chunk order keeps the float sum reproducible
+        residual_sum += r
+    records = [rec for r in chunk_records for rec in r]
     report = McReport(
         trials=trials,
         horizon=n,
         in_blindspot=trials - exact,
         exact_float_collisions=exact,
-        near_collisions=near,
+        near_collisions=sum(near),
         mean_residual_mass=residual_sum / trials,
         seed=seed,
     )

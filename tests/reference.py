@@ -8,8 +8,17 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from bayesblind import delta_family
-from bayesblind.distributions import require_finite, require_positive_prefix
+from bayesblind.distributions import RatioIndex, require_finite, require_positive_prefix
+from bayesblind.sampler import (
+    NEAR_COLLISION_RTOL,
+    McReport,
+    TrialRecord,
+    _chunk_rng,
+    _chunks,
+)
 
 _DYADIC_BITS = 32
 
@@ -70,3 +79,52 @@ def valid_delta(q, priors, eps: Fraction, seed: int, max_tries: int = 10000):
         if all(len({a / b for a, b in zip(shifted, pv)}) == n for pv in prefixes):
             return delta
     return None
+
+
+def stick_chunks(seed: int, trials: int, n: int, base):
+    """Stick-breaking chunks with fresh arrays for every step: np.cumprod
+    along each row, the shifted survivals built by concatenate.  Yields
+    (first trial, (m, n) coordinates, residual masses)."""
+    for chunk, m, first in _chunks(seed, trials):
+        rng = _chunk_rng(seed, chunk)
+
+        def draw(size):
+            return rng.random(size) if base.kind == "uniform" else rng.beta(base.a, base.b, size)
+
+        u = draw((m, n))
+        mask = u >= 1.0
+        while mask.any():
+            u[mask] = draw(int(mask.sum()))
+            mask = u >= 1.0
+        kept = np.cumprod(1.0 - u, axis=1)
+        prev = np.concatenate([np.ones((m, 1)), kept[:, :-1]], axis=1)
+        yield first, u * prev, kept[:, -1]
+
+
+def stick_matrix(seed: int, trials: int, n: int, base):
+    """The chunks concatenated: (trials, n) coordinates and residuals."""
+    _, xs, residuals = zip(*stick_chunks(seed, trials, n, base))
+    return np.concatenate(xs, axis=0), np.concatenate(residuals, axis=0)
+
+
+def monte_carlo(prior, trials: int, n: int, base, seed: int):
+    """Serial Monte Carlo with the full equal/near compare on every row:
+    (McReport, per-trial records)."""
+    p_float = np.array([float(v) for v in require_positive_prefix(prior, n)])
+    exact = near = 0
+    residual_sum = 0.0
+    records = []
+    for first, x, residual in stick_chunks(seed, trials, n, base):
+        ratios = x / p_float
+        s = np.sort(ratios, axis=1)
+        eq = s[:, 1:] == s[:, :-1]
+        close = (s[:, 1:] - s[:, :-1]) <= NEAR_COLLISION_RTOL * np.abs(s[:, 1:])
+        exact_trials = eq.any(axis=1)
+        exact += int(exact_trials.sum())
+        near += int((close & ~eq).any(axis=1).sum())
+        residual_sum += float(residual.sum())
+        for t in range(len(x)):
+            pair = RatioIndex(ratios[t].tolist()).first_collision if exact_trials[t] else None
+            records.append(TrialRecord(first + t, not exact_trials[t], pair, float(residual[t])))
+    report = McReport(trials, n, trials - exact, exact, near, residual_sum / trials, seed)
+    return report, records

@@ -47,6 +47,8 @@ class TestPartition:
         pytest.param([[1], [], [2]], "empty partition block", id="empty-block"),
         pytest.param([[0], [1, 2]], "positive integers, got 0", id="index-zero"),
         pytest.param([[True], [2, 3]], "positive integers, got True", id="index-true"),
+        pytest.param([["a"], [1, 2]], "positive integers, got 'a'", id="string-block"),
+        pytest.param([[1, "a"]], "positive integers, got 'a'", id="string-index"),
     ])
     def test_rejects_bad_blocks(self, blocks, fragment):
         with pytest.raises(InputError, match=fragment):

@@ -18,7 +18,10 @@ from bayesblind.sampler import (
     _chunk_rng,
     _unit_draws,
 )
+from bayesblind.distributions import TruncatedDistribution
 from bayesblind.errors import InputError
+
+import reference
 
 F = Fraction
 GEO_HALF = geometric(F(1, 2))
@@ -58,7 +61,8 @@ class TestStickBreakingSample:
                 assert partial < 1.0 or d.tail_mass < 2.0 ** -40
 
     def test_residual_is_product_of_survivals(self):
-        u = _unit_draws(_chunk_rng(3, 0), (1, 32), UNIFORM)[0]
+        u = np.empty(32)
+        _unit_draws(_chunk_rng(3, 0), u, UNIFORM)
         d = stick_breaking_sample(3, 32)
         assert abs(d.tail_mass - np.prod(1.0 - u)) <= 1e-12 * d.tail_mass
 
@@ -85,10 +89,11 @@ class TestMonteCarlo:
         assert report.in_blindspot in (0, 1)
 
     def test_worker_determinism(self):
-        kwargs = dict(trials=9000, n=16, seed=77)
+        # three chunks, the last partial: two workers take runs of 1 and 2
+        kwargs = dict(trials=2 * CHUNK_TRIALS + 808, n=16, seed=77, collect_trials=True)
         serial = monte_carlo_blindspot_fraction(GEO_HALF, **kwargs, workers=1)
-        parallel = monte_carlo_blindspot_fraction(GEO_HALF, **kwargs, workers=4)
-        assert serial == parallel
+        for workers in (2, 4):
+            assert monte_carlo_blindspot_fraction(GEO_HALF, **kwargs, workers=workers) == serial
 
     def test_trial_records(self):
         report, records = monte_carlo_blindspot_fraction(
@@ -128,7 +133,7 @@ class TestMonteCarlo:
     (1, 3, 4, None),
 ])
 def test_worker_clamp(monkeypatch, workers, chunks, cpus, pool_size):
-    sizes = []
+    sizes, runs, workspaces = [], [], []
 
     class InProcessPool:
         def __init__(self, size):
@@ -141,14 +146,29 @@ def test_worker_clamp(monkeypatch, workers, chunks, cpus, pool_size):
             return False
 
         def map(self, fn, tasks):
+            runs.extend(task[1] for task in tasks)
             return [fn(t) for t in tasks]
 
-    kwargs = dict(trials=chunks * CHUNK_TRIALS, n=4, seed=2)
+    def counted_sticks(*args):
+        workspaces.append(args[1])
+        return sticks(*args)
+
+    # the last chunk is partial: the trial count is no multiple of CHUNK_TRIALS
+    kwargs = dict(trials=chunks * CHUNK_TRIALS - 1000, n=4, seed=2, collect_trials=True)
     serial = monte_carlo_blindspot_fraction(GEO_HALF, **kwargs)
+    sticks = sampler._sticks
+    monkeypatch.setattr(sampler, "_sticks", counted_sticks)
     monkeypatch.setattr(sampler.multiprocessing, "Pool", InProcessPool)
     monkeypatch.setattr(sampler.os, "cpu_count", lambda: cpus)
     assert monte_carlo_blindspot_fraction(GEO_HALF, **kwargs, workers=workers) == serial
     assert sizes == ([] if pool_size is None else [pool_size])
+    plan = sampler._chunks(2, kwargs["trials"])
+    if pool_size is not None:
+        # one contiguous, non-empty run of chunks per worker, in chunk order
+        assert len(runs) == pool_size and all(runs)
+        assert [c for run in runs for c in run] == plan
+    # one workspace (one _sticks call) per worker, or one for a serial call
+    assert workspaces == (runs if pool_size is not None else [plan])
 
 
 @pytest.mark.parametrize("call", [
@@ -182,3 +202,43 @@ def test_bad_trials_or_horizon_rejected_before_any_draw(monkeypatch, call):
     monkeypatch.setattr(sampler.multiprocessing, "Pool", no_draw)
     with pytest.raises(InputError, match="at least"):
         call()
+
+
+KERNEL_BASES = [
+    pytest.param(UNIFORM, id="uniform"),
+    pytest.param(StickBase("beta", 0.5, 2.0), id="beta-0.5-2"),
+    pytest.param(StickBase("beta", 0.05, 0.05), id="beta-0.05-0.05"),
+]
+KERNEL_CASES = [  # (prior, horizon, trials): multi-chunk runs end in a partial chunk
+    pytest.param(GEO_HALF, 1, CHUNK_TRIALS + 5, id="n1"),
+    pytest.param(GEO_HALF, 2, CHUNK_TRIALS + 5, id="n2"),
+    pytest.param(GEO_HALF, 16, 2 * CHUNK_TRIALS + 7, id="n16"),
+    pytest.param(GEO_HALF, 50, CHUNK_TRIALS + 300, id="n50"),
+    pytest.param(GEO_HALF, 800, 37, id="n800"),  # late coordinates underflow to 0.0
+    pytest.param(geometric(F(1, 1000)), 120, 2000, id="geo-1/1000-n120"),  # p_i underflows
+    pytest.param(geometric(F(999, 1000)), 1500, 300, id="geo-999/1000-n1500"),
+    # every float p_i is 0.0, so every ratio is inf and every row a collision
+    pytest.param(TruncatedDistribution((F(1, 10**400),) * 3, 1 - F(3, 10**400)), 3, 50,
+                 id="float-zero-prior-n3"),
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and nan ratios of underflow
+@pytest.mark.parametrize("prior, n, trials", KERNEL_CASES)
+@pytest.mark.parametrize("base", KERNEL_BASES)
+def test_kernel_matches_reference_bytes(base, prior, n, trials):
+    seed = 6
+    expected = reference.monte_carlo(prior, trials, n, base, seed)
+    for workers in (1, 2) if trials > CHUNK_TRIALS else (1,):
+        assert monte_carlo_blindspot_fraction(
+            prior, trials, n, base=base, seed=seed, workers=workers, collect_trials=True
+        ) == expected
+    x, residual = stick_breaking_matrix(seed, trials, n, base)
+    ref_x, ref_residual = reference.stick_matrix(seed, trials, n, base)
+    assert x.shape == (trials, n) and x.flags.c_contiguous
+    assert x.tobytes() == ref_x.tobytes() and residual.tobytes() == ref_residual.tobytes()
+    if n >= 2:
+        ref_x, ref_residual = reference.stick_matrix(seed, 1, n, base)
+        sample = stick_breaking_sample(seed, n, base)
+        assert np.array(sample.prefix).tobytes() == ref_x[0].tobytes()
+        assert np.float64(sample.tail_mass).tobytes() == ref_residual[0].tobytes()
