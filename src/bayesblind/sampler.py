@@ -11,10 +11,10 @@ seed and trial count, then partitions the trials into chunks of at most
 spawn_key=(c,))``.  Workers take contiguous runs of chunks; results are
 reduced in chunk order, so output is identical for any worker count.
 
-Kernel layout: a call, or each pool worker, reuses one workspace (``_sticks``)
-for all its chunks.  Survivals and coordinates are built transposed, a
-contiguous row per stick index, and ratios are sorted in place in the draw
-buffer.  Buffer reuse changes no arithmetic, so the contract above holds.
+Kernel layout: a call, or each pool worker, reuses one workspace for all its
+chunks: ``_sticks`` owns the draw, coordinate and survival buffers, ``_mc_run``
+the compare buffers.  Survivals and coordinates are built transposed, a row per
+stick index, and ratios are sorted in place in the draw buffer.  Buffer reuse changes no arithmetic, so the contract above holds.
 """
 
 from __future__ import annotations
@@ -99,21 +99,20 @@ def _unit_draws(rng: np.random.Generator, u: np.ndarray, base: StickBase) -> Non
 
 def _sticks(seed: int, run: list, n: int, base: StickBase):
     """Stick-breaking samples for a run of chunks through one workspace, sized
-    by the run's first (largest) chunk of m: draws, then sorted ratios (m, n);
-    coordinates, then ratios, and survivals (n, m); compare buffers (m, n - 1).
-    Yields each chunk's trial rows, coordinates (n, m), residuals, workspace."""
+    by the run's first (largest) chunk of m: draws (m, n), coordinates and
+    survivals (n, m).  Yields each chunk's trial rows, coordinates (n, m),
+    residuals and its draw buffer (m, n), free for the caller to reuse."""
     m = run[0][1]
-    ws = (np.empty((m, n)), np.empty((n, m)), np.empty((n, m)),
-          np.empty((m, n - 1)), np.empty((m, n - 1)), np.empty((m, n - 1), dtype=bool))
+    draws, coords, survivals = np.empty((m, n)), np.empty((n, m)), np.empty((n, m))
     for chunk, m, first in run:
-        u, x, kept = ws[0][:m], ws[1][:, :m], ws[2][:, :m]
+        u, x, kept = draws[:m], coords[:, :m], survivals[:, :m]
         _unit_draws(_chunk_rng(seed, chunk), u, base)
         x[...] = u.T
         np.subtract(1.0, x, out=kept)
         for i in range(1, n):  # np.cumprod's left-to-right product, row by row
             kept[i] *= kept[i - 1]
         x[1:] *= kept[:-1]
-        yield slice(first, first + m), x, kept[-1], ws
+        yield slice(first, first + m), x, kept[-1], u
 
 
 def stick_breaking_matrix(seed: int, trials: int, n: int, base: StickBase = UNIFORM):
@@ -157,17 +156,17 @@ class McReport:
         return asdict(self)
 
 
-def _mc_chunk(trials, x, residual, ws, p_float, collect):
+def _mc_chunk(trials, x, residual, s, p_float, collect, gap, tol, close):
+    """One chunk's counts and records; s is a free (m, n) buffer to sort ratios in."""
     m = x.shape[1]
     ratios = np.divide(x, p_float[:, None], out=x)  # transposed: a trial per column
-    s = ws[0][:m]
     s[...] = ratios.T
     s.sort(axis=1)
     rows = slice(None)
     if np.isfinite(s[:, -1]).all():
         # finite non-negative sorted ratios: every equal or near pair has a
         # gap within the tolerance, so only rows with such a gap are compared
-        gap, tol, close = (buf[:m] for buf in ws[3:])
+        gap, tol, close = gap[:m], tol[:m], close[:m]
         np.subtract(s[:, 1:], s[:, :-1], out=gap)
         np.multiply(s[:, 1:], NEAR_COLLISION_RTOL, out=tol)
         rows = np.flatnonzero(np.less_equal(gap, tol, out=close).any(axis=1))
@@ -180,16 +179,17 @@ def _mc_chunk(trials, x, residual, ws, p_float, collect):
     if collect:
         for t in range(m):
             pair = RatioIndex(ratios[:, t].tolist()).first_collision if exact[t] else None
-            records.append(
-                TrialRecord(trials.start + t, not exact[t], pair, float(residual[t]))
-            )
+            records.append(TrialRecord(trials.start + t, not exact[t], pair, float(residual[t])))
     return int(exact.sum()), int((near & ~eq).any(axis=1).sum()), float(residual.sum()), records
 
 
 def _mc_run(args):
     """One worker's contiguous run of chunks: a result per chunk."""
     seed, run, n, base, p_float, collect = args
-    return [_mc_chunk(*chunk, p_float, collect) for chunk in _sticks(seed, run, n, base)]
+    gap, tol = np.empty((2, run[0][1], n - 1))  # compare buffers for the whole run
+    close = np.empty(gap.shape, dtype=bool)
+    return [_mc_chunk(*chunk, p_float, collect, gap=gap, tol=tol, close=close)
+            for chunk in _sticks(seed, run, n, base)]
 
 
 def monte_carlo_blindspot_fraction(
@@ -207,7 +207,7 @@ def monte_carlo_blindspot_fraction(
     plan = _chunks(seed, trials)
     p_float = np.array([float(v) for v in require_positive_prefix(prior, n)])
     # more processes than chunks or cores would only add start-up cost
-    workers = min(workers, len(plan), os.cpu_count() or 1)
+    workers = max(1, min(workers, len(plan), os.cpu_count() or 1))
     tasks = [(seed, plan[w * len(plan) // workers:(w + 1) * len(plan) // workers],
               n, base, p_float, collect_trials) for w in range(workers)]
     if workers > 1:

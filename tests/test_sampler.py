@@ -131,6 +131,8 @@ class TestMonteCarlo:
     (8, 1, 4, None),  # one chunk runs serially
     (8, 3, 1, None),  # one core runs serially
     (1, 3, 4, None),
+    (0, 3, 4, None),  # fewer than one worker runs serially
+    (-2, 3, 4, None),
 ])
 def test_worker_clamp(monkeypatch, workers, chunks, cpus, pool_size):
     sizes, runs, workspaces = [], [], []
