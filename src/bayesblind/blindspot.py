@@ -1,9 +1,9 @@
 """Blind-spot membership tests with witnesses and prefix verdicts.
 
 A posterior q is in the blind spot of a strictly positive prior p exactly
-when the ratios q_i / p_i are pairwise distinct.  Collision detection groups
-the ratios in a ``RatioIndex``; the prior is strictly positive, so zero
-posterior entries need no special case, and rational mode stays exact.
+when the ratios q_i / p_i are pairwise distinct.  A ``RatioIndex`` groups the
+positions by ratio, comparing exact ratios as cross products q_i p_j = q_j p_i
+with no division; the prior is strictly positive, so zero entries need no case.
 
 A verdict with a horizon N is limited to the first N ratios: it certifies
 distinctness among those only, never full membership.

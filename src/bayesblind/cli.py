@@ -29,6 +29,7 @@ from . import blindspot, construct, jeffrey, metrics
 from .distributions import (
     dist_from_json,
     dist_to_json,
+    exact_sum,
     format_rational,
     normalize,
     parse_rational,
@@ -123,7 +124,7 @@ def _bs_construct(a):
          blindspot.membership_prefix(p, q, a.horizon).distinct)
         for k, p in enumerate(a.priors, start=1)
     ]
-    claims.append(("mass", "1", sum(q.prefix) + q.tail_mass == 1))
+    claims.append(("mass", "1", exact_sum(q.prefix + (q.tail_mass,)) == 1))
     payload = {"distribution": dist_to_json(q), "certificate": _certificate(a, claims)}
     return payload, f"generated blind-spot member at horizon {a.horizon}", EXIT_OK
 

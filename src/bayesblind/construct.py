@@ -17,6 +17,7 @@ from .distributions import (
     Distribution,
     RatioIndex,
     TruncatedDistribution,
+    exact_sum,
     require_positive_prefix,
     require_stored,
 )
@@ -33,10 +34,10 @@ def generate_raw_sequence(
     ratio collisions with earlier coordinates, for every prior.
 
     Candidates are seeded random dyadics k / 2^(i + 32).  Candidate c
-    collides under prior p iff c = m_j * p_i / p_j for some j < i, iff c / p_i
-    is one of the ratios m_j / p_j; each prior keeps those in a ``RatioIndex``
-    grown by one per accepted coordinate, so the sequence costs O(N * K)
-    arithmetic for K priors.  The forbidden set is finite at every step, so
+    collides under prior p iff c = m_j * p_i / p_j for some j < i, iff
+    c * p_j = m_j * p_i; each prior keeps the pairs (m_j, p_j) in a
+    ``RatioIndex`` grown by one per accepted coordinate, so the sequence costs
+    O(N * K) integer arithmetic for K priors, with no division.  The forbidden set is finite at every step, so
     the retry loop always terminates.
     """
     if not priors:
@@ -46,17 +47,17 @@ def generate_raw_sequence(
     prefixes = [require_positive_prefix(p, n) for p in priors]
     rng = random.Random(seed)
     ms = [Fraction(1, 2)]
-    seen = [RatioIndex([ms[0] / pv[0]]) for pv in prefixes]
+    seen = [RatioIndex.of(ms, pv) for pv in prefixes]
     for i in range(2, n + 1):
         denom = 1 << (i + _DYADIC_BITS)
         while True:
             candidate = Fraction(rng.randrange(1, 1 << _DYADIC_BITS), denom)
-            ratios = [candidate / pv[i - 1] for pv in prefixes]
-            if not any(r in index for r, index in zip(ratios, seen)):
+            if not any(index.contains(candidate, pv[i - 1])
+                       for pv, index in zip(prefixes, seen)):
                 break
         ms.append(candidate)
-        for r, index in zip(ratios, seen):
-            index.add(r)
+        for pv, index in zip(prefixes, seen):
+            index.add(candidate, pv[i - 1])
     return tuple(ms)
 
 
@@ -66,7 +67,7 @@ def generate_blindspot_member(
     """Prefix-normalized m sequence: a blind-spot member at horizon n for
     every prior in the family (normalization preserves ratio distinctness)."""
     ms = generate_raw_sequence(priors, n, seed)
-    total = sum(ms)
+    total = exact_sum(ms)
     return TruncatedDistribution(tuple(m / total for m in ms), Fraction(0))
 
 
@@ -100,8 +101,8 @@ def pick_valid_delta(
     excludes at most 2N - 3 deltas (r_1 rises and r_2 falls with delta, so
     each meets r_2 or one of the N - 2 fixed ratios once), and the scan ends
     within K(2N - 3) + 1 steps.  Only coordinates 1 and 2 move: each prior's
-    ratios at indices 3..N are indexed once, and a step tests the two moved
-    ratios against them.  A repeat among 3..N raises HorizonInsufficient.
+    pairs (q_i, p_i), i >= 3, are indexed once and a step cross-multiplies the
+    two moved ones against them.  A repeat among 3..N raises HorizonInsufficient.
     """
     _require_exact(q, "pick_valid_delta")
     if q.value(2) == 0:
@@ -119,10 +120,9 @@ def pick_valid_delta(
     k = random.Random(seed).randrange(1, scale)
     while True:
         delta = eps * Fraction(k, scale)
+        a1, a2 = q1 + delta, q2 - delta
         if all(
-            (r1 := (q1 + delta) / p1) != (r2 := (q2 - delta) / p2)
-            and r1 not in rest
-            and r2 not in rest
+            a1 * p2 != a2 * p1 and not rest.contains(a1, p1) and not rest.contains(a2, p2)
             for p1, p2, rest in fixed
         ):
             return delta
@@ -150,23 +150,23 @@ def densify(p: Distribution, q_target: Distribution, eps: Fraction) -> DensifyRe
     pv = require_positive_prefix(p, n)
     qv = q_target.prefix
     rs = [qv[0]]
-    seen = RatioIndex([qv[0] / pv[0]])
+    seen = RatioIndex.of(rs, pv)
     for i in range(1, n):
         value = qv[i]
-        if value / pv[i] in seen:
+        if seen.contains(value, pv[i]):
             nudge = eps / (1 << (i + 3))  # < eps / 2^(n+1) with n = i+1 1-based
-            while (value + nudge) / pv[i] in seen:
+            while seen.contains(value + nudge, pv[i]):
                 nudge /= 2
             value = value + nudge
         if abs(value - qv[i]) >= eps / (1 << (i + 1)):
             raise HorizonInsufficient(f"nudge at index {i + 1} exceeds eps / 2^{i + 1}")
         rs.append(value)
-        seen.add(value / pv[i])
-    total = sum(rs)
+        seen.add(value, pv[i])
+    total = exact_sum(rs)
     if total == 0:
         raise HorizonInsufficient("target prefix carries no mass to normalize")
     out = TruncatedDistribution(tuple(r / total for r in rs), Fraction(0))
-    prefix_dist = sum(abs(a - b) for a, b in zip(out.prefix, qv))
+    prefix_dist = exact_sum(abs(a - b) for a, b in zip(out.prefix, qv))
     upper = prefix_dist + q_target.tail_after(n)
     if upper >= 4 * eps:
         raise HorizonInsufficient(

@@ -7,6 +7,7 @@ only appear in sampler output.  Indices are 1-based in all public reporting
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -46,6 +47,17 @@ def _is_exact(values: Sequence[Number]) -> bool:
     return all(isinstance(v, Fraction) for v in values)
 
 
+def exact_sum(values: Iterable[Number]) -> Number:
+    """``sum(values)`` in value and type.  When every value is a Fraction the
+    numerators are added over the lcm of the denominators and reduced once,
+    not once per addition; otherwise builtin ``sum`` runs in the same order."""
+    values = tuple(values)
+    if not values or not _is_exact(values):
+        return sum(values)
+    d = math.lcm(*(v.denominator for v in values))
+    return Fraction(sum(v.numerator * (d // v.denominator) for v in values), d)
+
+
 def _check_entries(values: Sequence[Number]) -> None:
     for v in values:
         if not v >= 0:  # NaN fails every comparison, so it lands here too
@@ -63,7 +75,7 @@ class StoredDistribution:
             raise InputError("a distribution needs at least 2 components")
         values = self.prefix + (self.tail_mass,)
         _check_entries(values)
-        total = sum(values)
+        total = exact_sum(values)
         if _is_exact(values):
             if total != 1:
                 raise InputError(f"entries sum to {total}, not 1")
@@ -93,7 +105,7 @@ class StoredDistribution:
     def tail_after(self, n: int) -> Number:
         """Mass beyond index n: stored components after n plus the tail mass."""
         self._check_horizon(n)
-        return sum(self.prefix[n:]) + self.tail_mass
+        return exact_sum(self.prefix[n:] + (self.tail_mass,))
 
 
 @dataclass(frozen=True)
@@ -166,27 +178,37 @@ def geometric(r: Fraction) -> Geometric:
 Distribution = Union[FiniteDistribution, TruncatedDistribution, Geometric]
 
 
-def _ratio_key(r):
-    """(numerator, denominator) of a finite Fraction, int or float, so exactly
-    equal numbers of any type share a key; far cheaper to hash than a
-    Fraction.  Infinities and NaN, which have no such pair, key as themselves."""
-    try:
-        return r.as_integer_ratio()
-    except (OverflowError, ValueError):
-        return r
+def _ratio(q, p) -> tuple:
+    """(key, x, y) with x / y = q / p: unreduced integer cross products for
+    exact operands, the float q / p's own pair if either is a float.  The key
+    is the correctly rounded (exponent, mantissa) of x / y, shared by every
+    representation of a ratio; zero keys as 0, inf and NaN as themselves."""
+    if isinstance(q, float) or isinstance(p, float):
+        r = q / p
+        if not math.isfinite(r):
+            return r, 1, 0
+        x, y = r.as_integer_ratio()
+    else:
+        (a, b), (c, d) = q.as_integer_ratio(), p.as_integer_ratio()
+        x, y = a * d, b * c
+    if not x:
+        return 0, x, y
+    e = x.bit_length() - y.bit_length()  # the scaled quotient lies in (1/2, 2)
+    m, k = math.frexp(x / (y << e) if e >= 0 else (x << -e) / y)
+    return (e + k, m), x, y
 
 
 class RatioIndex:
-    """Positions 1, 2, ... grouped by ratio, grown one ratio at a time.
-
-    Ratios are exact ``Fraction`` values q_i / p_i, or floats on the sampler
-    path.  Each fibre (the positions of one ratio) is a block of the coarsest
-    witness partition; ``first_collision`` is the lexicographically smallest
-    pair (i, j) inside one fibre, 1-based, kept current on every add.
+    """Positions 1, 2, ... grouped by ratio q_i / p_i (exact, or float on the
+    sampler path), grown one at a time.  Keys from ``_ratio`` only find
+    candidates: (x, y) joins a fibre only if x * y' == y * x'.  Each fibre is
+    a block of the coarsest witness partition; ``first_collision`` is the
+    smallest pair (i, j) inside one fibre, 1-based, kept current on every add.
     """
 
     def __init__(self, ratios: Iterable = ()):
-        self._fibres: dict = {}
+        self._buckets: dict = {}  # key -> [(x, y, fibre)]
+        self._fibres: list = []
         self._size = 0
         self.first_collision: tuple | None = None
         for r in ratios:
@@ -195,28 +217,44 @@ class RatioIndex:
     @classmethod
     def of(cls, qv: Sequence[Number], pv: Sequence[Number]) -> "RatioIndex":
         """Index of the ratios qv[i] / pv[i]; pv must be strictly positive."""
-        return cls(q / p for q, p in zip(qv, pv))
+        index = cls()
+        for q, p in zip(qv, pv):
+            index.add(q, p)
+        return index
 
-    def add(self, ratio) -> None:
+    def _fibre(self, key, x, y):
+        for fx, fy, fibre in self._buckets.get(key, ()):
+            if x * fy == y * fx:
+                return fibre
+        return None
+
+    def add(self, q, p=1) -> None:
+        key, x, y = _ratio(q, p)
+        fibre = self._fibre(key, x, y)
+        if fibre is None:
+            fibre = []
+            self._buckets.setdefault(key, []).append((x, y, fibre))
+            self._fibres.append(fibre)
         self._size += 1
-        fibre = self._fibres.setdefault(_ratio_key(ratio), [])
         fibre.append(self._size)
         if len(fibre) == 2:  # a fibre's first two positions are its smallest pair
             pair = tuple(fibre)
             self.first_collision = min(pair, self.first_collision or pair)
 
-    def __contains__(self, ratio) -> bool:
-        return _ratio_key(ratio) in self._fibres
+    def contains(self, q, p=1) -> bool:
+        return self._fibre(*_ratio(q, p)) is not None
+
+    __contains__ = contains
 
     def fibres(self) -> list:
         """Position lists of equal ratio, ordered by smallest position."""
-        return list(self._fibres.values())
+        return list(self._fibres)
 
 
 def normalize(values: Iterable[Fraction]) -> FiniteDistribution:
     vals = tuple(Fraction(v) for v in values)
     _check_entries(vals)
-    total = sum(vals)
+    total = exact_sum(vals)
     if total == 0:
         raise InputError("cannot normalize the zero vector")
     return FiniteDistribution(tuple(v / total for v in vals))

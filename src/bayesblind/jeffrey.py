@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
-from .distributions import FiniteDistribution, RatioIndex, require_finite
+from .distributions import FiniteDistribution, RatioIndex, exact_sum, require_finite
 from .errors import InputError
 
 #: Bell-number enumeration bound for accessible_brute_force
@@ -119,7 +119,7 @@ def jc_apply(p: FiniteDistribution, e: Partition, w: BlockWeights) -> FiniteDist
         )
     out = [Fraction(0)] * len(p)
     for block, wb in zip(e.blocks, w.weights):
-        mass = sum(p.value(i) for i in block)
+        mass = exact_sum(p.value(i) for i in block)
         for i in block:
             out[i - 1] = wb * p.value(i) / mass
     return FiniteDistribution(tuple(out))
@@ -130,10 +130,10 @@ def rigidity_holds(p: FiniteDistribution, q: FiniteDistribution, e: Partition) -
     check_prior(p, q)
     _check_shapes(p, e)
     for block in e.blocks:
-        q_mass = sum(q.value(i) for i in block)
+        q_mass = exact_sum(q.value(i) for i in block)
         if q_mass == 0:
             continue
-        p_mass = sum(p.value(i) for i in block)
+        p_mass = exact_sum(p.value(i) for i in block)
         for i in block:
             if q.value(i) * p_mass != p.value(i) * q_mass:
                 return False

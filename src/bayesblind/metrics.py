@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .distributions import Distribution, require_stored
+from .distributions import Distribution, exact_sum, require_stored
 from .errors import InputError
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ def _seq_distance(us, vs, norm: Norm):
     if norm.p is None:
         return max(diffs)
     if norm.p == 1:
-        return sum(diffs)
+        return exact_sum(diffs)
     p = float(norm.p)
     return sum(float(d) ** p for d in diffs) ** (1.0 / p)
 

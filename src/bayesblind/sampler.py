@@ -156,6 +156,7 @@ class McReport:
         return asdict(self)
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # p_i underflowed to 0.0: inf, nan ratios
 def _mc_chunk(trials, x, residual, s, p_float, collect, gap, tol, close):
     """One chunk's counts and records; s is a free (m, n) buffer to sort ratios in."""
     m = x.shape[1]

@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from bayesblind import delta_family
-from bayesblind.distributions import RatioIndex, require_finite, require_positive_prefix
+from bayesblind.distributions import require_finite, require_positive_prefix
 from bayesblind.sampler import (
     NEAR_COLLISION_RTOL,
     McReport,
@@ -21,6 +21,47 @@ from bayesblind.sampler import (
 )
 
 _DYADIC_BITS = 32
+
+
+def _ratio_key(r):
+    """(numerator, denominator) of a finite Fraction, int or float, so exactly
+    equal numbers of any type share a key.  Infinities and NaN, which have no
+    such pair, key as themselves."""
+    try:
+        return r.as_integer_ratio()
+    except (OverflowError, ValueError):
+        return r
+
+
+class RatioIndex:
+    """The ratio index keyed by the reduced quotient: one Fraction division
+    per exact position.  Same fibres, ``first_collision`` and membership as
+    ``bayesblind.distributions.RatioIndex``, which takes (q, p) instead."""
+
+    def __init__(self, ratios=()):
+        self._fibres = {}
+        self._size = 0
+        self.first_collision = None
+        for r in ratios:
+            self.add(r)
+
+    @classmethod
+    def of(cls, qv, pv):
+        return cls(q / p for q, p in zip(qv, pv))
+
+    def add(self, ratio):
+        self._size += 1
+        fibre = self._fibres.setdefault(_ratio_key(ratio), [])
+        fibre.append(self._size)
+        if len(fibre) == 2:
+            pair = tuple(fibre)
+            self.first_collision = min(pair, self.first_collision or pair)
+
+    def __contains__(self, ratio):
+        return _ratio_key(ratio) in self._fibres
+
+    def fibres(self):
+        return list(self._fibres.values())
 
 
 def ratio_profile(q, p, n=None) -> tuple:

@@ -162,3 +162,31 @@ class TestCollisionCount:
             p = random_positive_dist(rng, n)
             q = random_dist(rng, n)
             assert (collision_count(p, q) == 0) == membership_finite(p, q).distinct
+
+
+def test_exact_scans_make_no_fraction_division(monkeypatch):
+    """The ratio scans key positions by integer cross products, so the
+    rational mode checks ratios without building one quotient."""
+    rng = random.Random(24)
+    p, q = random_positive_dist(rng, 12), random_dist(rng, 12)
+    priors = [geometric(r) for r in (F(1, 2), F(2, 5), F(5, 7))]
+    member = truncate(geometric(F(3, 8)), 24)
+    divisions = []
+
+    def counted(name):
+        divide = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name,
+                            lambda a, b: divisions.append(name) or divide(a, b))
+
+    counted("__truediv__")
+    counted("__rtruediv__")
+    assert F(1, 2) / 2 == F(1, 4) and divisions == ["__truediv__"]  # the wrapper counts
+    divisions.clear()
+    membership_prefix(priors[0], member, 24)
+    family_membership(priors, member, 24)
+    family_membership([p], q)
+    family_membership([p], p)  # accessible: builds the coarsest partition
+    coarsest_partition(p, q)
+    collision_count(p, q)
+    collision_count(priors[1], member, 24)
+    assert divisions == []

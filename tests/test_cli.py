@@ -353,6 +353,18 @@ def test_exact_commands_import_no_numpy():
     assert codes == {case["name"]: case["exit"] for case in exact}
 
 
+def test_montecarlo_stderr_is_the_summary_alone():
+    src = Path(bayesblind.__file__).parents[1]
+    argv = ["bs", "montecarlo", "--prior", '{"kind":"geometric","ratio":"1/1000"}',
+            "--trials", "50", "--horizon", "120", "--seed", "1"]
+    proc = subprocess.run([sys.executable, "-m", "bayesblind.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["report"]["in_blindspot"] == 0
+    assert proc.stderr == "monte carlo: 0/50 in blind spot\n"
+
+
 def test_package_resolves_sampler_names_on_use():
     from bayesblind import monte_carlo_blindspot_fraction
 

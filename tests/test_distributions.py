@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from bayesblind.distributions import (
     RatioIndex,
     dist_from_json,
     dist_to_json,
+    exact_sum,
     format_rational,
     parse_rational,
     require_finite,
@@ -23,6 +25,7 @@ from bayesblind.distributions import (
 )
 from bayesblind.errors import InputError
 from helpers import finite_from_rationals
+import reference
 from reference import ratio_profile
 
 F = Fraction
@@ -36,6 +39,10 @@ class TestFiniteFromRationals:
     def test_not_normalized(self):
         with pytest.raises(InputError, match="entries sum to"):
             finite_from_rationals([F(1, 2), F(1, 2), F(1, 4)])
+
+    def test_sum_message_names_the_reduced_total(self):
+        with pytest.raises(InputError, match="^entries sum to 3/2, not 1$"):
+            finite_from_rationals([F(1, 2), F(1, 4), F(3, 4)])
 
     def test_point_mass_allowed(self):
         d = finite_from_rationals([F(1), F(0), F(0)])
@@ -217,6 +224,89 @@ class TestRatioIndex:
         index = RatioIndex([F(1, 2), 0.5, 1, F(1), F(2, 3), inf, float("inf")])
         assert index.fibres() == [[1, 2], [3, 4], [5], [6, 7]]
         assert 2 / 3 not in index and F(4, 6) in index and inf in index
+
+
+#: exact operands that stress the integer key: a ratio one part in 2^81 off
+#: 1/3 (both round to the same float), magnitudes beyond the float range, and
+#: 2^60 - 1 written two ways whose scaled quotients round to 2.0 and to 1.0
+HARD_EXACT = [
+    F(1, 3), F(3 * 2**80 + 1, 9 * 2**80), F(1, 2**3000), F(2**3000), F(1, 3 * 2**3000),
+    F(2**60 - 1), F(3 * (2**60 - 1)), F(3), F(0), F(1), F(2),
+]
+small_operands = st.builds(F, st.integers(0, 6), st.integers(1, 7))
+exact_operands = st.one_of(small_operands, st.sampled_from(HARD_EXACT))
+positive_operands = exact_operands.filter(lambda v: v > 0)
+
+
+class TestRatioIndexMatchesDivisionOracle:
+    """The cross-product index against the division-keyed one it replaced."""
+
+    @staticmethod
+    def assert_same(qv, pv, probes):
+        index = RatioIndex.of(qv, pv)
+        oracle = reference.RatioIndex.of(qv, pv)
+        assert index.fibres() == oracle.fibres()
+        assert index.first_collision == oracle.first_collision
+        for q, p in probes:
+            assert index.contains(q, p) == ((q / p) in oracle)
+
+    @given(st.lists(st.tuples(exact_operands, positive_operands), min_size=1, max_size=16),
+           st.lists(st.tuples(exact_operands, positive_operands), max_size=6))
+    def test_exact_operands(self, pairs, probes):
+        qv, pv = zip(*pairs)
+        self.assert_same(qv, pv, probes)
+
+    @given(st.lists(st.tuples(
+        st.one_of(small_operands, st.sampled_from([0.0, 0.5, 1 / 3, 2.0**-1074, math.inf])),
+        st.one_of(small_operands.filter(lambda v: v > 0), st.sampled_from([0.5, 3.0, 1e-320])),
+    ), min_size=1, max_size=12))
+    def test_float_operands(self, pairs):
+        qv, pv = zip(*pairs)
+        self.assert_same(qv, pv, pairs)
+
+    def test_ratios_sharing_a_float_key_stay_apart(self):
+        third, near = F(1, 3), F(3 * 2**80 + 1, 9 * 2**80)
+        assert float(third) == float(near) and third != near
+        index = RatioIndex.of([third, near, 2 * third], [1, 1, 2])
+        assert index.fibres() == [[1, 3], [2]]
+        assert index.contains(near) and not index.contains(F(1, 3) + F(1, 2**90))
+
+    def test_equal_ratios_across_the_rounding_boundary_share_a_fibre(self):
+        index = RatioIndex.of([F(2**60 - 1), F(3 * (2**60 - 1)), F(2**60)], [1, 3, 1])
+        assert index.fibres() == [[1, 2], [3]]
+        assert index.first_collision == (1, 2)
+
+    def test_magnitudes_beyond_the_float_range(self):
+        tiny, huge = F(1, 2**3000), F(2**3000)
+        index = RatioIndex.of([tiny, huge, F(2), 0], [1, 1, 2**3001, 1])
+        assert index.fibres() == [[1, 3], [2], [4]]
+        assert index.contains(1, 2**3000) and not index.contains(F(1, 2**2999))
+
+
+class TestExactSum:
+    @staticmethod
+    def assert_like_sum(values):
+        got, expected = exact_sum(values), sum(values)
+        assert type(got) is type(expected) and got == expected
+
+    @given(st.lists(st.builds(F, st.integers(-50, 50), st.integers(1, 60)), max_size=40))
+    def test_fractions(self, values):
+        self.assert_like_sum(values)
+
+    @given(st.lists(st.one_of(
+        st.floats(-1e6, 1e6), st.integers(-9, 9), st.builds(F, st.integers(0, 9), st.integers(1, 9))
+    ), max_size=12))
+    def test_floats_ints_and_mixed(self, values):
+        self.assert_like_sum(values)
+
+    @pytest.mark.parametrize("values", [
+        [], [F(3, 4)], [F(0)], [0.1], [7], [1, 2], [F(1, 2), 1], [0.1, F(1, 3), 0.2],
+    ])
+    def test_small_inputs(self, values):
+        self.assert_like_sum(values)
+
+    def test_accepts_a_generator(self):
+        assert exact_sum(F(1, k) for k in (2, 3, 6)) == 1
 
 
 class TestRationalText:

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -244,3 +245,16 @@ def test_kernel_matches_reference_bytes(base, prior, n, trials):
         sample = stick_breaking_sample(seed, n, base)
         assert np.array(sample.prefix).tobytes() == ref_x[0].tobytes()
         assert np.float64(sample.tail_mass).tobytes() == ref_residual[0].tobytes()
+
+
+def test_underflowed_prior_raises_no_numpy_warning():
+    """geometric(1/1000) entries underflow to 0.0 by index 120: the inf and nan
+    ratios are counted by the compare, not reported as RuntimeWarnings."""
+    prior = geometric(F(1, 1000))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the reference still warns
+        expected = reference.monte_carlo(prior, 50, 120, UNIFORM, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = monte_carlo_blindspot_fraction(prior, 50, 120, seed=1, collect_trials=True)
+    assert got == expected
