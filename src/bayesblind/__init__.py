@@ -16,7 +16,6 @@ from .jeffrey import (
     coarsest_partition,
     is_nontrivial,
     jc_apply,
-    ratio_constant_on_blocks,
     rigidity_holds,
 )
 from .blindspot import (

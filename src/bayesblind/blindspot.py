@@ -4,6 +4,7 @@ A posterior q is in the blind spot of a strictly positive prior p exactly
 when the ratios q_i / p_i are pairwise distinct.  A ``RatioIndex`` groups the
 positions by ratio, comparing exact ratios as cross products q_i p_j = q_j p_i
 with no division; the prior is strictly positive, so zero entries need no case.
+A float entry is compared as the exact rational it stores, like any other.
 
 A verdict with a horizon N is limited to the first N ratios: it certifies
 distinctness among those only, never full membership.
@@ -22,7 +23,7 @@ from .distributions import (
     require_positive_prefix,
 )
 from .errors import InputError
-from .jeffrey import Partition, check_prior
+from .jeffrey import Partition
 
 
 @dataclass(frozen=True)
@@ -64,11 +65,10 @@ def _scan(p: Distribution, q: Distribution, n: int | None) -> RatioIndex:
 def membership_finite(p: FiniteDistribution, q: FiniteDistribution) -> Verdict:
     """Full membership test on a finite index set.  An accessible verdict
     carries the coarsest witness partition, whose blocks are the fibres of
-    the same ratio index; like ``coarsest_partition`` it needs an exact prior."""
+    the same ratio index."""
     index = _scan(p, q, None)
     if index.first_collision is None:
         return Verdict(True)
-    check_prior(p)
     return Verdict(False, None, index.first_collision, Partition.of(index.fibres()))
 
 

@@ -283,8 +283,8 @@ def multi_collision_near(
     n = len(q)
     budget = _budget_index(q)
     if not (0 < pairs * eps < q.value(budget)):
-        raise HorizonInsufficient(
-            f"pairs * eps = {pairs * eps} must stay below q_{budget} = {q.value(budget)}"
+        raise InputError(
+            f"pairs * eps = {pairs * eps} must lie in (0, q_{budget}) = (0, {q.value(budget)})"
         )
     pv = require_positive_prefix(p, n)
     base = _threshold_index(q.prefix, pv, eps, n)

@@ -1,8 +1,9 @@
 """Exact and truncated probability distributions on countable index sets.
 
-Rational mode (``fractions.Fraction`` entries) is canonical; float entries
-only appear in sampler output.  Indices are 1-based in all public reporting
-(witness pairs, partition blocks, JSON), 0-based internally.
+Rational mode (``fractions.Fraction`` entries) is canonical.  Float entries
+are validated to ``FLOAT_TOL``; ratios compare them as the exact dyadic
+rationals they store.  Indices are 1-based in all public reporting (witness
+pairs, partition blocks, JSON), 0-based internally.
 """
 
 from __future__ import annotations
@@ -179,18 +180,16 @@ Distribution = Union[FiniteDistribution, TruncatedDistribution, Geometric]
 
 
 def _ratio(q, p) -> tuple:
-    """(key, x, y) with x / y = q / p: unreduced integer cross products for
-    exact operands, the float q / p's own pair if either is a float.  The key
-    is the correctly rounded (exponent, mantissa) of x / y, shared by every
-    representation of a ratio; zero keys as 0, inf and NaN as themselves."""
-    if isinstance(q, float) or isinstance(p, float):
-        r = q / p
-        if not math.isfinite(r):
-            return r, 1, 0
-        x, y = r.as_integer_ratio()
-    else:
+    """(key, x, y): the unreduced integer cross products x = a*d, y = b*c of
+    q = a/b and p = c/d, exact for Fraction, int and float operands alike.
+    The key is the correctly rounded (exponent, mantissa) of x / y, shared by
+    every representation of a ratio; zero keys as 0.  A non-finite q, a
+    sampler ratio over an underflowed prior, keys as itself."""
+    try:
         (a, b), (c, d) = q.as_integer_ratio(), p.as_integer_ratio()
-        x, y = a * d, b * c
+    except (OverflowError, ValueError):
+        return q, 1, 0
+    x, y = a * d, b * c
     if not x:
         return 0, x, y
     e = x.bit_length() - y.bit_length()  # the scaled quotient lies in (1/2, 2)
@@ -199,11 +198,11 @@ def _ratio(q, p) -> tuple:
 
 
 class RatioIndex:
-    """Positions 1, 2, ... grouped by ratio q_i / p_i (exact, or float on the
-    sampler path), grown one at a time.  Keys from ``_ratio`` only find
-    candidates: (x, y) joins a fibre only if x * y' == y * x'.  Each fibre is
-    a block of the coarsest witness partition; ``first_collision`` is the
-    smallest pair (i, j) inside one fibre, 1-based, kept current on every add.
+    """Positions 1, 2, ... grouped by exact ratio q_i / p_i, grown one at a
+    time.  Keys from ``_ratio`` only find candidates: (x, y) joins a fibre
+    only if x * y' == y * x'.  Each fibre is a block of the coarsest witness
+    partition; ``first_collision`` is the smallest pair (i, j) inside one
+    fibre, 1-based, kept current on every add.
     """
 
     def __init__(self, ratios: Iterable = ()):

@@ -96,10 +96,10 @@ def is_nontrivial(e: Partition) -> bool:
 
 
 def check_prior(p: FiniteDistribution, *posteriors: FiniteDistribution) -> None:
-    """Finite vectors on one index set, and an exact, strictly positive prior."""
+    """Exact-rational finite vectors on one index set; a strictly positive prior."""
     require_finite(p, *posteriors)
-    if not p.is_exact:
-        raise InputError("priors must be exact-rational distributions")
+    if not all(d.is_exact for d in (p, *posteriors)):
+        raise InputError("Jeffrey conditioning needs exact-rational distributions")
     if any(v <= 0 for v in p.probs):
         raise InputError("prior must be strictly positive")
 
@@ -125,21 +125,6 @@ def jc_apply(p: FiniteDistribution, e: Partition, w: BlockWeights) -> FiniteDist
     return FiniteDistribution(tuple(out))
 
 
-def rigidity_holds(p: FiniteDistribution, q: FiniteDistribution, e: Partition) -> bool:
-    """q(x|E_i) = p(x|E_i) on every block with q(E_i) > 0."""
-    check_prior(p, q)
-    _check_shapes(p, e)
-    for block in e.blocks:
-        q_mass = exact_sum(q.value(i) for i in block)
-        if q_mass == 0:
-            continue
-        p_mass = exact_sum(p.value(i) for i in block)
-        for i in block:
-            if q.value(i) * p_mass != p.value(i) * q_mass:
-                return False
-    return True
-
-
 def _ratio_constant(pv: tuple, qv: tuple, blocks: tuple) -> bool:
     """Within every block, all q_x / p_x agree (cross-multiplied, so exact)."""
     for block in blocks:
@@ -150,10 +135,9 @@ def _ratio_constant(pv: tuple, qv: tuple, blocks: tuple) -> bool:
     return True
 
 
-def ratio_constant_on_blocks(
-    p: FiniteDistribution, q: FiniteDistribution, e: Partition
-) -> bool:
-    """Within every block of e, all q_x / p_x agree."""
+def rigidity_holds(p: FiniteDistribution, q: FiniteDistribution, e: Partition) -> bool:
+    """q(x|E_i) = p(x|E_i) on every block with q(E_i) > 0; as p > 0, exactly
+    when q_x / p_x is constant on every block (then equal to q(E_i) / p(E_i))."""
     check_prior(p, q)
     _check_shapes(p, e)
     return _ratio_constant(p.probs, q.probs, e.blocks)

@@ -12,6 +12,7 @@ import numpy as np
 
 from bayesblind import delta_family
 from bayesblind.distributions import require_finite, require_positive_prefix
+from bayesblind.jeffrey import check_prior
 from bayesblind.sampler import (
     NEAR_COLLISION_RTOL,
     McReport,
@@ -72,6 +73,21 @@ def ratio_profile(q, p, n=None) -> tuple:
         n = require_finite(q, p)
     pv = require_positive_prefix(p, n)
     return tuple(a / b for a, b in zip(q.prefix_values(n), pv))
+
+
+def rigidity_by_masses(p, q, e) -> bool:
+    """q(x|E_i) = p(x|E_i) on every block with q(E_i) > 0, as the definition
+    states it: q_x * p(E_i) = p_x * q(E_i), from block sums."""
+    check_prior(p, q)
+    for block in e.blocks:
+        q_mass = sum(q.value(i) for i in block)
+        if q_mass == 0:
+            continue
+        p_mass = sum(p.value(i) for i in block)
+        for i in block:
+            if q.value(i) * p_mass != p.value(i) * q_mass:
+                return False
+    return True
 
 
 def has_repeat(ratios) -> bool:

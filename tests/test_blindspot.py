@@ -14,6 +14,7 @@ from bayesblind import (
     membership_prefix,
     truncate,
 )
+from bayesblind.blindspot import Verdict
 from bayesblind.distributions import TruncatedDistribution
 from bayesblind.errors import InputError
 from helpers import finite_from_rationals, random_dist, random_positive_dist
@@ -64,12 +65,11 @@ class TestMembershipFinite:
         with pytest.raises(InputError, match="lengths differ"):
             membership_finite(P3, finite_from_rationals([F(1, 2), F(1, 2)]))
 
-    def test_float_prior_needs_exactness_only_for_the_partition(self):
+    def test_float_prior_gets_the_full_verdict(self):
         p = FiniteDistribution((0.5, 0.25, 0.25))
         blind = finite_from_rationals([F(1, 2), F(3, 10), F(1, 5)])
         assert membership_finite(p, blind).distinct
-        with pytest.raises(InputError, match="priors must be exact-rational"):
-            membership_finite(p, P3)
+        assert membership_finite(p, P3) == membership_finite(P3, P3)
 
     @pytest.mark.parametrize("other", [truncate(geometric(F(1, 2)), 3), geometric(F(1, 2))])
     def test_non_finite_input_needs_a_horizon(self, other):
@@ -78,6 +78,24 @@ class TestMembershipFinite:
                 membership_finite(p, q)
             with pytest.raises(InputError, match="need a horizon"):
                 collision_count(p, q)
+
+
+#: float inputs with exactly distinct ratios that collide as float quotients:
+#: two that round to one float, and two that overflow to inf
+FLOAT_ARTEFACTS = [
+    pytest.param(finite_from_rationals([F(49, 61), F(5, 61), F(7, 61)]),
+                 FiniteDistribution((0.12753451286971085, 0.013013725803031718,
+                                     0.8594517613272574)), id="rounding"),
+    pytest.param(FiniteDistribution((1.0, 1e-320, 1e-320)),
+                 FiniteDistribution((0.25, 0.5, 0.25)), id="overflow"),
+]
+
+
+@pytest.mark.parametrize("p, q", FLOAT_ARTEFACTS)
+def test_float_quotient_artefacts_are_not_collisions(p, q):
+    assert membership_finite(p, q) == Verdict(True)
+    assert membership_prefix(p, q, 3) == Verdict(True, 3)
+    assert collision_count(p, q) == 0
 
 
 class TestMembershipPrefix:

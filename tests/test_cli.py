@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -225,6 +226,14 @@ def _exit_two_inputs():
                            id=f"bs-test-{kind}-prior")
         yield pytest.param(("bs", "test", "--prior", UNIFORM, "--posterior", other),
                            id=f"bs-test-{kind}-posterior")
+    # jc cross-multiplies entries of q, so it refuses a float posterior too
+    mixed = '{"kind":"finite","probs":["49/61","5/61","7/61"]}'
+    floats = ('{"kind":"finite","probs":'
+              '[0.12753451286971085,0.013013725803031718,0.8594517613272574]}')
+    for cmd, extra in (("coarsest", ()), ("brute", ()),
+                       ("rigidity", ("--partition", '{"blocks":[[1,2],[3]]}'))):
+        yield pytest.param(("jc", cmd, "--prior", mixed, "--posterior", floats, *extra),
+                           id=f"jc-{cmd}-float-posterior")
     nan = '{"kind":"finite","probs":[NaN,0.5,0.5]}'
     yield pytest.param(("bs", "test", "--prior", UNIFORM, "--posterior", nan), id="nan-entry")
     # malformed arguments, caught where they are decoded
@@ -235,6 +244,9 @@ def _exit_two_inputs():
                     '{"kind":"truncated","prefix":["1/4","1/8","1/4","1/8"],"tail_mass":"1/4"}',
                     "--horizon")
     montecarlo = ("bs", "montecarlo", "--prior", GEO_HALF, "--trials", "10")
+    halves = json.dumps({"kind": "truncated", "prefix": [f"1/{2 ** i}" for i in range(1, 9)],
+                         "tail_mass": "1/256"})
+    budget = ("--prior", '{"kind":"geometric","ratio":"1/3"}', "--posterior", halves)
     for case_id, argv in {
         "epsilon-not-a-number": (*ext, "abc"),
         "epsilon-zero-denominator": (*ext, "1/0"),
@@ -264,6 +276,10 @@ def _exit_two_inputs():
         "montecarlo-horizon-negative": (*montecarlo, "--seed", "1", "--horizon", "-3"),
         "montecarlo-seed-negative": (*montecarlo, "--horizon", "5", "--seed", "-1"),
         "sample-seed-negative": ("bs", "sample", "--seed", "-1", "--horizon", "5"),
+        # a move budget pairs * eps at or above q_2 = 1/4 is out of range
+        "multicollide-budget": ("bs", "multicollide", *budget, "--pairs", "1",
+                                "--epsilon", "1/3"),
+        "exteriorize-budget": ("bs", "exteriorize", *budget, "--epsilon", "1/3"),
         # beta parameters must be positive and finite
         "montecarlo-beta-nan": (*montecarlo, "--seed", "1", "--horizon", "5",
                                 "--base", "beta:nan,1"),
@@ -319,8 +335,10 @@ def test_out_file_holds_stdout_bytes(capsysbinary, tmp_path, argv):
 
 GOLDEN_CASES = json.loads((Path(__file__).parent / "golden" / "cases.json").read_text())
 SAMPLING = (["bs", "sample"], ["bs", "montecarlo"])
+EXACT_CASES = [case for case in GOLDEN_CASES if case["argv"][:2] not in SAMPLING]
 #: a fresh interpreter: import the CLI, replay the exact golden cases, and
-#: report which float modules were loaded after each step, plus the exit codes
+#: report which float modules were loaded after each step, plus the exit code
+#: and stdout of each case
 EXACT_REPLAY = """
 import io, json, sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -332,25 +350,63 @@ def loaded():
     return sorted({"numpy", "multiprocessing"} & set(sys.modules))
 
 
-after_import, codes = loaded(), {}
+after_import, results = loaded(), {}
 for case in json.loads(sys.stdin.read()):
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-        codes[case["name"]] = cli.dispatch(case["argv"])
-print(json.dumps([after_import, loaded(), codes]))
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        results[case["name"]] = [cli.dispatch(case["argv"]), out.getvalue()]
+print(json.dumps([after_import, loaded(), results]))
 """
 
 
-def test_exact_commands_import_no_numpy():
-    exact = [case for case in GOLDEN_CASES if case["argv"][:2] not in SAMPLING]
+def replay_exact(python):
+    """[float modules loaded after import, after the replay, {name: [exit,
+    stdout]}] for the exact golden cases run under the interpreter ``python``."""
     src = Path(bayesblind.__file__).parents[1]
-    proc = subprocess.run([sys.executable, "-c", EXACT_REPLAY], input=json.dumps(exact),
+    proc = subprocess.run([python, "-c", EXACT_REPLAY], input=json.dumps(EXACT_CASES),
                           env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    after_import, after_replay, codes = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_exact_commands_import_no_numpy():
+    after_import, after_replay, results = replay_exact(sys.executable)
     assert after_import == []
     assert after_replay == []
-    assert codes == {case["name"]: case["exit"] for case in exact}
+    assert {name: code for name, (code, _) in results.items()} == {
+        case["name"]: case["exit"] for case in EXACT_CASES}
+
+
+def other_cpythons() -> list:
+    """The python3.10 ... python3.13 on PATH that start and run another
+    minor version than this interpreter."""
+    found = []
+    for minor in range(10, 14):
+        exe = shutil.which(f"python3.{minor}")
+        if exe is None or sys.version_info[:2] == (3, minor):
+            continue
+        probe = subprocess.run([exe, "-c", "import sys; print(sys.version_info[1])"],
+                               capture_output=True, text=True, timeout=60)
+        if probe.returncode == 0 and probe.stdout.strip() == str(minor):
+            found.append(exe)
+    return found
+
+
+def test_exact_commands_replay_byte_for_byte_on_other_cpythons():
+    """The exact CLI uses no interpreter-specific behaviour: every supported
+    CPython gives the golden exit codes and stdout bytes, without numpy."""
+    pythons = other_cpythons()
+    if not pythons:
+        pytest.skip("no other CPython 3.10-3.13 on PATH starts")
+    golden = Path(__file__).parent / "golden"
+    expected = {case["name"]: [case["exit"], (golden / f"{case['name']}.out").read_bytes()]
+                for case in EXACT_CASES}
+    for python in pythons:
+        after_import, after_replay, results = replay_exact(python)
+        assert after_import == after_replay == [], python
+        got = {name: [code, out.encode()] for name, (code, out) in results.items()}
+        assert got == expected, python
 
 
 def test_montecarlo_stderr_is_the_summary_alone():
@@ -372,3 +428,13 @@ def test_package_resolves_sampler_names_on_use():
     assert bayesblind.McReport is sampler.McReport
     with pytest.raises(AttributeError):
         bayesblind.no_such_name
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # setuptools marks [tool.setuptools] beta
+def test_package_version_has_one_source():
+    from setuptools.config.pyprojecttoml import read_configuration
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = read_configuration(pyproject)["project"]
+    assert project["dynamic"] == ["version"]
+    assert project["version"] == bayesblind.__version__

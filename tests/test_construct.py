@@ -250,6 +250,16 @@ class TestMultiCollision:
         with pytest.raises(HorizonInsufficient):
             multi_collision_near(GEO_HALF, q, 40, F(1, 10 ** 4))
 
+    @pytest.mark.parametrize("pairs, eps", [(1, F(1, 3)), (2, F(1, 8))])
+    def test_pair_budget_beyond_q2_is_an_input_error(self, pairs, eps):
+        """No horizon can bring pairs * eps below q_2; exteriorize refuses the
+        same budget as an input error."""
+        q = TruncatedDistribution(tuple(F(1, 2 ** i) for i in range(1, 9)), F(1, 256))
+        with pytest.raises(InputError, match=r"pairs \* eps = .* must lie in \(0, q_2\)"):
+            multi_collision_near(GEO_THIRD, q, pairs, eps)
+        with pytest.raises(InputError, match=r"eps must lie in \(0, q_2\)"):
+            exteriorize(GEO_THIRD, q, pairs * eps)
+
 
 def test_certified_bound_survives_optimize():
     """A bound that fails raises even under ``python -O``, which strips asserts."""

@@ -2,15 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bayesblind import (
     BlockWeights,
+    FiniteDistribution,
     Partition,
     accessible_brute_force,
     coarsest_partition,
     is_nontrivial,
     jc_apply,
-    ratio_constant_on_blocks,
+    normalize,
     rigidity_holds,
 )
 from bayesblind.jeffrey import partitions
@@ -23,6 +25,7 @@ from helpers import (
     random_weights,
     refines,
 )
+from reference import rigidity_by_masses
 
 F = Fraction
 
@@ -140,18 +143,57 @@ class TestRigidity:
         q = finite_from_rationals([F(1), F(0), F(0)])
         assert rigidity_holds(P3, q, Partition.of([[1], [2, 3]]))
 
+    @given(st.data())
+    def test_matches_the_block_mass_oracle(self, data):
+        """Random exact (p, q, E) with zero q entries and zero-mass blocks;
+        half of the q are Jeffrey updates of p on E, so both verdicts occur."""
+        n = data.draw(st.integers(2, 6))
+        p = normalize(data.draw(st.lists(st.integers(1, 9), min_size=n, max_size=n)))
+        labels = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        e = Partition.of([i + 1 for i in range(n) if labels[i] == k] for k in set(labels))
+
+        def masses(k):
+            return data.draw(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any))
+
+        if data.draw(st.booleans()):
+            q = normalize(masses(n))
+        else:
+            w = masses(len(e.blocks))
+            q = jc_apply(p, e, BlockWeights(tuple(F(m, sum(w)) for m in w)))
+        assert rigidity_holds(p, q, e) == rigidity_by_masses(p, q, e)
+
 
 class TestRatioConstant:
+    """The block-mass oracle that ``rigidity_holds`` is checked against."""
+
     def test_holds(self):
-        assert ratio_constant_on_blocks(P3, UNIFORM3, Partition.of([[1], [2, 3]]))
+        assert rigidity_by_masses(P3, UNIFORM3, Partition.of([[1], [2, 3]]))
 
     def test_identity_any_partition(self):
         for e in partitions(3):
-            assert ratio_constant_on_blocks(P3, P3, e)
+            assert rigidity_by_masses(P3, P3, e)
 
     def test_trivial_partition_always_true(self):
         q = finite_from_rationals([F(1, 4), F(1, 2), F(1, 4)])
-        assert ratio_constant_on_blocks(P3, q, Partition.of([[1], [2], [3]]))
+        assert rigidity_by_masses(P3, q, Partition.of([[1], [2], [3]]))
+
+
+#: an exact prior and a float posterior whose exact ratios are pairwise
+#: distinct, though two of them round to the same float
+MIXED_PRIOR = finite_from_rationals([F(49, 61), F(5, 61), F(7, 61)])
+FLOAT_POSTERIOR = FiniteDistribution((0.12753451286971085, 0.013013725803031718,
+                                      0.8594517613272574))
+
+
+@pytest.mark.parametrize("check", [
+    pytest.param(lambda p, q: rigidity_holds(p, q, Partition.of([[1, 2], [3]])), id="rigidity"),
+    pytest.param(coarsest_partition, id="coarsest"),
+    pytest.param(accessible_brute_force, id="brute"),
+])
+def test_float_inputs_refused(check):
+    for p, q in ((MIXED_PRIOR, FLOAT_POSTERIOR), (FLOAT_POSTERIOR, MIXED_PRIOR)):
+        with pytest.raises(InputError, match="needs exact-rational distributions"):
+            check(p, q)
 
 
 class TestCoarsest:
@@ -179,7 +221,7 @@ class TestBruteForce:
     def test_witness(self):
         v = accessible_brute_force(P3, UNIFORM3)
         assert v.accessible
-        assert ratio_constant_on_blocks(P3, UNIFORM3, v.witness)
+        assert rigidity_holds(P3, UNIFORM3, v.witness)
 
     def test_too_large(self):
         p = random_positive_dist(random.Random(0), 9)
@@ -197,8 +239,8 @@ class TestEquivalence:
             w = random_weights(rng, len(e.blocks))
             q = jc_apply(p, e, w)
             assert sum(q.probs) == 1
+            assert rigidity_by_masses(p, q, e)
             assert rigidity_holds(p, q, e)
-            assert ratio_constant_on_blocks(p, q, e)
 
     def test_reconstruction_from_block_masses(self):
         rng = random.Random(12)
@@ -220,5 +262,5 @@ class TestEquivalence:
             q = random_dist(rng, n)
             coarsest = coarsest_partition(p, q)
             for e in partitions(n):
-                if ratio_constant_on_blocks(p, q, e):
+                if rigidity_holds(p, q, e):
                     assert refines(e, coarsest)
