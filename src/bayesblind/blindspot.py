@@ -2,9 +2,11 @@
 
 A posterior q is in the blind spot of a strictly positive prior p exactly
 when the ratios q_i / p_i are pairwise distinct.  A ``RatioIndex`` groups the
-positions by ratio, comparing exact ratios as cross products q_i p_j = q_j p_i
-with no division; the prior is strictly positive, so zero entries need no case.
-A float entry is compared as the exact rational it stores, like any other.
+positions by ratio.  Both sides enter it as integer (numerator, denominator)
+pairs, a geometric prior's from running integer products, and exact ratios
+compare as cross products q_i p_j = q_j p_i, so a scan builds no Fraction; the
+prior is strictly positive, so zero entries need no case.  A float entry is
+compared as the exact rational it stores, like any other.
 
 A verdict with a horizon N is limited to the first N ratios: it certifies
 distinctness among those only, never full membership.
@@ -59,7 +61,7 @@ def _scan(p: Distribution, q: Distribution, n: int | None) -> RatioIndex:
     if n is None:
         n = require_finite(p, q)
     pv = require_positive_prefix(p, n)
-    return RatioIndex.of(q.prefix_values(n), pv)
+    return RatioIndex.of(q.prefix_pairs(n), pv)
 
 
 def membership_finite(p: FiniteDistribution, q: FiniteDistribution) -> Verdict:

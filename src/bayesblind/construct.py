@@ -37,7 +37,8 @@ def generate_raw_sequence(
     collides under prior p iff c = m_j * p_i / p_j for some j < i, iff
     c * p_j = m_j * p_i; each prior keeps the pairs (m_j, p_j) in a
     ``RatioIndex`` grown by one per accepted coordinate, so the sequence costs
-    O(N * K) integer arithmetic for K priors, with no division.  The forbidden set is finite at every step, so
+    O(N * K) integer arithmetic for K priors, with no division, each prior
+    probing a candidate once.  The forbidden set is finite at every step, so
     the retry loop always terminates.
     """
     if not priors:
@@ -47,17 +48,17 @@ def generate_raw_sequence(
     prefixes = [require_positive_prefix(p, n) for p in priors]
     rng = random.Random(seed)
     ms = [Fraction(1, 2)]
-    seen = [RatioIndex.of(ms, pv) for pv in prefixes]
+    seen = [RatioIndex.of([(1, 2)], pv) for pv in prefixes]
     for i in range(2, n + 1):
         denom = 1 << (i + _DYADIC_BITS)
         while True:
-            candidate = Fraction(rng.randrange(1, 1 << _DYADIC_BITS), denom)
-            if not any(index.contains(candidate, pv[i - 1])
-                       for pv, index in zip(prefixes, seen)):
+            candidate = (rng.randrange(1, 1 << _DYADIC_BITS), denom)
+            probes = [index.probe(candidate, pv[i - 1]) for pv, index in zip(prefixes, seen)]
+            if all(fibre is None for _, fibre in probes):
                 break
-        ms.append(candidate)
-        for pv, index in zip(prefixes, seen):
-            index.add(candidate, pv[i - 1])
+        ms.append(Fraction(*candidate))
+        for index, probe in zip(seen, probes):
+            index.commit(*probe)
     return tuple(ms)
 
 
@@ -112,7 +113,8 @@ def pick_valid_delta(
         raise InputError(f"eps must lie in (0, {cap}], got {eps}")
     n = len(q)
     pvs = [require_positive_prefix(p, n) for p in priors]
-    fixed = [(pv[0], pv[1], RatioIndex.of(q.prefix[2:], pv[2:])) for pv in pvs]
+    qs = q.prefix_pairs(n)
+    fixed = [(pv[0], pv[1], RatioIndex.of(qs[2:], pv[2:])) for pv in pvs]
     if any(rest.first_collision for _, _, rest in fixed):
         raise HorizonInsufficient("indices 3..N already collide; no delta can help")
     q1, q2 = q.prefix[0], q.prefix[1]
@@ -120,11 +122,12 @@ def pick_valid_delta(
     k = random.Random(seed).randrange(1, scale)
     while True:
         delta = eps * Fraction(k, scale)
-        a1, a2 = q1 + delta, q2 - delta
-        if all(
-            a1 * p2 != a2 * p1 and not rest.contains(a1, p1) and not rest.contains(a2, p2)
-            for p1, p2, rest in fixed
-        ):
+        a1, a2 = (q1 + delta).as_integer_ratio(), (q2 - delta).as_integer_ratio()
+        for p1, p2, rest in fixed:
+            ((_, x1, y1), hit1), ((_, x2, y2), hit2) = rest.probe(a1, p1), rest.probe(a2, p2)
+            if hit1 or hit2 or x1 * y2 == y1 * x2:
+                break
+        else:
             return delta
         k = k % (scale - 1) + 1
 
@@ -148,20 +151,20 @@ def densify(p: Distribution, q_target: Distribution, eps: Fraction) -> DensifyRe
     _require_exact(q_target, "densify")
     n = len(q_target)
     pv = require_positive_prefix(p, n)
-    qv = q_target.prefix
+    qv, qs = q_target.prefix, q_target.prefix_pairs(n)
     rs = [qv[0]]
-    seen = RatioIndex.of(rs, pv)
+    seen = RatioIndex.of(qs[:1], pv)
     for i in range(1, n):
-        value = qv[i]
-        if seen.contains(value, pv[i]):
-            nudge = eps / (1 << (i + 3))  # < eps / 2^(n+1) with n = i+1 1-based
-            while seen.contains(value + nudge, pv[i]):
-                nudge /= 2
-            value = value + nudge
+        value, halvings = qv[i], 3  # nudges eps / 2^(i+3) < eps / 2^(n+1), n = i+1 1-based
+        probe = seen.probe(qs[i], pv[i])
+        while probe[1] is not None:
+            value = qv[i] + eps / (1 << (i + halvings))
+            halvings += 1
+            probe = seen.probe(value.as_integer_ratio(), pv[i])
         if abs(value - qv[i]) >= eps / (1 << (i + 1)):
             raise HorizonInsufficient(f"nudge at index {i + 1} exceeds eps / 2^{i + 1}")
         rs.append(value)
-        seen.add(value, pv[i])
+        seen.commit(*probe)
     total = exact_sum(rs)
     if total == 0:
         raise HorizonInsufficient("target prefix carries no mass to normalize")
@@ -263,7 +266,7 @@ def exteriorize(
         raise InputError(
             f"eps must lie in (0, q_{budget}) = (0, {q.value(budget)}), got {eps}"
         )
-    pv = require_positive_prefix(p, n)
+    pv = [Fraction(*v) for v in require_positive_prefix(p, n)]  # exact, float priors too
     idx = _threshold_index(q.prefix, pv, eps, n)
     return _collide(q, pv, [idx], budget, 2 * eps, "2*eps")
 
@@ -286,7 +289,7 @@ def multi_collision_near(
         raise InputError(
             f"pairs * eps = {pairs * eps} must lie in (0, q_{budget}) = (0, {q.value(budget)})"
         )
-    pv = require_positive_prefix(p, n)
+    pv = [Fraction(*v) for v in require_positive_prefix(p, n)]  # exact, float priors too
     base = _threshold_index(q.prefix, pv, eps, n)
     targets = list(range(n - 1, base - 1, -2))[:pairs]
     if len(targets) < pairs:

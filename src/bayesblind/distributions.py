@@ -103,6 +103,10 @@ class StoredDistribution:
         self._check_horizon(n)
         return self.prefix[:n]
 
+    def prefix_pairs(self, n: int) -> tuple:
+        """Components 1..n as integer pairs (numerator, denominator)."""
+        return tuple(v.as_integer_ratio() for v in self.prefix_values(n))
+
     def tail_after(self, n: int) -> Number:
         """Mass beyond index n: stored components after n plus the tail mass."""
         self._check_horizon(n)
@@ -160,12 +164,15 @@ class Geometric:
         return (1 - self.ratio) * self.ratio ** (i - 1)
 
     def prefix_values(self, n: int) -> tuple:
-        r = self.ratio
-        out = []
-        term = 1 - r
+        return tuple(Fraction(x, y) for x, y in self.prefix_pairs(n))
+
+    def prefix_pairs(self, n: int) -> tuple:
+        """((b - a) a^(i-1), b^i), i = 1..n, for r = a/b: coprime, as gcd(b - a, b) = 1."""
+        a, b = self.ratio.as_integer_ratio()
+        out, x, y = [], b - a, b
         for _ in range(n):
-            out.append(term)
-            term *= r
+            out.append((x, y))
+            x, y = x * a, y * b
         return tuple(out)
 
     def tail_after(self, n: int) -> Fraction:
@@ -179,16 +186,14 @@ def geometric(r: Fraction) -> Geometric:
 Distribution = Union[FiniteDistribution, TruncatedDistribution, Geometric]
 
 
-def _ratio(q, p) -> tuple:
+def _ratio(q: tuple, p: tuple) -> tuple:
     """(key, x, y): the unreduced integer cross products x = a*d, y = b*c of
-    q = a/b and p = c/d, exact for Fraction, int and float operands alike.
-    The key is the correctly rounded (exponent, mantissa) of x / y, shared by
-    every representation of a ratio; zero keys as 0.  A non-finite q, a
-    sampler ratio over an underflowed prior, keys as itself."""
-    try:
-        (a, b), (c, d) = q.as_integer_ratio(), p.as_integer_ratio()
-    except (OverflowError, ValueError):
-        return q, 1, 0
+    the integer pairs q = (a, b) and p = (c, d).  The key is the correctly
+    rounded (exponent, mantissa) of x / y, shared by every representation of
+    a ratio; zero keys as 0.  A non-finite q = (v, 0) keys as v itself."""
+    (a, b), (c, d) = q, p
+    if not b:
+        return a, 1, 0
     x, y = a * d, b * c
     if not x:
         return 0, x, y
@@ -199,38 +204,40 @@ def _ratio(q, p) -> tuple:
 
 class RatioIndex:
     """Positions 1, 2, ... grouped by exact ratio q_i / p_i, grown one at a
-    time.  Keys from ``_ratio`` only find candidates: (x, y) joins a fibre
-    only if x * y' == y * x'.  Each fibre is a block of the coarsest witness
-    partition; ``first_collision`` is the smallest pair (i, j) inside one
-    fibre, 1-based, kept current on every add.
-    """
+    time from integer pairs q_i = (a, b), p_i = (c, d); the constructor takes
+    numbers, such as a sampler row.  Keys from ``_ratio`` only find candidates:
+    (x, y) joins a fibre only if x * y' == y * x'.  Each fibre is a block of
+    the coarsest witness partition; ``first_collision`` is the smallest pair
+    (i, j) inside one fibre, 1-based, kept current on every add."""
 
     def __init__(self, ratios: Iterable = ()):
         self._buckets: dict = {}  # key -> [(x, y, fibre)]
         self._fibres: list = []
         self._size = 0
         self.first_collision: tuple | None = None
-        for r in ratios:
-            self.add(r)
+        for r in ratios:  # a non-finite float, over an underflowed prior, is (r, 0)
+            self.add((r, 0) if r != r or r == math.inf else r.as_integer_ratio())
 
     @classmethod
-    def of(cls, qv: Sequence[Number], pv: Sequence[Number]) -> "RatioIndex":
-        """Index of the ratios qv[i] / pv[i]; pv must be strictly positive."""
+    def of(cls, qs: Iterable[tuple], ps: Iterable[tuple]) -> "RatioIndex":
+        """Index of the ratios of the pairs qs[i] over ps[i]; ps strictly positive."""
         index = cls()
-        for q, p in zip(qv, pv):
+        for q, p in zip(qs, ps):
             index.add(q, p)
         return index
 
-    def _fibre(self, key, x, y):
+    def probe(self, q: tuple, p: tuple = (1, 1)) -> tuple:
+        """(position, fibre): the (key, x, y) of q / p and the fibre holding its ratio, or None."""
+        key, x, y = position = _ratio(q, p)
         for fx, fy, fibre in self._buckets.get(key, ()):
             if x * fy == y * fx:
-                return fibre
-        return None
+                return position, fibre
+        return position, None
 
-    def add(self, q, p=1) -> None:
-        key, x, y = _ratio(q, p)
-        fibre = self._fibre(key, x, y)
+    def commit(self, position: tuple, fibre: list | None) -> None:
+        """Add the next position from its ``probe``, computed once."""
         if fibre is None:
+            key, x, y = position
             fibre = []
             self._buckets.setdefault(key, []).append((x, y, fibre))
             self._fibres.append(fibre)
@@ -240,10 +247,8 @@ class RatioIndex:
             pair = tuple(fibre)
             self.first_collision = min(pair, self.first_collision or pair)
 
-    def contains(self, q, p=1) -> bool:
-        return self._fibre(*_ratio(q, p)) is not None
-
-    __contains__ = contains
+    def add(self, q: tuple, p: tuple = (1, 1)) -> None:
+        self.commit(*self.probe(q, p))
 
     def fibres(self) -> list:
         """Position lists of equal ratio, ordered by smallest position."""
@@ -284,14 +289,14 @@ def require_finite(*ds: Distribution) -> int:
 
 
 def require_positive_prefix(d: Distribution, n: int) -> tuple:
-    """Components 1..n of a prior, all strictly positive; n must be at least 1."""
+    """Components 1..n of a prior as integer pairs, all strictly positive; n >= 1."""
     if n < 1:
         raise InputError(f"horizon must be at least 1, got {n}")
-    vals = d.prefix_values(n)
-    for i, v in enumerate(vals, start=1):
-        if v <= 0:
-            raise InputError(f"prior has nonpositive component {v} at index {i}")
-    return vals
+    pairs = d.prefix_pairs(n)
+    for i, (x, _) in enumerate(pairs, start=1):
+        if x <= 0:
+            raise InputError(f"prior has nonpositive component {d.value(i)} at index {i}")
+    return pairs
 
 
 def dist_to_json(d: Distribution) -> dict:

@@ -1,9 +1,10 @@
 """Jeffrey conditioning on finite index sets.
 
 Partitions carry 1-based indices and are kept in canonical form: indices
-ascending within a block, blocks ordered by smallest element.  Brute-force
-accessibility enumerates all set partitions in restricted-growth-string
-lexicographic order, which fixes witness selection deterministically.
+ascending within a block, blocks ordered by smallest element.  Rigidity and
+brute-force accessibility compare the ratios q_x / p_x by integer cross
+products, built once per call.  Brute force enumerates all set partitions in
+restricted-growth-string lexicographic order, which fixes witness selection.
 """
 
 from __future__ import annotations
@@ -125,12 +126,19 @@ def jc_apply(p: FiniteDistribution, e: Partition, w: BlockWeights) -> FiniteDist
     return FiniteDistribution(tuple(out))
 
 
-def _ratio_constant(pv: tuple, qv: tuple, blocks: tuple) -> bool:
-    """Within every block, all q_x / p_x agree (cross-multiplied, so exact)."""
+def _cross_products(p: FiniteDistribution, q: FiniteDistribution) -> list:
+    """(x_i, y_i) = (a d, b c) for q_i = a/b, p_i = c/d: q_i/p_i = x_i/y_i exactly."""
+    n = len(p)
+    return [(a * d, b * c) for (a, b), (c, d) in zip(q.prefix_pairs(n), p.prefix_pairs(n))]
+
+
+def _ratio_constant(xy: list, blocks: tuple) -> bool:
+    """Within every block, all q_x / p_x agree, compared by cross products."""
     for block in blocks:
-        first = block[0] - 1
+        x, y = xy[block[0] - 1]
         for i in block[1:]:
-            if qv[first] * pv[i - 1] != qv[i - 1] * pv[first]:
+            xi, yi = xy[i - 1]
+            if x * yi != y * xi:
                 return False
     return True
 
@@ -140,13 +148,13 @@ def rigidity_holds(p: FiniteDistribution, q: FiniteDistribution, e: Partition) -
     when q_x / p_x is constant on every block (then equal to q(E_i) / p(E_i))."""
     check_prior(p, q)
     _check_shapes(p, e)
-    return _ratio_constant(p.probs, q.probs, e.blocks)
+    return _ratio_constant(_cross_products(p, q), e.blocks)
 
 
 def coarsest_partition(p: FiniteDistribution, q: FiniteDistribution) -> Partition:
     """Fibers of the ratio map x -> q_x / p_x, in canonical order."""
     check_prior(p, q)
-    return Partition.of(RatioIndex.of(q.probs, p.probs).fibres())
+    return Partition.of(RatioIndex.of(q.prefix_pairs(len(q)), p.prefix_pairs(len(p))).fibres())
 
 
 @dataclass(frozen=True)
@@ -166,7 +174,8 @@ def accessible_brute_force(p: FiniteDistribution, q: FiniteDistribution) -> Acce
     check_prior(p, q)
     if len(p) > BRUTE_FORCE_MAX_N:
         raise InputError(f"brute force limited to n <= {BRUTE_FORCE_MAX_N}")
+    xy = _cross_products(p, q)
     for e in partitions(len(p)):
-        if is_nontrivial(e) and _ratio_constant(p.probs, q.probs, e.blocks):
+        if is_nontrivial(e) and _ratio_constant(xy, e.blocks):
             return Accessibility(True, e)
     return Accessibility(False, None)

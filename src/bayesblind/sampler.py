@@ -206,7 +206,7 @@ def monte_carlo_blindspot_fraction(
     stick-breaking measure.  Returns an McReport, or (McReport, records)
     when per-trial records are requested."""
     plan = _chunks(seed, trials)
-    p_float = np.array([float(v) for v in require_positive_prefix(prior, n)])
+    p_float = np.array([x / y for x, y in require_positive_prefix(prior, n)])
     # more processes than chunks or cores would only add start-up cost
     workers = max(1, min(workers, len(plan), os.cpu_count() or 1))
     tasks = [(seed, plan[w * len(plan) // workers:(w + 1) * len(plan) // workers],

@@ -37,7 +37,9 @@ def _ratio_key(r):
 class RatioIndex:
     """The ratio index keyed by the reduced quotient: one Fraction division
     per exact position.  Same fibres, ``first_collision`` and membership as
-    ``bayesblind.distributions.RatioIndex``, which takes (q, p) instead."""
+    ``bayesblind.distributions.RatioIndex``, whose ``of``, ``add`` and
+    ``contains`` take q and p as integer (numerator, denominator) pairs
+    instead of the quotient."""
 
     def __init__(self, ratios=()):
         self._fibres = {}
@@ -65,13 +67,28 @@ class RatioIndex:
         return list(self._fibres.values())
 
 
+def positive_prefix(p, n) -> tuple:
+    """Components 1..n of a prior as values, behind the library's positivity guard."""
+    require_positive_prefix(p, n)
+    return p.prefix_values(n)
+
+
+def geometric_prefix(r: Fraction, n: int) -> tuple:
+    """(1 - r) r^(i-1) for i = 1..n, one reducing Fraction product per term."""
+    out, term = [], 1 - r
+    for _ in range(n):
+        out.append(term)
+        term *= r
+    return tuple(out)
+
+
 def ratio_profile(q, p, n=None) -> tuple:
     """Componentwise q_i / p_i, whose injectivity decides blind-spot
     membership; the prior must be strictly positive.  Without a horizon n
     both must be finite vectors of one length."""
     if n is None:
         n = require_finite(q, p)
-    pv = require_positive_prefix(p, n)
+    pv = positive_prefix(p, n)
     return tuple(a / b for a, b in zip(q.prefix_values(n), pv))
 
 
@@ -110,7 +127,7 @@ def exclusion_set(ms: Sequence[Fraction], prior_prefixes: Sequence[tuple], i: in
 
 def raw_sequence(priors, n: int, seed: int) -> tuple:
     """The generator with the exclusion set rebuilt at every index: O(N^2 K)."""
-    prefixes = [require_positive_prefix(p, n) for p in priors]
+    prefixes = [positive_prefix(p, n) for p in priors]
     rng = random.Random(seed)
     ms = [Fraction(1, 2)]
     for i in range(2, n + 1):
@@ -128,7 +145,7 @@ def valid_delta(q, priors, eps: Fraction, seed: int, max_tries: int = 10000):
     """Delta search rescanning all N ratios for every prior on every try;
     returns None when the budget runs out."""
     n = len(q)
-    prefixes = [require_positive_prefix(p, n) for p in priors]
+    prefixes = [positive_prefix(p, n) for p in priors]
     rng = random.Random(seed)
     for _ in range(max_tries):
         delta = eps * Fraction(rng.randrange(1, 1 << 40), 1 << 40)
@@ -167,7 +184,7 @@ def stick_matrix(seed: int, trials: int, n: int, base):
 def monte_carlo(prior, trials: int, n: int, base, seed: int):
     """Serial Monte Carlo with the full equal/near compare on every row:
     (McReport, per-trial records)."""
-    p_float = np.array([float(v) for v in require_positive_prefix(prior, n)])
+    p_float = np.array([float(v) for v in positive_prefix(prior, n)])
     exact = near = 0
     residual_sum = 0.0
     records = []

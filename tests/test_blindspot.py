@@ -4,17 +4,21 @@ from fractions import Fraction
 import pytest
 
 from bayesblind import (
+    BlockWeights,
     FiniteDistribution,
     Partition,
     coarsest_partition,
     collision_count,
     family_membership,
     geometric,
+    jc_apply,
     membership_finite,
     membership_prefix,
+    rigidity_holds,
     truncate,
 )
 from bayesblind.blindspot import Verdict
+from bayesblind.construct import generate_raw_sequence
 from bayesblind.distributions import TruncatedDistribution
 from bayesblind.errors import InputError
 from helpers import finite_from_rationals, random_dist, random_positive_dist
@@ -183,23 +187,28 @@ class TestCollisionCount:
 
 
 def test_exact_scans_make_no_fraction_division(monkeypatch):
-    """The ratio scans key positions by integer cross products, so the
-    rational mode checks ratios without building one quotient."""
+    """The ratio scans key positions by integer cross products of integer
+    pairs, geometric prefixes included, and rigidity compares the same cross
+    products, so the rational mode checks ratios without dividing or
+    multiplying one Fraction."""
     rng = random.Random(24)
     p, q = random_positive_dist(rng, 12), random_dist(rng, 12)
     priors = [geometric(r) for r in (F(1, 2), F(2, 5), F(5, 7))]
     member = truncate(geometric(F(3, 8)), 24)
-    divisions = []
+    e = Partition.of([[1, 2, 3], [4, 5], list(range(6, 13))])
+    moved = jc_apply(p, e, BlockWeights((F(1, 2), F(1, 3), F(1, 6))))
+    calls = []
 
     def counted(name):
-        divide = getattr(Fraction, name)
+        operation = getattr(Fraction, name)
         monkeypatch.setattr(Fraction, name,
-                            lambda a, b: divisions.append(name) or divide(a, b))
+                            lambda a, b: calls.append(name) or operation(a, b))
 
-    counted("__truediv__")
-    counted("__rtruediv__")
-    assert F(1, 2) / 2 == F(1, 4) and divisions == ["__truediv__"]  # the wrapper counts
-    divisions.clear()
+    for name in ("__truediv__", "__rtruediv__", "__mul__", "__rmul__"):
+        counted(name)
+    assert F(1, 2) / 2 * F(1, 3) == 2 * F(1, 24)  # the wrappers count
+    assert calls == ["__truediv__", "__mul__", "__rmul__"]
+    calls.clear()
     membership_prefix(priors[0], member, 24)
     family_membership(priors, member, 24)
     family_membership([p], q)
@@ -207,4 +216,6 @@ def test_exact_scans_make_no_fraction_division(monkeypatch):
     coarsest_partition(p, q)
     collision_count(p, q)
     collision_count(priors[1], member, 24)
-    assert divisions == []
+    assert rigidity_holds(p, moved, e) and not rigidity_holds(p, q, e)
+    generate_raw_sequence(priors, 24, seed=3)
+    assert calls == []

@@ -117,6 +117,27 @@ class TestConstructCommands:
         payload = json.loads(out)
         assert all(c["verified"] for c in payload["certificate"]["claims"])
 
+    @pytest.mark.parametrize("cmd, flags", [
+        ("exteriorize", ("--epsilon", "1/5")),
+        ("multicollide", ("--pairs", "1", "--epsilon", "1/5")),
+    ])
+    def test_float_prior_moves_like_the_equal_exact_prior(self, capsys, cmd, flags):
+        """The stored floats are read as the exact dyadics they are, so the
+        payload, its exact l1 distance included, is the exact prior's, less
+        the certificate digest of the raw arguments."""
+        q = '{"kind":"finite","probs":["1/2","1/4","1/16","1/32","1/32","1/16","1/16"]}'
+        payloads = []
+        for probs in ([0.375, 0.25, 0.125] + [0.0625] * 4,
+                      ["3/8", "1/4", "1/8"] + ["1/16"] * 4):
+            prior = json.dumps({"kind": "finite", "probs": probs})
+            code, out = run(capsys, "bs", cmd, "--prior", prior, "--posterior", q, *flags)
+            assert code == 0
+            payload = json.loads(out)
+            assert all(c["verified"] for c in payload["certificate"].pop("claims"))
+            del payload["certificate"]["inputs_digest"]
+            payloads.append(payload)
+        assert payloads[0] == payloads[1]
+
     def test_exteriorize_horizon_insufficient_exit_three(self, capsys):
         q = json.dumps(
             {"kind": "truncated", "prefix": ["1/2", "1/4", "1/8"], "tail_mass": "1/8"}

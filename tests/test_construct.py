@@ -261,6 +261,24 @@ class TestMultiCollision:
             exteriorize(GEO_THIRD, q, pairs * eps)
 
 
+@pytest.mark.parametrize("move", [
+    lambda p, q: exteriorize(p, q, F(1, 1000)),
+    lambda p, q: multi_collision_near(p, q, 3, F(1, 10 ** 4)),
+])
+def test_float_prior_moves_as_the_rationals_it_stores(move):
+    """A float prior's entries are the exact dyadic rationals they store, so
+    the moves collide exactly and equal the moves under those rationals."""
+    floats = tuple(float(v) for v in GEO_THIRD.prefix_values(24))
+    tail = 1 - sum(map(Fraction, floats))
+    float_prior = TruncatedDistribution(floats, float(tail))
+    exact_prior = TruncatedDistribution(tuple(map(Fraction, floats)), tail)
+    q = generate_blindspot_member([GEO_THIRD], 24, seed=6)
+    result = move(float_prior, q)
+    assert result == move(exact_prior, q)
+    assert all(isinstance(v, Fraction) for v in result.distribution.prefix)
+    assert collision_count(float_prior, result.distribution, 24) >= len(result.pairs)
+
+
 def test_certified_bound_survives_optimize():
     """A bound that fails raises even under ``python -O``, which strips asserts."""
     script = (

@@ -2,10 +2,11 @@ import json
 import math
 import operator
 import random
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bayesblind import (
     FiniteDistribution,
@@ -22,6 +23,7 @@ from bayesblind.distributions import (
     format_rational,
     parse_rational,
     require_finite,
+    require_positive_prefix,
     require_stored,
 )
 from bayesblind.errors import InputError
@@ -92,6 +94,20 @@ class TestGeometric:
         g = geometric(F(1, 3))
         assert g.value(1) == F(2, 3)
         assert g.value(2) == F(2, 9)
+
+    @settings(deadline=None)
+    @given(st.integers(2, 2**80).flatmap(lambda b: st.tuples(st.integers(1, b - 1), st.just(b))),
+           st.integers(1, 300))
+    def test_prefix_pairs_are_the_terms_in_lowest_terms(self, ab, n):
+        """The running integer products ((b - a) a^(i-1), b^i) are the terms
+        (1 - r) r^(i-1) already reduced, and prefix_values is their Fraction view."""
+        r = F(*ab)
+        g = geometric(r)
+        got, expected = g.prefix_pairs(n), reference.geometric_prefix(r, n)
+        assert got == tuple(v.as_integer_ratio() for v in expected)
+        assert all(y > 0 and math.gcd(x, y) == 1 for x, y in got)
+        assert F(*got[-1]) == (1 - r) * r ** (n - 1) == g.value(n)
+        assert g.prefix_values(n) == expected
 
     def test_boundary(self):
         with pytest.raises(InputError, match="geometric ratio must lie in"):
@@ -185,13 +201,28 @@ def brute_fibres(same, n) -> tuple:
 posteriors = st.lists(st.integers(0, 6), min_size=1, max_size=12)
 
 
+def pair(v) -> tuple:
+    """v as the integer pair (numerator, denominator) that RatioIndex positions
+    take; a non-finite float, as the constructor reads it, is (v, 0)."""
+    return (v, 0) if v != v or v == math.inf else v.as_integer_ratio()
+
+
+def pairs(values) -> list:
+    return [pair(v) for v in values]
+
+
+def holds(index, q, p=(1, 1)) -> bool:
+    """Whether the index already holds the ratio of the pairs q / p."""
+    return index.probe(q, p)[1] is not None
+
+
 class TestRatioIndex:
     @given(posteriors, st.data())
     def test_exact_matches_cross_multiplication(self, qs, data):
         ps = data.draw(st.lists(st.integers(1, 6), min_size=len(qs), max_size=len(qs)))
         qv = [F(q, 7) for q in qs]  # zero posterior entries allowed
         pv = [F(p, 5) for p in ps]
-        index = RatioIndex.of(qv, pv)
+        index = RatioIndex.of(pairs(qv), pairs(pv))
         first, blocks = brute_fibres(
             lambda i, j: qv[i - 1] * pv[j - 1] == qv[j - 1] * pv[i - 1], len(qv)
         )
@@ -208,15 +239,15 @@ class TestRatioIndex:
     @given(st.integers(1, 20))
     def test_all_equal_ratios_form_one_fibre(self, n):
         pv = [F(k, n * (n + 1) // 2) for k in range(1, n + 1)]
-        index = RatioIndex.of(pv, pv)
+        index = RatioIndex.of(pairs(pv), pairs(pv))
         assert index.fibres() == [list(range(1, n + 1))]
         assert index.first_collision == ((1, 2) if n > 1 else None)
 
     def test_incremental_membership(self):
         index = RatioIndex([F(1, 2), F(1, 3)])
-        assert F(2, 4) in index and F(1, 4) not in index
-        index.add(F(1, 3))
-        index.add(F(1, 2))
+        assert holds(index, (2, 4)) and not holds(index, (1, 4))
+        index.add((1, 3))
+        index.add((2, 4))
         assert index.first_collision == (1, 4)
         assert index.fibres() == [[1, 4], [2, 3]]
 
@@ -224,7 +255,7 @@ class TestRatioIndex:
         inf = float("inf")
         index = RatioIndex([F(1, 2), 0.5, 1, F(1), F(2, 3), inf, float("inf")])
         assert index.fibres() == [[1, 2], [3, 4], [5], [6, 7]]
-        assert 2 / 3 not in index and F(4, 6) in index and inf in index
+        assert not holds(index, pair(2 / 3)) and holds(index, (4, 6)) and holds(index, pair(inf))
 
 
 #: exact operands that stress the integer key: a ratio one part in 2^81 off
@@ -244,12 +275,12 @@ class TestRatioIndexMatchesDivisionOracle:
 
     @staticmethod
     def assert_same(qv, pv, probes, quotient=operator.truediv):
-        index = RatioIndex.of(qv, pv)
+        index = RatioIndex.of(pairs(qv), pairs(pv))
         oracle = reference.RatioIndex(map(quotient, qv, pv))
         assert index.fibres() == oracle.fibres()
         assert index.first_collision == oracle.first_collision
         for q, p in probes:
-            assert index.contains(q, p) == (quotient(q, p) in oracle)
+            assert holds(index, pair(q), pair(p)) == (quotient(q, p) in oracle)
 
     @staticmethod
     def stored_quotient(q, p):
@@ -273,20 +304,21 @@ class TestRatioIndexMatchesDivisionOracle:
     def test_ratios_sharing_a_float_key_stay_apart(self):
         third, near = F(1, 3), F(3 * 2**80 + 1, 9 * 2**80)
         assert float(third) == float(near) and third != near
-        index = RatioIndex.of([third, near, 2 * third], [1, 1, 2])
+        index = RatioIndex.of(pairs([third, near, 2 * third]), pairs([1, 1, 2]))
         assert index.fibres() == [[1, 3], [2]]
-        assert index.contains(near) and not index.contains(F(1, 3) + F(1, 2**90))
+        assert holds(index, pair(near)) and not holds(index, pair(F(1, 3) + F(1, 2**90)))
 
     def test_equal_ratios_across_the_rounding_boundary_share_a_fibre(self):
-        index = RatioIndex.of([F(2**60 - 1), F(3 * (2**60 - 1)), F(2**60)], [1, 3, 1])
+        index = RatioIndex.of(pairs([F(2**60 - 1), F(3 * (2**60 - 1)), F(2**60)]),
+                              pairs([1, 3, 1]))
         assert index.fibres() == [[1, 2], [3]]
         assert index.first_collision == (1, 2)
 
     def test_magnitudes_beyond_the_float_range(self):
         tiny, huge = F(1, 2**3000), F(2**3000)
-        index = RatioIndex.of([tiny, huge, F(2), 0], [1, 1, 2**3001, 1])
+        index = RatioIndex.of(pairs([tiny, huge, F(2), 0]), pairs([1, 1, 2**3001, 1]))
         assert index.fibres() == [[1, 3], [2], [4]]
-        assert index.contains(1, 2**3000) and not index.contains(F(1, 2**2999))
+        assert holds(index, (1, 1), (2**3000, 1)) and not holds(index, (1, 2**2999))
 
 
 class TestExactSum:
@@ -416,6 +448,16 @@ class TestDistributionView:
                 d.prefix_values(4)
             with pytest.raises(InputError, match="exceeds available prefix length"):
                 d.tail_after(4)
+
+    @pytest.mark.parametrize("prior, shown", [
+        (FiniteDistribution((0.5, 0.0, 0.5)), "0.0"),
+        (TruncatedDistribution((0.5, 0.0, 0.25), 0.25), "0.0"),
+        (finite_from_rationals([F(1, 2), F(0), F(1, 2)]), "0"),
+    ])
+    def test_nonpositive_component_is_named_as_stored(self, prior, shown):
+        message = rf"^prior has nonpositive component {re.escape(shown)} at index 2$"
+        with pytest.raises(InputError, match=message):
+            require_positive_prefix(prior, 3)
 
     def test_guards(self):
         require_stored(self.FINITE, self.TRUNC)
