@@ -155,11 +155,11 @@ def densify(p: Distribution, q_target: Distribution, eps: Fraction) -> DensifyRe
     rs = [qv[0]]
     seen = RatioIndex.of(qs[:1], pv)
     for i in range(1, n):
-        value, halvings = qv[i], 3  # nudges eps / 2^(i+3) < eps / 2^(n+1), n = i+1 1-based
+        value, shift = qv[i], i + 3  # nudges from eps / 2^(i+3) < eps / 2^(n+1), n = i+1
         probe = seen.probe(qs[i], pv[i])
         while probe[1] is not None:
-            value = qv[i] + eps / (1 << (i + halvings))
-            halvings += 1
+            value = qv[i] + eps / (1 << shift)
+            shift += 1
             probe = seen.probe(value.as_integer_ratio(), pv[i])
         if abs(value - qv[i]) >= eps / (1 << (i + 1)):
             raise HorizonInsufficient(f"nudge at index {i + 1} exceeds eps / 2^{i + 1}")
