@@ -31,6 +31,7 @@ from .distributions import (
     dist_to_json,
     exact_sum,
     format_rational,
+    json_list,
     normalize,
     parse_rational,
 )
@@ -244,7 +245,7 @@ def _flag(decode=None, **spec):
 DIST = _flag(lambda text: dist_from_json(_load_json_arg(text)), required=True)
 DISTS = _flag(lambda text: [dist_from_json(obj) for obj in _load_json_arg(text)], required=True)
 RATIONAL = _flag(parse_rational, required=True)
-RATIONALS = _flag(lambda text: [parse_rational(str(x)) for x in _load_json_arg(text)],
+RATIONALS = _flag(lambda text: [parse_rational(str(x)) for x in json_list(_load_json_arg(text))],
                   required=True)
 PARTITION = _flag(lambda text: jeffrey.Partition.from_json(_load_json_arg(text)), required=True)
 BASE = _flag(lambda text: _sampler().parse_base(text), default="uniform")

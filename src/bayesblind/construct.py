@@ -145,6 +145,12 @@ def densify(p: Distribution, q_target: Distribution, eps: Fraction) -> DensifyRe
     the largest power-of-two fraction of eps below eps / 2^(n+1) whose ratio
     is unused (halving further on the rare repeat).  The nudged vector is
     then normalized by its total mass.  The rule is deterministic.
+
+    Two bounds hold by construction and are not checked: a nudge at index
+    i + 1 is eps / 2^s with s >= i + 3, below eps / 2^(i+1); and the total is
+    positive, as nudges only add mass and a zero q_2 after a zero q_1 shares
+    ratio 0 with it and is nudged.  Only the 4*eps bound, which a fat tail
+    can break, is checked.
     """
     if not (0 < eps < Fraction(1, 2)):
         raise InputError(f"eps must lie in (0, 1/2), got {eps}")
@@ -161,13 +167,9 @@ def densify(p: Distribution, q_target: Distribution, eps: Fraction) -> DensifyRe
             value = qv[i] + eps / (1 << shift)
             shift += 1
             probe = seen.probe(value.as_integer_ratio(), pv[i])
-        if abs(value - qv[i]) >= eps / (1 << (i + 1)):
-            raise HorizonInsufficient(f"nudge at index {i + 1} exceeds eps / 2^{i + 1}")
         rs.append(value)
         seen.commit(*probe)
     total = exact_sum(rs)
-    if total == 0:
-        raise HorizonInsufficient("target prefix carries no mass to normalize")
     out = TruncatedDistribution(tuple(r / total for r in rs), Fraction(0))
     prefix_dist = exact_sum(abs(a - b) for a, b in zip(out.prefix, qv))
     upper = prefix_dist + q_target.tail_after(n)
@@ -187,28 +189,30 @@ class CollisionMoveResult:
     fallback_used: bool = False  # q_2 = 0 handled via q_3
 
 
-def _budget_index(q: TruncatedDistribution) -> int:
-    """Coordinate that absorbs negative-branch mass: 2, or 3 when q_2 = 0."""
-    if q.value(2) > 0:
-        return 2
-    if q.value(3) > 0:
-        return 3
-    raise InputError("q_2 = q_3 = 0: no budget coordinate")
-
-
-def _threshold_index(qv, pv, eps: Fraction, n: int) -> int:
-    """Smallest n0 <= n-1 with q_i < eps and p_i / p_1 < eps for all i >= n0."""
-    ok_from = n + 1
-    for i in range(n, 1, -1):
-        if qv[i - 1] < eps and pv[i - 1] / pv[0] < eps:
-            ok_from = i
-        else:
-            break
-    if ok_from > n - 1:
+def _move_prelude(p, q, eps, spend, spend_name, what) -> tuple:
+    """Guards shared by the collision moves, raised in this order: q exact;
+    a budget coordinate (q_2, else q_3 if stored) above ``spend``; p > 0; an
+    admissible index.  Returns (pv, budget, n0): p's prefix as exact Fractions,
+    the 1-based budget index, and the smallest n0 <= n-1 with q_i < eps and
+    p_i / p_1 < eps for all i >= n0."""
+    _require_exact(q, what)
+    qv, n = q.prefix, len(q)
+    budget = next((b for b in (2, 3) if b <= n and qv[b - 1] > 0), None)
+    if budget is None:
+        raise InputError("q_2 = 0 and q_3 is 0 or not stored: no budget coordinate")
+    if not (0 < spend < qv[budget - 1]):
+        raise InputError(
+            f"{spend_name} must lie in (0, q_{budget}) = (0, {qv[budget - 1]}), got {spend}"
+        )
+    pv = [Fraction(*v) for v in require_positive_prefix(p, n)]
+    n0 = n + 1
+    while n0 > 2 and qv[n0 - 2] < eps and pv[n0 - 2] / pv[0] < eps:
+        n0 -= 1
+    if n0 > n - 1:
         raise HorizonInsufficient(
             "no admissible index below the horizon; enlarge the prefix or eps"
         )
-    return ok_from
+    return pv, budget, n0
 
 
 def _collision_move(work, qv, pv, target_idx, budget_idx):
@@ -259,16 +263,8 @@ def exteriorize(
 ) -> CollisionMoveResult:
     """Minimal perturbation out of the blind spot: coordinate n is retargeted
     so that the pair (1, n) collides exactly, at l1 cost below 2*eps."""
-    _require_exact(q, "exteriorize")
-    n = len(q)
-    budget = _budget_index(q)
-    if not (0 < eps < q.value(budget)):
-        raise InputError(
-            f"eps must lie in (0, q_{budget}) = (0, {q.value(budget)}), got {eps}"
-        )
-    pv = [Fraction(*v) for v in require_positive_prefix(p, n)]  # exact, float priors too
-    idx = _threshold_index(q.prefix, pv, eps, n)
-    return _collide(q, pv, [idx], budget, 2 * eps, "2*eps")
+    pv, budget, n0 = _move_prelude(p, q, eps, eps, "eps", "exteriorize")
+    return _collide(q, pv, [n0], budget, 2 * eps, "2*eps")
 
 
 def multi_collision_near(
@@ -282,16 +278,8 @@ def multi_collision_near(
     """
     if pairs < 1:
         raise InputError(f"pair count must be positive, got {pairs}")
-    _require_exact(q, "multi_collision_near")
-    n = len(q)
-    budget = _budget_index(q)
-    if not (0 < pairs * eps < q.value(budget)):
-        raise InputError(
-            f"pairs * eps = {pairs * eps} must lie in (0, q_{budget}) = (0, {q.value(budget)})"
-        )
-    pv = [Fraction(*v) for v in require_positive_prefix(p, n)]  # exact, float priors too
-    base = _threshold_index(q.prefix, pv, eps, n)
-    targets = list(range(n - 1, base - 1, -2))[:pairs]
+    pv, budget, n0 = _move_prelude(p, q, eps, pairs * eps, "pairs * eps", "multi_collision_near")
+    targets = list(range(len(q) - 1, n0 - 1, -2))[:pairs]
     if len(targets) < pairs:
         raise HorizonInsufficient(
             f"only {len(targets)} disjoint moves available at this horizon"

@@ -321,13 +321,20 @@ def _decode(v) -> Number:
     raise InputError(f"not a probability value: {v!r}")
 
 
+def json_list(value) -> list:
+    """``value`` if it is a JSON list; a string would be read one character at a time."""
+    if not isinstance(value, list):
+        raise InputError(f"expected a JSON list, got {value!r}")
+    return value
+
+
 def dist_from_json(obj: dict) -> Distribution:
     kind = obj.get("kind")
     if kind == "finite":
-        return FiniteDistribution(tuple(_decode(v) for v in obj["probs"]))
+        return FiniteDistribution(tuple(_decode(v) for v in json_list(obj["probs"])))
     if kind == "truncated":
         return TruncatedDistribution(
-            tuple(_decode(v) for v in obj["prefix"]), _decode(obj["tail_mass"])
+            tuple(_decode(v) for v in json_list(obj["prefix"])), _decode(obj["tail_mass"])
         )
     if kind == "geometric":
         return Geometric(parse_rational(obj["ratio"]))

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
-from .distributions import FiniteDistribution, RatioIndex, exact_sum, require_finite
+from .distributions import (
+    FiniteDistribution, RatioIndex, exact_sum, require_finite, require_positive_prefix,
+)
 from .errors import InputError
 
 #: Bell-number enumeration bound for accessible_brute_force
@@ -96,13 +98,13 @@ def is_nontrivial(e: Partition) -> bool:
     return any(len(b) >= 2 for b in e.blocks)
 
 
-def check_prior(p: FiniteDistribution, *posteriors: FiniteDistribution) -> None:
-    """Exact-rational finite vectors on one index set; a strictly positive prior."""
-    require_finite(p, *posteriors)
+def check_prior(p: FiniteDistribution, *posteriors: FiniteDistribution) -> tuple:
+    """Exact-rational finite vectors on one index set; a strictly positive
+    prior, whose integer pairs are returned."""
+    n = require_finite(p, *posteriors)
     if not all(d.is_exact for d in (p, *posteriors)):
         raise InputError("Jeffrey conditioning needs exact-rational distributions")
-    if any(v <= 0 for v in p.probs):
-        raise InputError("prior must be strictly positive")
+    return require_positive_prefix(p, n)
 
 
 def _check_shapes(p: FiniteDistribution, e: Partition) -> None:
@@ -126,10 +128,9 @@ def jc_apply(p: FiniteDistribution, e: Partition, w: BlockWeights) -> FiniteDist
     return FiniteDistribution(tuple(out))
 
 
-def _cross_products(p: FiniteDistribution, q: FiniteDistribution) -> list:
+def _cross_products(ps: tuple, q: FiniteDistribution) -> list:
     """(x_i, y_i) = (a d, b c) for q_i = a/b, p_i = c/d: q_i/p_i = x_i/y_i exactly."""
-    n = len(p)
-    return [(a * d, b * c) for (a, b), (c, d) in zip(q.prefix_pairs(n), p.prefix_pairs(n))]
+    return [(a * d, b * c) for (a, b), (c, d) in zip(q.prefix_pairs(len(q)), ps)]
 
 
 def _ratio_constant(xy: list, blocks: tuple) -> bool:
@@ -146,15 +147,15 @@ def _ratio_constant(xy: list, blocks: tuple) -> bool:
 def rigidity_holds(p: FiniteDistribution, q: FiniteDistribution, e: Partition) -> bool:
     """q(x|E_i) = p(x|E_i) on every block with q(E_i) > 0; as p > 0, exactly
     when q_x / p_x is constant on every block (then equal to q(E_i) / p(E_i))."""
-    check_prior(p, q)
+    ps = check_prior(p, q)
     _check_shapes(p, e)
-    return _ratio_constant(_cross_products(p, q), e.blocks)
+    return _ratio_constant(_cross_products(ps, q), e.blocks)
 
 
 def coarsest_partition(p: FiniteDistribution, q: FiniteDistribution) -> Partition:
     """Fibers of the ratio map x -> q_x / p_x, in canonical order."""
-    check_prior(p, q)
-    return Partition.of(RatioIndex.of(q.prefix_pairs(len(q)), p.prefix_pairs(len(p))).fibres())
+    ps = check_prior(p, q)
+    return Partition.of(RatioIndex.of(q.prefix_pairs(len(q)), ps).fibres())
 
 
 @dataclass(frozen=True)
@@ -171,10 +172,10 @@ def accessible_brute_force(p: FiniteDistribution, q: FiniteDistribution) -> Acce
     Independent oracle for the ratio-distinctness characterization; result
     order is fixed by the RGS enumeration regardless of any internal fan-out.
     """
-    check_prior(p, q)
+    ps = check_prior(p, q)
     if len(p) > BRUTE_FORCE_MAX_N:
         raise InputError(f"brute force limited to n <= {BRUTE_FORCE_MAX_N}")
-    xy = _cross_products(p, q)
+    xy = _cross_products(ps, q)
     for e in partitions(len(p)):
         if is_nontrivial(e) and _ratio_constant(xy, e.blocks):
             return Accessibility(True, e)

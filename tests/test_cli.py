@@ -301,6 +301,20 @@ def _exit_two_inputs():
         "multicollide-budget": ("bs", "multicollide", *budget, "--pairs", "1",
                                 "--epsilon", "1/3"),
         "exteriorize-budget": ("bs", "exteriorize", *budget, "--epsilon", "1/3"),
+        # q_2 = 0 with no stored q_3 leaves no budget coordinate
+        "multicollide-no-budget": ("bs", "multicollide", "--prior", GEO_HALF, "--posterior",
+                                   '{"kind":"finite","probs":["1","0"]}', "--pairs", "1",
+                                   "--epsilon", "1/10"),
+        "exteriorize-no-budget": ("bs", "exteriorize", "--prior", GEO_HALF, "--posterior",
+                                  '{"kind":"truncated","prefix":["1/2","0"],"tail_mass":"1/2"}',
+                                  "--epsilon", "1/10"),
+        # a JSON string where a list is due would be read one character at a time
+        "probs-string": ("dist", "distance", "--u", '{"kind":"finite","probs":"01"}',
+                         "--v", '{"kind":"finite","probs":["0","1"]}'),
+        "prefix-string": ("bs", "test", "--prior", GEO_HALF, "--posterior",
+                          '{"kind":"truncated","prefix":"01","tail_mass":"0"}', "--horizon", "2"),
+        "values-string": ("dist", "normalize", "--values", '"12"'),
+        "weights-string": (*apply, "--partition", PARTITION, "--weights", '"01"'),
         # beta parameters must be positive and finite
         "montecarlo-beta-nan": (*montecarlo, "--seed", "1", "--horizon", "5",
                                 "--base", "beta:nan,1"),

@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bayesblind
 from bayesblind import (
@@ -21,8 +22,8 @@ from bayesblind import (
     truncate,
 )
 from bayesblind.construct import generate_raw_sequence
-from bayesblind.distributions import TruncatedDistribution
-from bayesblind.errors import HorizonInsufficient, InputError
+from bayesblind.distributions import FiniteDistribution, TruncatedDistribution
+from bayesblind.errors import BayesBlindError, HorizonInsufficient, InputError
 from reference import exclusion_set, raw_sequence, valid_delta
 
 F = Fraction
@@ -31,6 +32,7 @@ GEO_HALF = geometric(F(1, 2))
 GEO_THIRD = geometric(F(1, 3))
 TWO_PRIORS = [GEO_HALF, GEO_THIRD]
 FIVE_PRIORS = [geometric(F(a, b)) for a, b in ((1, 2), (1, 3), (2, 5), (3, 5), (5, 7))]
+HALVES = TruncatedDistribution(tuple(F(1, 2 ** i) for i in range(1, 9)), F(1, 256))
 
 
 class TestGenerator:
@@ -254,11 +256,72 @@ class TestMultiCollision:
     def test_pair_budget_beyond_q2_is_an_input_error(self, pairs, eps):
         """No horizon can bring pairs * eps below q_2; exteriorize refuses the
         same budget as an input error."""
-        q = TruncatedDistribution(tuple(F(1, 2 ** i) for i in range(1, 9)), F(1, 256))
-        with pytest.raises(InputError, match=r"pairs \* eps = .* must lie in \(0, q_2\)"):
-            multi_collision_near(GEO_THIRD, q, pairs, eps)
+        with pytest.raises(InputError, match=r"pairs \* eps must lie in \(0, q_2\) = \(0, 1/4\)"):
+            multi_collision_near(GEO_THIRD, HALVES, pairs, eps)
         with pytest.raises(InputError, match=r"eps must lie in \(0, q_2\)"):
-            exteriorize(GEO_THIRD, q, pairs * eps)
+            exteriorize(GEO_THIRD, HALVES, pairs * eps)
+
+
+@pytest.mark.parametrize("move, name, spend", [
+    pytest.param(lambda p, q, eps: exteriorize(p, q, eps), "exteriorize", "eps", id="exteriorize"),
+    pytest.param(lambda p, q, eps: multi_collision_near(p, q, 1, eps), "multi_collision_near",
+                 r"pairs \* eps", id="multicollide"),
+])
+@pytest.mark.parametrize("p, q, eps, error, message", [
+    pytest.param(GEO_HALF, GEO_THIRD, F(1, 10), InputError,
+                 "a geometric distribution has no stored prefix; truncate it first",
+                 id="geometric-posterior"),
+    pytest.param(GEO_HALF, FiniteDistribution((0.5, 0.25, 0.25)), F(1, 10), InputError,
+                 "{name} requires an exact-rational distribution", id="float-posterior"),
+    pytest.param(GEO_HALF, TruncatedDistribution((F(1, 2), F(0), F(0), F(1, 4)), F(1, 4)),
+                 F(1, 10), InputError, "q_2 = 0 and q_3 is 0 or not stored: no budget coordinate",
+                 id="q2-q3-zero"),
+    pytest.param(GEO_THIRD, HALVES, F(1, 3), InputError,
+                 r"{spend} must lie in \(0, q_2\) = \(0, 1/4\), got 1/3", id="budget-too-large"),
+    pytest.param(FiniteDistribution((F(1, 2), F(0)) + (F(1, 12),) * 6), HALVES, F(1, 1000),
+                 InputError, "prior has nonpositive component 0 at index 2",
+                 id="nonpositive-prior"),
+    pytest.param(GEO_HALF, HALVES, F(1, 10 ** 6), HorizonInsufficient,
+                 "no admissible index below the horizon; enlarge the prefix or eps",
+                 id="no-admissible-index"),
+])
+def test_move_prelude_errors(move, name, spend, p, q, eps, error, message):
+    """Both moves share one prelude: each guard raises the same class and
+    message from either move."""
+    with pytest.raises(error, match=f"^{message.format(name=name, spend=spend)}$"):
+        move(p, q, eps)
+
+
+@st.composite
+def small_stored(draw):
+    """A finite or truncated distribution of length 2-5 on small integer
+    weights, zero entries allowed."""
+    weights = draw(st.lists(st.integers(0, 4), min_size=2, max_size=5).filter(any))
+    tail = draw(st.integers(0, 2))
+    total = sum(weights) + tail
+    prefix = tuple(F(w, total) for w in weights)
+    return TruncatedDistribution(prefix, F(tail, total)) if tail else FiniteDistribution(prefix)
+
+
+SMALL_PRIORS = st.one_of(
+    small_stored(), st.sampled_from([GEO_HALF, GEO_THIRD, geometric(F(3, 4))]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(SMALL_PRIORS, small_stored(), st.fractions(0, 1, max_denominator=64), st.integers(0, 3))
+def test_small_exact_inputs_return_or_raise_a_package_error(p, q, eps, k):
+    """Each construction returns or raises BayesBlindError; nothing else escapes."""
+    for call in (
+        lambda: exteriorize(p, q, eps),
+        lambda: multi_collision_near(p, q, k, eps),
+        lambda: densify(p, q, eps),
+        lambda: pick_valid_delta(q, [p], eps, k),
+        lambda: delta_family(q, eps),
+    ):
+        try:
+            call()
+        except BayesBlindError:
+            pass
 
 
 @pytest.mark.parametrize("move", [
@@ -280,17 +343,26 @@ def test_float_prior_moves_as_the_rationals_it_stores(move):
 
 
 def test_certified_bound_survives_optimize():
-    """A bound that fails raises even under ``python -O``, which strips asserts."""
+    """A bound that fails raises even under ``python -O``, which strips asserts:
+    a collision move whose cost is faked, and a densify target whose fat tail
+    alone exceeds 4*eps."""
     script = (
         "from fractions import Fraction as F\n"
         "from bayesblind import construct, geometric, truncate\n"
+        "from bayesblind.distributions import TruncatedDistribution\n"
         "from bayesblind.errors import HorizonInsufficient\n"
         "construct._collision_move = lambda *args: ('positive', F(1))\n"
-        "try:\n"
-        "    construct.exteriorize(geometric(F(1, 2)), truncate(geometric(F(1, 3)), 20), F(1, 1000))\n"
-        "except HorizonInsufficient:\n"
-        "    raise SystemExit(0)\n"
-        "raise SystemExit(1)\n"
+        "p, q = geometric(F(1, 2)), truncate(geometric(F(1, 3)), 20)\n"
+        "fat_tail = TruncatedDistribution((F(1, 4), F(1, 4)), F(1, 2))\n"
+        "for move in (\n"
+        "    lambda: construct.exteriorize(p, q, F(1, 1000)),\n"
+        "    lambda: construct.densify(p, fat_tail, F(1, 100)),\n"
+        "):\n"
+        "    try:\n"
+        "        move()\n"
+        "    except HorizonInsufficient:\n"
+        "        continue\n"
+        "    raise SystemExit(1)\n"
     )
     src = str(Path(bayesblind.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -119,7 +119,7 @@ class TestJcApply:
 
     def test_zero_prior_rejected(self):
         p = finite_from_rationals([F(1), F(0), F(0)])
-        with pytest.raises(InputError, match="prior must be strictly positive"):
+        with pytest.raises(InputError, match=r"^prior has nonpositive component 0 at index 2$"):
             jc_apply(p, Partition.of([[1], [2, 3]]), BlockWeights((F(1, 2), F(1, 2))))
 
     def test_weights_validated(self):
