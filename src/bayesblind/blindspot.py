@@ -15,7 +15,7 @@ distinctness among those only, never full membership.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .distributions import (
     Distribution,
@@ -55,29 +55,28 @@ class Verdict:
         return out
 
 
-def _scan(p: Distribution, q: Distribution, n: int | None) -> RatioIndex:
-    """The ratio index of the first n coordinates; all of them, on finite
-    inputs of one length, when n is None."""
-    if n is None:
-        n = require_finite(p, q)
-    pv = require_positive_prefix(p, n)
-    return RatioIndex.of(q.prefix_pairs(n), pv)
+def _scans(priors: Sequence[Distribution], q: Distribution, n: int | None) -> Iterator:
+    """The ratio index of the first n coordinates under each prior in turn;
+    all of them, on finite inputs of one length, when n is None.  q's pairs
+    are read once, after the first prior's guards."""
+    qs = ()
+    for p in priors:
+        m = require_finite(p, q) if n is None else n
+        pv = require_positive_prefix(p, m)
+        qs = qs or q.prefix_pairs(m)
+        yield RatioIndex.of(qs, pv)
 
 
 def membership_finite(p: FiniteDistribution, q: FiniteDistribution) -> Verdict:
     """Full membership test on a finite index set.  An accessible verdict
     carries the coarsest witness partition, whose blocks are the fibres of
     the same ratio index."""
-    index = _scan(p, q, None)
-    if index.first_collision is None:
-        return Verdict(True)
-    return Verdict(False, None, index.first_collision, Partition.of(index.fibres()))
+    return family_membership([p], q).verdicts[0]
 
 
 def membership_prefix(p: Distribution, q: Distribution, n: int) -> Verdict:
     """Exact collision scan over the first n ratios."""
-    pair = _scan(p, q, n).first_collision
-    return Verdict(pair is None, n, pair)
+    return family_membership([p], q, n).verdicts[0]
 
 
 @dataclass(frozen=True)
@@ -98,11 +97,14 @@ def family_membership(
     """
     if not priors:
         raise InputError("prior family must be nonempty")
-    verdicts = tuple(membership_finite(p, q) if n is None else membership_prefix(p, q, n)
-                     for p in priors)
-    return FamilyVerdict(verdicts, all(v.distinct for v in verdicts))
+    verdicts = []
+    for index in _scans(priors, q, n):
+        pair = index.first_collision
+        coarsest = Partition.of(index.fibres()) if n is None and pair else None
+        verdicts.append(Verdict(pair is None, n, pair, coarsest))
+    return FamilyVerdict(tuple(verdicts), all(v.distinct for v in verdicts))
 
 
 def collision_count(p: Distribution, q: Distribution, n: int | None = None) -> int:
     """Number of unordered index pairs with exactly equal ratios."""
-    return sum(len(f) * (len(f) - 1) // 2 for f in _scan(p, q, n).fibres())
+    return sum(len(f) * (len(f) - 1) // 2 for f in next(_scans([p], q, n)).fibres())

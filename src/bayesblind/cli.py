@@ -22,6 +22,7 @@ import io
 import json
 import os
 import sys
+from decimal import Decimal  # loaded anyway: fractions imports it
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -242,10 +243,16 @@ def _flag(decode=None, **spec):
     return spec, decode
 
 
+def _json_rational(x) -> Fraction:
+    """A JSON list entry; a float is the decimal its repr denotes (1e-05 as 0.00001)."""
+    text = str(x)
+    return parse_rational(f"{Decimal(text):f}" if isinstance(x, float) and "e" in text else text)
+
+
 DIST = _flag(lambda text: dist_from_json(_load_json_arg(text)), required=True)
 DISTS = _flag(lambda text: [dist_from_json(obj) for obj in _load_json_arg(text)], required=True)
 RATIONAL = _flag(parse_rational, required=True)
-RATIONALS = _flag(lambda text: [parse_rational(str(x)) for x in json_list(_load_json_arg(text))],
+RATIONALS = _flag(lambda text: [_json_rational(x) for x in json_list(_load_json_arg(text))],
                   required=True)
 PARTITION = _flag(lambda text: jeffrey.Partition.from_json(_load_json_arg(text)), required=True)
 BASE = _flag(lambda text: _sampler().parse_base(text), default="uniform")

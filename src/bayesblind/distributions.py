@@ -24,8 +24,10 @@ Number = Union[Fraction, float]
 def parse_rational(text: str) -> Fraction:
     """Parse "a/b", integer, or decimal (at most 18 fractional digits) exactly."""
     s = text.strip()
-    if "/" in s:
-        return Fraction(s)
+    a, slash, b = s.partition("/")
+    if slash:  # a plain ASCII "a/b" skips Fraction's string parser
+        return Fraction(int(a), int(b)) if s.isascii() and a.isdigit() and b.isdigit() \
+            else Fraction(s)
     if "." in s:
         digits = len(s.split(".", 1)[1])
         if digits > 18:
@@ -48,6 +50,12 @@ def _is_exact(values: Sequence[Number]) -> bool:
     return all(isinstance(v, Fraction) for v in values)
 
 
+def over_lcm(pairs: Sequence[tuple]) -> tuple:
+    """(numerators, d): the integer pairs (a, b) over d, the lcm of the b."""
+    d = math.lcm(*(b for _, b in pairs))
+    return [a * (d // b) for a, b in pairs], d
+
+
 def exact_sum(values: Iterable[Number]) -> Number:
     """``sum(values)`` in value and type.  When every value is a Fraction the
     numerators are added over the lcm of the denominators and reduced once,
@@ -55,13 +63,13 @@ def exact_sum(values: Iterable[Number]) -> Number:
     values = tuple(values)
     if not values or not _is_exact(values):
         return sum(values)
-    d = math.lcm(*(v.denominator for v in values))
-    return Fraction(sum(v.numerator * (d // v.denominator) for v in values), d)
+    nums, d = over_lcm([v.as_integer_ratio() for v in values])
+    return Fraction(sum(nums), d)
 
 
 def _check_entries(values: Sequence[Number]) -> None:
     for v in values:
-        if not v >= 0:  # NaN fails every comparison, so it lands here too
+        if (v.numerator < 0) if isinstance(v, Fraction) else not v >= 0:  # NaN fails >=
             if v < 0:
                 raise InputError(f"negative probability entry {v}")
             raise InputError("NaN probability entry")
@@ -189,41 +197,53 @@ Distribution = Union[FiniteDistribution, TruncatedDistribution, Geometric]
 def _ratio(q: tuple, p: tuple) -> tuple:
     """(key, x, y): the unreduced integer cross products x = a*d, y = b*c of
     the integer pairs q = (a, b) and p = (c, d).  The key is the correctly
-    rounded (exponent, mantissa) of x / y, shared by every representation of
-    a ratio; zero keys as 0.  A non-finite q = (v, 0) keys as v itself."""
+    rounded x / y if it is a normal float or zero, else its (exponent,
+    mantissa), so it depends on the ratio only, not on its representation.  A
+    non-finite q = (v, 0) keys as v itself."""
     (a, b), (c, d) = q, p
     if not b:
         return a, 1, 0
     x, y = a * d, b * c
-    if not x:
-        return 0, x, y
+    try:
+        if (key := x / y) >= 2.0 ** -1022 or not x:  # a normal float, or zero
+            return key, x, y
+    except OverflowError:
+        pass
     e = x.bit_length() - y.bit_length()  # the scaled quotient lies in (1/2, 2)
     m, k = math.frexp(x / (y << e) if e >= 0 else (x << -e) / y)
     return (e + k, m), x, y
 
 
 class RatioIndex:
-    """Positions 1, 2, ... grouped by exact ratio q_i / p_i, grown one at a
-    time from integer pairs q_i = (a, b), p_i = (c, d); the constructor takes
-    numbers, such as a sampler row.  Keys from ``_ratio`` only find candidates:
-    (x, y) joins a fibre only if x * y' == y * x'.  Each fibre is a block of
-    the coarsest witness partition; ``first_collision`` is the smallest pair
-    (i, j) inside one fibre, 1-based, kept current on every add."""
+    """Positions 1, 2, ... grouped by exact ratio q_i / p_i, built in one pass
+    from integer pairs q_i = (a, b), p_i = (c, d) or grown one at a time; the
+    constructor takes numbers, such as a sampler row.  Keys from ``_ratio``
+    only find candidates: (x, y) joins a fibre only if x * y' == y * x'.  Each
+    fibre is a block of the coarsest witness partition."""
 
     def __init__(self, ratios: Iterable = ()):
         self._buckets: dict = {}  # key -> [(x, y, fibre)]
         self._fibres: list = []
         self._size = 0
-        self.first_collision: tuple | None = None
         for r in ratios:  # a non-finite float, over an underflowed prior, is (r, 0)
-            self.add((r, 0) if r != r or r == math.inf else r.as_integer_ratio())
+            self.commit(*self.probe((r, 0) if r != r or r == math.inf else r.as_integer_ratio()))
 
     @classmethod
     def of(cls, qs: Iterable[tuple], ps: Iterable[tuple]) -> "RatioIndex":
         """Index of the ratios of the pairs qs[i] over ps[i]; ps strictly positive."""
         index = cls()
-        for q, p in zip(qs, ps):
-            index.add(q, p)
+        buckets, fibres = index._buckets, index._fibres
+        for i, (q, p) in enumerate(zip(qs, ps), start=1):
+            key, x, y = _ratio(q, p)
+            bucket = buckets.setdefault(key, [])
+            for fx, fy, fibre in bucket:
+                if x * fy == y * fx:
+                    break
+            else:
+                bucket.append((x, y, fibre := []))
+                fibres.append(fibre)
+            fibre.append(i)
+        index._size = sum(map(len, fibres))
         return index
 
     def probe(self, q: tuple, p: tuple = (1, 1)) -> tuple:
@@ -243,12 +263,11 @@ class RatioIndex:
             self._fibres.append(fibre)
         self._size += 1
         fibre.append(self._size)
-        if len(fibre) == 2:  # a fibre's first two positions are its smallest pair
-            pair = tuple(fibre)
-            self.first_collision = min(pair, self.first_collision or pair)
 
-    def add(self, q: tuple, p: tuple = (1, 1)) -> None:
-        self.commit(*self.probe(q, p))
+    @property
+    def first_collision(self) -> tuple | None:
+        """The smallest pair (i, j) inside one fibre, 1-based: a fibre's first two."""
+        return min(((f[0], f[1]) for f in self._fibres if len(f) > 1), default=None)
 
     def fibres(self) -> list:
         """Position lists of equal ratio, ordered by smallest position."""

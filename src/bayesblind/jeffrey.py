@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
 from .distributions import (
-    FiniteDistribution, RatioIndex, exact_sum, require_finite, require_positive_prefix,
+    FiniteDistribution, RatioIndex, over_lcm, require_finite, require_positive_prefix,
 )
 from .errors import InputError
 
@@ -113,8 +113,9 @@ def _check_shapes(p: FiniteDistribution, e: Partition) -> None:
 
 
 def jc_apply(p: FiniteDistribution, e: Partition, w: BlockWeights) -> FiniteDistribution:
-    """Jeffrey conditioning: q_x = w_b * p_x / p(E_b) for x in block E_b."""
-    check_prior(p)
+    """Jeffrey conditioning: q_x = w_b * p_x / p(E_b) for x in block E_b, built
+    as Fraction(u D a_x, v M b_x) for w_b = u/v, p_x = a_x/b_x, p(E_b) = M/D."""
+    ps = check_prior(p)
     _check_shapes(p, e)
     if len(w.weights) != len(e.blocks):
         raise InputError(
@@ -122,9 +123,12 @@ def jc_apply(p: FiniteDistribution, e: Partition, w: BlockWeights) -> FiniteDist
         )
     out = [Fraction(0)] * len(p)
     for block, wb in zip(e.blocks, w.weights):
-        mass = exact_sum(p.value(i) for i in block)
+        nums, d = over_lcm([ps[i - 1] for i in block])
+        u, v = wb.as_integer_ratio()
+        scale, mass = u * d, v * sum(nums)
         for i in block:
-            out[i - 1] = wb * p.value(i) / mass
+            a, b = ps[i - 1]
+            out[i - 1] = Fraction(scale * a, mass * b)
     return FiniteDistribution(tuple(out))
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .distributions import Distribution, exact_sum, require_stored
+from .distributions import Distribution, exact_sum, over_lcm, require_stored
 from .errors import InputError
 
 @dataclass(frozen=True)
@@ -70,8 +70,11 @@ class DistanceInterval:
     upper: object
 
 
-def _seq_distance(us, vs, norm: Norm):
-    diffs = [abs(a - b) for a, b in zip(us, vs)]
+def _seq_distance(u: Distribution, v: Distribution, norm: Norm):
+    if norm.p == 1 and u.is_exact and v.is_exact:  # integer gaps over one denominator
+        nums, d = over_lcm(u.prefix_pairs(len(u)) + v.prefix_pairs(len(v)))
+        return Fraction(sum(abs(a - b) for a, b in zip(nums, nums[len(u):])), d)
+    diffs = [abs(a - b) for a, b in zip(u.prefix, v.prefix)]
     if norm.p is None:
         return max(diffs)
     if norm.p == 1:
@@ -85,7 +88,7 @@ def lp_distance(u: Distribution, v: Distribution, norm: Norm = L1):
     require_stored(u, v)
     if len(u) != len(v):
         raise InputError(f"lengths differ: {len(u)} vs {len(v)}")
-    lower = _seq_distance(u.prefix, v.prefix, norm)
+    lower = _seq_distance(u, v, norm)
     ut, vt = u.tail_mass, v.tail_mass
     if ut == 0 and vt == 0:
         return lower

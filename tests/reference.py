@@ -10,9 +10,10 @@ from typing import Sequence
 
 import numpy as np
 
-from bayesblind import delta_family
-from bayesblind.distributions import require_finite, require_positive_prefix
+from bayesblind import FiniteDistribution, delta_family
+from bayesblind.distributions import exact_sum, require_finite, require_positive_prefix
 from bayesblind.jeffrey import check_prior
+from bayesblind.metrics import DistanceInterval
 from bayesblind.sampler import (
     NEAR_COLLISION_RTOL,
     McReport,
@@ -105,6 +106,28 @@ def rigidity_by_masses(p, q, e) -> bool:
             if q.value(i) * p_mass != p.value(i) * q_mass:
                 return False
     return True
+
+
+def jc_apply(p, e, w):
+    """Jeffrey conditioning with Fraction arithmetic per entry: the block mass
+    summed, then q_x = w_b * p_x / mass, two reducing operations per entry."""
+    check_prior(p)
+    out = [Fraction(0)] * len(p)
+    for block, wb in zip(e.blocks, w.weights):
+        mass = exact_sum(p.value(i) for i in block)
+        for i in block:
+            out[i - 1] = wb * p.value(i) / mass
+    return FiniteDistribution(tuple(out))
+
+
+def l1_distance(u, v):
+    """The l1 distance from Fraction differences, one subtraction and abs per
+    entry, then the tails as ``lp_distance`` bounds them."""
+    lower = exact_sum([abs(a - b) for a, b in zip(u.prefix, v.prefix)])
+    ut, vt = u.tail_mass, v.tail_mass
+    if ut == 0 and vt == 0:
+        return lower
+    return DistanceInterval(lower, lower + ut + vt)
 
 
 def has_repeat(ratios) -> bool:

@@ -1,9 +1,11 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from bayesblind import (
+    L1,
     BlockWeights,
     FiniteDistribution,
     Partition,
@@ -11,7 +13,9 @@ from bayesblind import (
     collision_count,
     family_membership,
     geometric,
+    generate_blindspot_member,
     jc_apply,
+    lp_distance,
     membership_finite,
     membership_prefix,
     rigidity_holds,
@@ -19,7 +23,7 @@ from bayesblind import (
 )
 from bayesblind.blindspot import Verdict
 from bayesblind.construct import generate_raw_sequence
-from bayesblind.distributions import TruncatedDistribution
+from bayesblind.distributions import TruncatedDistribution, dist_from_json, dist_to_json
 from bayesblind.errors import InputError
 from helpers import finite_from_rationals, random_dist, random_positive_dist
 
@@ -189,14 +193,19 @@ class TestCollisionCount:
 def test_exact_scans_make_no_fraction_division(monkeypatch):
     """The ratio scans key positions by integer cross products of integer
     pairs, geometric prefixes included, and rigidity compares the same cross
-    products, so the rational mode checks ratios without dividing or
-    multiplying one Fraction."""
+    products; the generator normalises integer numerators, Jeffrey
+    conditioning and the exact l1 distance sum integers over one common
+    denominator, and plain "a/b" text parses as two ints.  So the rational
+    mode checks ratios without adding, subtracting, multiplying or dividing
+    one Fraction, and decodes JSON without parsing a Fraction from text."""
     rng = random.Random(24)
     p, q = random_positive_dist(rng, 12), random_dist(rng, 12)
     priors = [geometric(r) for r in (F(1, 2), F(2, 5), F(5, 7))]
     member = truncate(geometric(F(3, 8)), 24)
     e = Partition.of([[1, 2, 3], [4, 5], list(range(6, 13))])
+    w = BlockWeights((F(1, 2), F(0), F(1, 2)))
     moved = jc_apply(p, e, BlockWeights((F(1, 2), F(1, 3), F(1, 6))))
+    text = json.dumps(dist_to_json(q))
     calls = []
 
     def counted(name):
@@ -204,10 +213,19 @@ def test_exact_scans_make_no_fraction_division(monkeypatch):
         monkeypatch.setattr(Fraction, name,
                             lambda a, b: calls.append(name) or operation(a, b))
 
-    for name in ("__truediv__", "__rtruediv__", "__mul__", "__rmul__"):
+    def counted_new(cls, numerator=0, denominator=None, **kwargs):
+        if isinstance(numerator, str):
+            calls.append("parse")
+        return fraction_new(cls, numerator, denominator, **kwargs)
+
+    arithmetic = [f"__{r}{op}__" for op in ("add", "sub", "mul", "truediv") for r in ("", "r")]
+    for name in arithmetic:
         counted(name)
-    assert F(1, 2) / 2 * F(1, 3) == 2 * F(1, 24)  # the wrappers count
-    assert calls == ["__truediv__", "__mul__", "__rmul__"]
+    fraction_new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    half = F(1, 2)
+    half + 1, 1 + half, half - 1, 1 - half, half * 2, 2 * half, half / 2, 2 / half, F("1/2")
+    assert calls == arithmetic + ["parse"]  # the wrappers count
     calls.clear()
     membership_prefix(priors[0], member, 24)
     family_membership(priors, member, 24)
@@ -218,4 +236,8 @@ def test_exact_scans_make_no_fraction_division(monkeypatch):
     collision_count(priors[1], member, 24)
     assert rigidity_holds(p, moved, e) and not rigidity_holds(p, q, e)
     generate_raw_sequence(priors, 24, seed=3)
+    generate_blindspot_member(priors, 24, seed=3)
+    assert jc_apply(p, e, w).probs[3:5] == (0, 0)
+    assert lp_distance(p, q, L1) == lp_distance(q, p, L1) > 0
+    assert dist_from_json(json.loads(text)) == q
     assert calls == []

@@ -190,6 +190,24 @@ class TestDistCommands:
         code, out = run(capsys, "dist", "normalize", "--values", '["1","1","2"]')
         assert json.loads(out)["distribution"]["probs"] == ["1/4", "1/4", "1/2"]
 
+    @pytest.mark.parametrize("values, probs", [
+        ("[0.00001, 1]", ["1/100001", "100000/100001"]),
+        ("[1e+20, 1e-05, 1.5e-07]",
+         ["2000000000000000000000000000/2000000000000000000000000203",
+          "200/2000000000000000000000000203", "3/2000000000000000000000000203"]),
+    ])
+    def test_normalize_reads_exponent_floats_as_decimals(self, capsys, values, probs):
+        code, out = run(capsys, "dist", "normalize", "--values", values)
+        assert code == 0
+        assert json.loads(out)["distribution"]["probs"] == probs
+
+    def test_exponent_floats_keep_the_18_digit_rule(self, capsys):
+        code, out = run(capsys, "dist", "normalize", "--values", "[1e-18, 1]")
+        assert code == 0
+        assert json.loads(out)["distribution"]["probs"][0] == "1/1000000000000000001"
+        assert dispatch(["dist", "normalize", "--values", "[1e-19, 1]"]) == 2
+        assert "limited to 18 fractional digits: '0.0000000000000000001'" in capsys.readouterr().err
+
     def test_distance_exact(self, capsys):
         u = '{"kind":"finite","probs":["1","0","0"]}'
         v = '{"kind":"finite","probs":["0","1","0"]}'
@@ -314,6 +332,8 @@ def _exit_two_inputs():
         "prefix-string": ("bs", "test", "--prior", GEO_HALF, "--posterior",
                           '{"kind":"truncated","prefix":"01","tail_mass":"0"}', "--horizon", "2"),
         "values-string": ("dist", "normalize", "--values", '"12"'),
+        # a JSON float is the decimal it denotes, under the 18-digit rule
+        "values-exponent-beyond-18-digits": ("dist", "normalize", "--values", "[1e-19, 1]"),
         "weights-string": (*apply, "--partition", PARTITION, "--weights", '"01"'),
         # beta parameters must be positive and finite
         "montecarlo-beta-nan": (*montecarlo, "--seed", "1", "--horizon", "5",

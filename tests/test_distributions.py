@@ -17,6 +17,7 @@ from bayesblind import (
 )
 from bayesblind.distributions import (
     RatioIndex,
+    _ratio,
     dist_from_json,
     dist_to_json,
     exact_sum,
@@ -246,8 +247,8 @@ class TestRatioIndex:
     def test_incremental_membership(self):
         index = RatioIndex([F(1, 2), F(1, 3)])
         assert holds(index, (2, 4)) and not holds(index, (1, 4))
-        index.add((1, 3))
-        index.add((2, 4))
+        index.commit(*index.probe((1, 3)))
+        index.commit(*index.probe((2, 4)))
         assert index.first_collision == (1, 4)
         assert index.fibres() == [[1, 4], [2, 3]]
 
@@ -321,6 +322,50 @@ class TestRatioIndexMatchesDivisionOracle:
         assert holds(index, (1, 1), (2**3000, 1)) and not holds(index, (1, 2**2999))
 
 
+#: ratios at the edges of the float key: the smallest normal 2^-1022 and
+#: neighbours that round onto it, subnormal quotients and one that rounds to
+#: zero, the largest finite float with a neighbour that rounds onto it, and
+#: quotients whose rounding overflows
+KEY_BOUNDARY = [
+    F(1, 2**1022), F(2**60 - 1, 2**1082), F(2**60 + 1, 2**1082),
+    F(2**52 - 1, 2**1074), F(1, 2**1074), F(3, 2**1076), F(1, 2**1100),
+    F(2**1024 - 2**971), F(2**1024 - 2**970 - 1), F(2**1024 - 2**970), F(2**1024),
+    F(3 * 2**1100 + 1),
+]
+
+
+class TestRatioKeyBoundaries:
+    """The quotient key and its (exponent, mantissa) fallback on both sides of
+    the normal float range, against the Fraction-keyed oracle."""
+
+    @staticmethod
+    def positions(draws) -> tuple:
+        """Each ratio r as q = (a c k, b d) over p = (c k, d): q / p = a / b = r."""
+        qs = [(r.numerator * c * k, r.denominator * d) for r, c, d, k in draws]
+        return qs, [(c * k, d) for _, c, d, k in draws]
+
+    def test_key_branches(self):
+        floats = [type(_ratio(pair(r), (1, 1))[0]) is float for r in KEY_BOUNDARY]
+        assert floats == [True] * 3 + [False] * 4 + [True] * 2 + [False] * 3
+
+    def test_each_ratio_in_two_representations_shares_one_fibre(self):
+        n = len(KEY_BOUNDARY)
+        draws = [(r, 1, 1, 1) for r in KEY_BOUNDARY] + [(r, 3, 5, 7) for r in KEY_BOUNDARY]
+        index = RatioIndex.of(*self.positions(draws))
+        assert index.fibres() == [[i, i + n] for i in range(1, n + 1)]
+        assert index.first_collision == (1, n + 1)
+
+    @given(st.lists(st.tuples(st.sampled_from(KEY_BOUNDARY), st.integers(1, 9),
+                              st.integers(1, 9), st.integers(1, 9)), min_size=1, max_size=12))
+    def test_matches_the_fraction_keyed_oracle(self, draws):
+        index = RatioIndex.of(*self.positions(draws))
+        oracle = reference.RatioIndex(r for r, *_ in draws)
+        assert index.fibres() == oracle.fibres()
+        assert index.first_collision == oracle.first_collision
+        for r in KEY_BOUNDARY:
+            assert holds(index, (3 * r.numerator, 2 * r.denominator), (3, 2)) == (r in oracle)
+
+
 class TestExactSum:
     @staticmethod
     def assert_like_sum(values):
@@ -362,6 +407,32 @@ class TestRationalText:
     def test_format_roundtrip(self):
         for x in (F(1, 2), F(7), F(-3, 8)):
             assert parse_rational(format_rational(x)) == x
+
+    @staticmethod
+    def outcome(parse, text):
+        """The parsed value, or the type and message of what parsing raised."""
+        try:
+            return parse(text)
+        except Exception as exc:  # the exception is the outcome
+            return type(exc), str(exc)
+
+    #: digits, signs, separators and non-ASCII digits that Fraction's parser
+    #: treats each in its own way
+    CHARS = "0123456789/+-_ .e\u0661\u00b2"
+
+    @given(st.text(CHARS, max_size=8), st.text(CHARS, max_size=8))
+    def test_slashed_text_parses_as_fraction_does(self, left, right):
+        """Text with a slash: the plain ASCII a/b fast path and Fraction's own
+        parser accept and refuse the same strings, with the same messages."""
+        text = f"{left}/{right}"
+        assert self.outcome(parse_rational, text) == self.outcome(Fraction, text.strip())
+
+    @pytest.mark.parametrize("text", [
+        "1/0", "1/-2", "1/ 2", "+1/2", "1_0/3", "\u0661/\u0662", "\u00b2/3", " 06/04 ",
+        "1" * 5000 + "/3",
+    ])
+    def test_edge_texts_parse_as_fraction_does(self, text):
+        assert self.outcome(parse_rational, text) == self.outcome(Fraction, text.strip())
 
 
 class TestJson:

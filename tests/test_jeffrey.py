@@ -25,6 +25,7 @@ from helpers import (
     random_weights,
     refines,
 )
+import reference
 from reference import rigidity_by_masses
 
 F = Fraction
@@ -125,6 +126,23 @@ class TestJcApply:
     def test_weights_validated(self):
         with pytest.raises(InputError, match="block weights sum to"):
             BlockWeights((F(1, 2), F(1, 4)))
+
+    @given(st.data())
+    def test_matches_the_fraction_oracle(self, data):
+        """Random exact priors over mixed denominators, random partitions and
+        weights with zero-weight blocks: the integer build equals the
+        per-entry Fraction arithmetic it replaced, entry by entry."""
+        n = data.draw(st.integers(2, 9))
+        p = normalize([F(k, d) for k, d in data.draw(st.lists(
+            st.tuples(st.integers(1, 40), st.integers(1, 12)), min_size=n, max_size=n))])
+        labels = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        e = Partition.of([i + 1 for i in range(n) if labels[i] == k] for k in set(labels))
+        w = data.draw(st.lists(st.integers(0, 5), min_size=len(e.blocks),
+                               max_size=len(e.blocks)).filter(any))
+        weights = BlockWeights(tuple(F(m, sum(w)) for m in w))
+        got, expected = jc_apply(p, e, weights), reference.jc_apply(p, e, weights)
+        assert got.probs == expected.probs
+        assert all(type(v) is Fraction for v in got.probs)
 
 
 class TestRigidity:

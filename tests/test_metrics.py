@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bayesblind import L1, L2, LINF, Norm, bounded_metric, geometric, lp_distance, truncate
 from bayesblind.metrics import DistanceInterval, l1_upper_bound, parse_norm
+from bayesblind import FiniteDistribution, TruncatedDistribution
 from bayesblind.errors import InputError
 from helpers import finite_from_rationals, random_dist
+import reference
 
 F = Fraction
 
@@ -121,3 +124,32 @@ def test_l1_upper_bound_scalar_and_interval():
     u = truncate(geometric(F(1, 2)), 8)
     v = truncate(geometric(F(1, 3)), 8)
     assert l1_upper_bound(u, v) == lp_distance(u, v, L1).upper
+
+
+#: nonnegative entries over mixed denominators, some of them floats
+exact_entries = st.builds(F, st.integers(0, 30), st.integers(1, 16))
+entries = st.one_of(exact_entries, exact_entries.map(float))
+
+
+@given(st.data())
+def test_l1_matches_the_fraction_oracle(data):
+    """L1 over one common denominator equals the per-entry Fraction
+    differences it replaced, in value and type, for finite and truncated
+    pairs, exact or with float entries (which keep the float path)."""
+    n = data.draw(st.integers(2, 10))
+    values = st.lists(data.draw(st.sampled_from([exact_entries, entries])),
+                      min_size=n + 1, max_size=n + 1).filter(lambda vs: any(vs[:n]))
+
+    def draw():
+        vs = data.draw(values)[:n + truncated]  # the last entry weighs the tail
+        probs = tuple(v / sum(vs) for v in vs)
+        return TruncatedDistribution(probs[:n], probs[n]) if truncated \
+            else FiniteDistribution(probs)
+
+    truncated = data.draw(st.booleans())
+    u, v = draw(), draw()
+    got, expected = lp_distance(u, v, L1), reference.l1_distance(u, v)
+    assert type(got) is type(expected)
+    if isinstance(got, DistanceInterval):
+        got, expected = (got.lower, got.upper), (expected.lower, expected.upper)
+    assert got == expected
