@@ -2,8 +2,11 @@
 
 Rational mode (``fractions.Fraction`` entries) is canonical.  Float entries
 are validated to ``FLOAT_TOL``; ratios compare them as the exact dyadic
-rationals they store.  Indices are 1-based in all public reporting (witness
-pairs, partition blocks, JSON), 0-based internally.
+rationals they store.  Exact work on a prefix runs on integer (numerator,
+denominator) pairs: ratios compare by cross products and sums go over one
+common denominator (``over_lcm``), so only output entries become Fractions.
+Indices are 1-based in all public reporting (witness pairs, partition
+blocks, JSON), 0-based internally.
 """
 
 from __future__ import annotations

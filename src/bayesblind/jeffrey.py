@@ -3,8 +3,10 @@
 Partitions carry 1-based indices and are kept in canonical form: indices
 ascending within a block, blocks ordered by smallest element.  Rigidity and
 brute-force accessibility compare the ratios q_x / p_x by integer cross
-products, built once per call.  Brute force enumerates all set partitions in
-restricted-growth-string lexicographic order, which fixes witness selection.
+products, built once per call; ``jc_apply`` sums each block's prior pairs
+over their lcm and builds each posterior entry as one Fraction.  Brute force
+enumerates all set partitions in restricted-growth-string lexicographic
+order, which fixes witness selection.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 Distances involving truncated distributions are reported as an interval
 [lower, upper]: the lower end uses prefix coordinates only, the upper end
 adds a bound on the unseen tail difference.  An upper end below a target
-certifies a distance claim despite truncation.
+certifies a distance claim despite truncation.  An exact l1 distance sums
+the integer gaps over one common denominator and reduces once.
 """
 
 from __future__ import annotations

@@ -206,7 +206,8 @@ class TestDistCommands:
         assert code == 0
         assert json.loads(out)["distribution"]["probs"][0] == "1/1000000000000000001"
         assert dispatch(["dist", "normalize", "--values", "[1e-19, 1]"]) == 2
-        assert "limited to 18 fractional digits: '0.0000000000000000001'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "limited to 18 fractional digits: '0.0000000000000000001'" in err
 
     def test_distance_exact(self, capsys):
         u = '{"kind":"finite","probs":["1","0","0"]}'
