@@ -56,9 +56,8 @@ class Verdict:
 
 
 def _scans(priors: Sequence[Distribution], q: Distribution, n: int | None) -> Iterator:
-    """The ratio index of the first n coordinates under each prior in turn;
-    all of them, on finite inputs of one length, when n is None.  q's pairs
-    are read once, after the first prior's guards."""
+    """Ratio indices of the first n coordinates (all of them, for finite inputs
+    of one length, if n is None) under each prior; q's pairs are read once."""
     qs = ()
     for p in priors:
         m = require_finite(p, q) if n is None else n

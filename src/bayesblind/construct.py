@@ -67,9 +67,7 @@ def generate_blindspot_member(
     priors: Sequence[Distribution], n: int, seed: int
 ) -> TruncatedDistribution:
     """Prefix-normalized m sequence: a blind-spot member at horizon n for
-    every prior in the family (normalization preserves ratio distinctness).
-    With the m_i as integers k_i over one common denominator, m_i / sum(m)
-    is k_i / sum(k), one reduction each."""
+    every prior in the family (normalization preserves ratio distinctness)."""
     ks, _ = over_lcm([m.as_integer_ratio() for m in generate_raw_sequence(priors, n, seed)])
     total = sum(ks)
     return TruncatedDistribution(tuple(Fraction(k, total) for k in ks), Fraction(0))

@@ -2,11 +2,9 @@
 
 Rational mode (``fractions.Fraction`` entries) is canonical.  Float entries
 are validated to ``FLOAT_TOL``; ratios compare them as the exact dyadic
-rationals they store.  Exact work on a prefix runs on integer (numerator,
-denominator) pairs: ratios compare by cross products and sums go over one
-common denominator (``over_lcm``), so only output entries become Fractions.
-Indices are 1-based in all public reporting (witness pairs, partition
-blocks, JSON), 0-based internally.
+rationals they store.  Exact prefixes are worked on as integer pairs: ratios
+by cross products, sums over one lcm (``over_lcm``).  Indices are 1-based in
+public reporting (witness pairs, partition blocks, JSON), 0-based internally.
 """
 
 from __future__ import annotations
@@ -28,9 +26,8 @@ def parse_rational(text: str) -> Fraction:
     """Parse "a/b", integer, or decimal (at most 18 fractional digits) exactly."""
     s = text.strip()
     a, slash, b = s.partition("/")
-    if slash:  # a plain ASCII "a/b" skips Fraction's string parser
-        return Fraction(int(a), int(b)) if s.isascii() and a.isdigit() and b.isdigit() \
-            else Fraction(s)
+    if slash:  # plain digits "a/b" skip Fraction's string parser
+        return Fraction(int(a), int(b)) if a.isdecimal() and b.isdecimal() else Fraction(s)
     if "." in s:
         digits = len(s.split(".", 1)[1])
         if digits > 18:
@@ -66,8 +63,8 @@ def exact_sum(values: Iterable[Number]) -> Number:
     values = tuple(values)
     if not values or not _is_exact(values):
         return sum(values)
-    nums, d = over_lcm([v.as_integer_ratio() for v in values])
-    return Fraction(sum(nums), d)
+    d = math.lcm(*(v.denominator for v in values))
+    return Fraction(sum(v.numerator * (d // v.denominator) for v in values), d)
 
 
 def _check_entries(values: Sequence[Number]) -> None:
@@ -199,10 +196,9 @@ Distribution = Union[FiniteDistribution, TruncatedDistribution, Geometric]
 
 def _ratio(q: tuple, p: tuple) -> tuple:
     """(key, x, y): the unreduced integer cross products x = a*d, y = b*c of
-    the integer pairs q = (a, b) and p = (c, d).  The key is the correctly
-    rounded x / y if it is a normal float or zero, else its (exponent,
-    mantissa), so it depends on the ratio only, not on its representation.  A
-    non-finite q = (v, 0) keys as v itself."""
+    the integer pairs q = (a, b) and p = (c, d).  The key, shared by every
+    representation of a ratio, is the correctly rounded x / y if that is a normal
+    float or zero, else its (exponent, mantissa).  A non-finite q = (v, 0) keys as v."""
     (a, b), (c, d) = q, p
     if not b:
         return a, 1, 0
@@ -218,11 +214,11 @@ def _ratio(q: tuple, p: tuple) -> tuple:
 
 
 class RatioIndex:
-    """Positions 1, 2, ... grouped by exact ratio q_i / p_i, built in one pass
-    from integer pairs q_i = (a, b), p_i = (c, d) or grown one at a time; the
-    constructor takes numbers, such as a sampler row.  Keys from ``_ratio``
-    only find candidates: (x, y) joins a fibre only if x * y' == y * x'.  Each
-    fibre is a block of the coarsest witness partition."""
+    """Positions 1, 2, ... grouped by exact ratio q_i / p_i, grown one at a
+    time from integer pairs q_i = (a, b), p_i = (c, d); the constructor takes
+    numbers, such as a sampler row.  Keys from ``_ratio`` only find candidates:
+    (x, y) joins a fibre only if x * y' == y * x'.  Each fibre is a block of
+    the coarsest witness partition."""
 
     def __init__(self, ratios: Iterable = ()):
         self._buckets: dict = {}  # key -> [(x, y, fibre)]
@@ -235,18 +231,8 @@ class RatioIndex:
     def of(cls, qs: Iterable[tuple], ps: Iterable[tuple]) -> "RatioIndex":
         """Index of the ratios of the pairs qs[i] over ps[i]; ps strictly positive."""
         index = cls()
-        buckets, fibres = index._buckets, index._fibres
-        for i, (q, p) in enumerate(zip(qs, ps), start=1):
-            key, x, y = _ratio(q, p)
-            bucket = buckets.setdefault(key, [])
-            for fx, fy, fibre in bucket:
-                if x * fy == y * fx:
-                    break
-            else:
-                bucket.append((x, y, fibre := []))
-                fibres.append(fibre)
-            fibre.append(i)
-        index._size = sum(map(len, fibres))
+        for q, p in zip(qs, ps):
+            index.commit(*index.probe(q, p))
         return index
 
     def probe(self, q: tuple, p: tuple = (1, 1)) -> tuple:
@@ -261,8 +247,7 @@ class RatioIndex:
         """Add the next position from its ``probe``, computed once."""
         if fibre is None:
             key, x, y = position
-            fibre = []
-            self._buckets.setdefault(key, []).append((x, y, fibre))
+            self._buckets.setdefault(key, []).append((x, y, fibre := []))
             self._fibres.append(fibre)
         self._size += 1
         fibre.append(self._size)

@@ -2,11 +2,9 @@
 
 Partitions carry 1-based indices and are kept in canonical form: indices
 ascending within a block, blocks ordered by smallest element.  Rigidity and
-brute-force accessibility compare the ratios q_x / p_x by integer cross
-products, built once per call; ``jc_apply`` sums each block's prior pairs
-over their lcm and builds each posterior entry as one Fraction.  Brute force
-enumerates all set partitions in restricted-growth-string lexicographic
-order, which fixes witness selection.
+brute force compare ratios q_x / p_x by integer cross products built once per
+call; ``jc_apply`` sums block masses over an lcm.  Brute force enumerates all
+set partitions in restricted-growth-string lexicographic order, which fixes witnesses.
 """
 
 from __future__ import annotations
@@ -115,8 +113,7 @@ def _check_shapes(p: FiniteDistribution, e: Partition) -> None:
 
 
 def jc_apply(p: FiniteDistribution, e: Partition, w: BlockWeights) -> FiniteDistribution:
-    """Jeffrey conditioning: q_x = w_b * p_x / p(E_b) for x in block E_b, built
-    as Fraction(u D a_x, v M b_x) for w_b = u/v, p_x = a_x/b_x, p(E_b) = M/D."""
+    """Jeffrey conditioning: q_x = w_b * p_x / p(E_b) for x in block E_b."""
     ps = check_prior(p)
     _check_shapes(p, e)
     if len(w.weights) != len(e.blocks):
@@ -125,12 +122,10 @@ def jc_apply(p: FiniteDistribution, e: Partition, w: BlockWeights) -> FiniteDist
         )
     out = [Fraction(0)] * len(p)
     for block, wb in zip(e.blocks, w.weights):
-        nums, d = over_lcm([ps[i - 1] for i in block])
-        u, v = wb.as_integer_ratio()
-        scale, mass = u * d, v * sum(nums)
-        for i in block:
-            a, b = ps[i - 1]
-            out[i - 1] = Fraction(scale * a, mass * b)
+        nums, _ = over_lcm([ps[i - 1] for i in block])
+        (u, v), total = wb.as_integer_ratio(), sum(nums)
+        for i, k in zip(block, nums):  # p_x / p(E_b) = k / total
+            out[i - 1] = Fraction(u * k, v * total)
     return FiniteDistribution(tuple(out))
 
 

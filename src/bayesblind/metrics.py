@@ -3,8 +3,7 @@
 Distances involving truncated distributions are reported as an interval
 [lower, upper]: the lower end uses prefix coordinates only, the upper end
 adds a bound on the unseen tail difference.  An upper end below a target
-certifies a distance claim despite truncation.  An exact l1 distance sums
-the integer gaps over one common denominator and reduces once.
+certifies a distance claim despite truncation.  Exact l1 gaps sum over one lcm.
 """
 
 from __future__ import annotations
