@@ -22,6 +22,7 @@ from .distributions import (
     FiniteDistribution,
     RatioIndex,
     require_finite,
+    require_horizon,
     require_positive_prefix,
 )
 from .errors import InputError
@@ -58,6 +59,8 @@ class Verdict:
 def _scans(priors: Sequence[Distribution], q: Distribution, n: int | None) -> Iterator:
     """Ratio indices of the first n coordinates (all of them, for finite inputs
     of one length, if n is None) under each prior; q's pairs are read once."""
+    if n is not None:
+        require_horizon(n, *priors, q)
     qs = ()
     for p in priors:
         m = require_finite(p, q) if n is None else n

@@ -18,9 +18,11 @@ from .distributions import (
     RatioIndex,
     TruncatedDistribution,
     exact_sum,
-    over_lcm,
+    l1_gap,
+    require_horizon,
     require_positive_prefix,
     require_stored,
+    shares,
 )
 from .errors import HorizonInsufficient, InputError
 
@@ -46,6 +48,7 @@ def generate_raw_sequence(
         raise InputError("prior family must be nonempty")
     if n < 2:
         raise InputError("horizon must be at least 2")
+    require_horizon(n, *priors)
     prefixes = [require_positive_prefix(p, n) for p in priors]
     rng = random.Random(seed)
     ms = [Fraction(1, 2)]
@@ -68,9 +71,8 @@ def generate_blindspot_member(
 ) -> TruncatedDistribution:
     """Prefix-normalized m sequence: a blind-spot member at horizon n for
     every prior in the family (normalization preserves ratio distinctness)."""
-    ks, _ = over_lcm([m.as_integer_ratio() for m in generate_raw_sequence(priors, n, seed)])
-    total = sum(ks)
-    return TruncatedDistribution(tuple(Fraction(k, total) for k in ks), Fraction(0))
+    ms = generate_raw_sequence(priors, n, seed)
+    return TruncatedDistribution(shares([m.as_integer_ratio() for m in ms]), Fraction(0))
 
 
 def _require_exact(q: Distribution, what: str) -> None:
@@ -144,8 +146,8 @@ def densify(p: Distribution, q_target: Distribution, eps: Fraction) -> DensifyRe
 
     Coordinate rule: keep q_n when its ratio is new; otherwise nudge up by
     the largest power-of-two fraction of eps below eps / 2^(n+1) whose ratio
-    is unused (halving further on the rare repeat).  The nudged vector is
-    then normalized by its total mass.  The rule is deterministic.
+    is unused (halving further on the rare repeat); the rule is deterministic.
+    The nudged vector is normalized, and its l1 gap summed, over one lcm.
 
     Two bounds hold by construction and are not checked: a nudge at index
     i + 1 is eps / 2^s with s >= i + 3, below eps / 2^(i+1); and the total is
@@ -159,21 +161,19 @@ def densify(p: Distribution, q_target: Distribution, eps: Fraction) -> DensifyRe
     n = len(q_target)
     pv = require_positive_prefix(p, n)
     qv, qs = q_target.prefix, q_target.prefix_pairs(n)
-    rs = [qv[0]]
+    rs = [qs[0]]
     seen = RatioIndex.of(qs[:1], pv)
     for i in range(1, n):
-        value, shift = qv[i], i + 3  # nudges from eps / 2^(i+3) < eps / 2^(n+1), n = i+1
-        probe = seen.probe(qs[i], pv[i])
+        pair, shift = qs[i], i + 3  # nudges from eps / 2^(i+3) < eps / 2^(n+1), n = i+1
+        probe = seen.probe(pair, pv[i])
         while probe[1] is not None:
-            value = qv[i] + eps / (1 << shift)
+            pair = (qv[i] + eps / (1 << shift)).as_integer_ratio()
             shift += 1
-            probe = seen.probe(value.as_integer_ratio(), pv[i])
-        rs.append(value)
+            probe = seen.probe(pair, pv[i])
+        rs.append(pair)
         seen.commit(*probe)
-    total = exact_sum(rs)
-    out = TruncatedDistribution(tuple(r / total for r in rs), Fraction(0))
-    prefix_dist = exact_sum(abs(a - b) for a, b in zip(out.prefix, qv))
-    upper = prefix_dist + q_target.tail_after(n)
+    out = TruncatedDistribution(shares(rs), Fraction(0))
+    upper = l1_gap(out.prefix_pairs(n), qs) + q_target.tail_mass
     if upper >= 4 * eps:
         raise HorizonInsufficient(
             f"cannot certify the 4*eps bound: upper {upper} vs {4 * eps}"
@@ -242,12 +242,12 @@ def _collide(q, pv, targets, budget, bound, bound_name) -> CollisionMoveResult:
     """Collision moves at the sorted ``targets``, each dumping into the next
     coordinate, with their exact total l1 cost certified below ``bound``."""
     work = list(q.prefix)
-    branches = set()
-    total = Fraction(0)
+    branches, costs = set(), []
     for t in targets:
         branch, cost = _collision_move(work, q.prefix, pv, t, budget)
         branches.add(branch)
-        total += cost
+        costs.append(cost)
+    total = exact_sum(costs)
     if total >= bound:
         raise HorizonInsufficient(f"cannot certify the {bound_name} bound: cost {total}")
     return CollisionMoveResult(

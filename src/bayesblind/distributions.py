@@ -1,16 +1,18 @@
 """Exact and truncated probability distributions on countable index sets.
 
-Rational mode (``fractions.Fraction`` entries) is canonical.  Float entries
-are validated to ``FLOAT_TOL``; ratios compare them as the exact dyadic
-rationals they store.  Exact prefixes are worked on as integer pairs: ratios
-by cross products, sums over one lcm (``over_lcm``).  Indices are 1-based in
-public reporting (witness pairs, partition blocks, JSON), 0-based internally.
+Rational mode (``fractions.Fraction`` entries) is canonical; a stored
+distribution's mode is decided once, at validation.  Float entries are
+validated to ``FLOAT_TOL``; ratios compare them as the exact dyadic rationals
+they store.  Exact prefixes are worked on as integer pairs: ratios by cross
+products, sums, shares and l1 gaps over one lcm (``over_lcm``).  Indices are
+1-based in public reporting (witness pairs, partition blocks, JSON), 0-based
+internally.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -37,9 +39,7 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return str(x)  # "a/b", or "a" when the denominator is 1
 
 
 def _encode(x: Number):
@@ -56,15 +56,28 @@ def over_lcm(pairs: Sequence[tuple]) -> tuple:
     return [a * (d // b) for a, b in pairs], d
 
 
+def shares(pairs: Sequence[tuple], u: int = 1, v: int = 1) -> tuple:
+    """Each pair's share of their nonzero total, times u/v: ``Fraction(u·k_i, v·Σk)``."""
+    ks, _ = over_lcm(pairs)
+    total = v * sum(ks)
+    return tuple(Fraction(u * k, total) for k in ks)
+
+
+def l1_gap(us: tuple, vs: tuple) -> Fraction:
+    """Σ|u_i − v_i| of two equally long tuples of integer pairs, reduced once."""
+    nums, d = over_lcm(us + vs)
+    return Fraction(sum(abs(a - b) for a, b in zip(nums, nums[len(us):])), d)
+
+
 def exact_sum(values: Iterable[Number]) -> Number:
     """``sum(values)`` in value and type.  When every value is a Fraction the
-    numerators are added over the lcm of the denominators and reduced once,
-    not once per addition; otherwise builtin ``sum`` runs in the same order."""
+    numerators are added over the lcm (``over_lcm``) and reduced once, not
+    once per addition; otherwise builtin ``sum`` runs in the same order."""
     values = tuple(values)
     if not values or not _is_exact(values):
         return sum(values)
-    d = math.lcm(*(v.denominator for v in values))
-    return Fraction(sum(v.numerator * (d // v.denominator) for v in values), d)
+    nums, d = over_lcm([v.as_integer_ratio() for v in values])
+    return Fraction(sum(nums), d)
 
 
 def _check_entries(values: Sequence[Number]) -> None:
@@ -79,13 +92,16 @@ class StoredDistribution:
     """The view shared by the finite and truncated kinds: a stored prefix
     plus the tail mass beyond it (zero for a finite vector)."""
 
+    is_exact: bool  # every entry and the tail mass a Fraction; set by _validate
+
     def _validate(self) -> None:
         if len(self.prefix) < 2:
             raise InputError("a distribution needs at least 2 components")
         values = self.prefix + (self.tail_mass,)
         _check_entries(values)
+        object.__setattr__(self, "is_exact", _is_exact(values))
         total = exact_sum(values)
-        if _is_exact(values):
+        if self.is_exact:
             if total != 1:
                 raise InputError(f"entries sum to {total}, not 1")
         elif abs(total - 1.0) > FLOAT_TOL:
@@ -94,21 +110,13 @@ class StoredDistribution:
     def __len__(self) -> int:
         return len(self.prefix)
 
-    @property
-    def is_exact(self) -> bool:
-        return _is_exact(self.prefix) and isinstance(self.tail_mass, Fraction)
-
     def value(self, i: int) -> Number:
         """1-based component access."""
         return self.prefix[i - 1]
 
-    def _check_horizon(self, n: int) -> None:
-        if n > len(self):
-            raise InputError(f"horizon {n} exceeds available prefix length {len(self)}")
-
     def prefix_values(self, n: int) -> tuple:
         """Components 1..n."""
-        self._check_horizon(n)
+        require_horizon(n, self)
         return self.prefix[:n]
 
     def prefix_pairs(self, n: int) -> tuple:
@@ -117,7 +125,7 @@ class StoredDistribution:
 
     def tail_after(self, n: int) -> Number:
         """Mass beyond index n: stored components after n plus the tail mass."""
-        self._check_horizon(n)
+        require_horizon(n, self)
         return exact_sum(self.prefix[n:] + (self.tail_mass,))
 
 
@@ -126,18 +134,14 @@ class FiniteDistribution(StoredDistribution):
     """Probability vector on a finite index set; exact in rational mode."""
 
     probs: tuple
+    prefix: tuple = field(init=False, repr=False, compare=False)
+    tail_mass: Number = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "probs", tuple(self.probs))
+        object.__setattr__(self, "prefix", self.probs)
+        object.__setattr__(self, "tail_mass", Fraction(0) if _is_exact(self.probs) else 0.0)
         self._validate()
-
-    @property
-    def prefix(self) -> tuple:
-        return self.probs
-
-    @property
-    def tail_mass(self) -> Number:
-        return Fraction(0) if _is_exact(self.probs) else 0.0
 
 
 @dataclass(frozen=True)
@@ -157,16 +161,13 @@ class Geometric:
     """Strictly positive parametric family p_i = (1-r) * r^(i-1), i >= 1."""
 
     ratio: Fraction
+    is_exact = True  # a class constant, not a field
 
     def __post_init__(self):
         if not isinstance(self.ratio, Fraction):
             object.__setattr__(self, "ratio", Fraction(self.ratio))
         if not (0 < self.ratio < 1):
             raise InputError(f"geometric ratio must lie in (0, 1), got {self.ratio}")
-
-    @property
-    def is_exact(self) -> bool:
-        return True
 
     def value(self, i: int) -> Fraction:
         return (1 - self.ratio) * self.ratio ** (i - 1)
@@ -265,10 +266,9 @@ class RatioIndex:
 def normalize(values: Iterable[Fraction]) -> FiniteDistribution:
     vals = tuple(Fraction(v) for v in values)
     _check_entries(vals)
-    total = exact_sum(vals)
-    if total == 0:
+    if not any(vals):
         raise InputError("cannot normalize the zero vector")
-    return FiniteDistribution(tuple(v / total for v in vals))
+    return FiniteDistribution(shares([v.as_integer_ratio() for v in vals]))
 
 
 def truncate(d: Geometric, n: int) -> TruncatedDistribution:
@@ -293,6 +293,13 @@ def require_finite(*ds: Distribution) -> int:
     if len({len(d) for d in ds}) > 1:
         raise InputError("lengths differ: " + " vs ".join(str(len(d)) for d in ds))
     return len(ds[0])
+
+
+def require_horizon(n: int, *ds: Distribution) -> None:
+    """Guard run before any prefix is built: n is within every stored prefix."""
+    for d in ds:
+        if isinstance(d, StoredDistribution) and n > len(d):
+            raise InputError(f"horizon {n} exceeds available prefix length {len(d)}")
 
 
 def require_positive_prefix(d: Distribution, n: int) -> tuple:

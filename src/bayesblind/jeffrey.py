@@ -3,7 +3,7 @@
 Partitions carry 1-based indices and are kept in canonical form: indices
 ascending within a block, blocks ordered by smallest element.  Rigidity and
 brute force compare ratios q_x / p_x by integer cross products built once per
-call; ``jc_apply`` sums block masses over an lcm.  Brute force enumerates all
+call; ``jc_apply`` weights each block's prior ``shares``.  Brute force enumerates all
 set partitions in restricted-growth-string lexicographic order, which fixes witnesses.
 """
 
@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
 from .distributions import (
-    FiniteDistribution, RatioIndex, over_lcm, require_finite, require_positive_prefix,
+    FiniteDistribution, RatioIndex, exact_sum, require_finite, require_positive_prefix, shares,
 )
 from .errors import InputError
 
@@ -73,8 +73,8 @@ class BlockWeights:
         for w in self.weights:
             if w < 0:
                 raise InputError(f"negative block weight {w}")
-        if sum(self.weights) != 1:
-            raise InputError(f"block weights sum to {sum(self.weights)}, not 1")
+        if (total := exact_sum(self.weights)) != 1:
+            raise InputError(f"block weights sum to {total}, not 1")
 
 
 def partitions(n: int) -> Iterator[Partition]:
@@ -121,11 +121,9 @@ def jc_apply(p: FiniteDistribution, e: Partition, w: BlockWeights) -> FiniteDist
             f"{len(w.weights)} weights for {len(e.blocks)} blocks"
         )
     out = [Fraction(0)] * len(p)
-    for block, wb in zip(e.blocks, w.weights):
-        nums, _ = over_lcm([ps[i - 1] for i in block])
-        (u, v), total = wb.as_integer_ratio(), sum(nums)
-        for i, k in zip(block, nums):  # p_x / p(E_b) = k / total
-            out[i - 1] = Fraction(u * k, v * total)
+    for block, wb in zip(e.blocks, w.weights):  # w_b * p_x / p(E_b) for x in E_b
+        for i, x in zip(block, shares([ps[i - 1] for i in block], *wb.as_integer_ratio())):
+            out[i - 1] = x
     return FiniteDistribution(tuple(out))
 
 

@@ -3,7 +3,8 @@
 Distances involving truncated distributions are reported as an interval
 [lower, upper]: the lower end uses prefix coordinates only, the upper end
 adds a bound on the unseen tail difference.  An upper end below a target
-certifies a distance claim despite truncation.  Exact l1 gaps sum over one lcm.
+certifies a distance claim despite truncation.  An exact l1 distance is the
+integer gap sum over one lcm, ``distributions.l1_gap``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .distributions import Distribution, exact_sum, over_lcm, require_stored
+from .distributions import Distribution, exact_sum, l1_gap, parse_rational, require_stored
 from .errors import InputError
 
 @dataclass(frozen=True)
@@ -33,31 +34,21 @@ class Norm:
         return self.p is None or self.p == 1
 
     def __str__(self) -> str:
-        if self.p is None:
-            return "linf"
-        if self.p == 1:
-            return "l1"
-        if self.p == 2:
-            return "l2"
-        return f"lp:{self.p}"
+        return next((name for name, norm in NAMED.items() if norm == self), f"lp:{self.p}")
 
 
 L1 = Norm(Fraction(1))
 L2 = Norm(Fraction(2))
 LINF = Norm(None)
+#: the norms with a name of their own, as ``parse_norm`` reads and ``str`` writes them
+NAMED = {"l1": L1, "l2": L2, "linf": LINF}
 
 
 def parse_norm(text: str) -> Norm:
     s = text.strip().lower()
-    if s == "l1":
-        return L1
-    if s == "l2":
-        return L2
-    if s == "linf":
-        return LINF
+    if s in NAMED:
+        return NAMED[s]
     if s.startswith("lp:"):
-        from .distributions import parse_rational
-
         return Norm(parse_rational(s[3:]))
     raise InputError(f"unknown norm {text!r}; expected l1|l2|linf|lp:<p>")
 
@@ -71,9 +62,8 @@ class DistanceInterval:
 
 
 def _seq_distance(u: Distribution, v: Distribution, norm: Norm):
-    if norm.p == 1 and u.is_exact and v.is_exact:  # integer gaps over one denominator
-        nums, d = over_lcm(u.prefix_pairs(len(u)) + v.prefix_pairs(len(v)))
-        return Fraction(sum(abs(a - b) for a, b in zip(nums, nums[len(u):])), d)
+    if norm.p == 1 and u.is_exact and v.is_exact:
+        return l1_gap(u.prefix_pairs(len(u)), v.prefix_pairs(len(v)))
     diffs = [abs(a - b) for a, b in zip(u.prefix, v.prefix)]
     if norm.p is None:
         return max(diffs)

@@ -11,7 +11,10 @@ from typing import Sequence
 import numpy as np
 
 from bayesblind import FiniteDistribution, delta_family
-from bayesblind.distributions import exact_sum, require_finite, require_positive_prefix
+from bayesblind.distributions import (
+    _check_entries, exact_sum, require_finite, require_positive_prefix,
+)
+from bayesblind.errors import InputError
 from bayesblind.jeffrey import check_prior
 from bayesblind.metrics import DistanceInterval
 from bayesblind.sampler import (
@@ -106,6 +109,17 @@ def rigidity_by_masses(p, q, e) -> bool:
             if q.value(i) * p_mass != p.value(i) * q_mass:
                 return False
     return True
+
+
+def normalize(values):
+    """The normalisation by Fraction division: the total by ``exact_sum``, then
+    one reducing division per entry."""
+    vals = tuple(Fraction(v) for v in values)
+    _check_entries(vals)
+    total = exact_sum(vals)
+    if total == 0:
+        raise InputError("cannot normalize the zero vector")
+    return FiniteDistribution(tuple(v / total for v in vals))
 
 
 def jc_apply(p, e, w):

@@ -8,9 +8,11 @@ from bayesblind import (
     L1,
     BlockWeights,
     FiniteDistribution,
+    Geometric,
     Partition,
     coarsest_partition,
     collision_count,
+    densify,
     family_membership,
     geometric,
     generate_blindspot_member,
@@ -18,6 +20,7 @@ from bayesblind import (
     lp_distance,
     membership_finite,
     membership_prefix,
+    normalize,
     rigidity_holds,
     truncate,
 )
@@ -193,11 +196,13 @@ class TestCollisionCount:
 def test_exact_scans_make_no_fraction_division(monkeypatch):
     """The ratio scans key positions by integer cross products of integer
     pairs, geometric prefixes included, and rigidity compares the same cross
-    products; the generator normalises integer numerators, Jeffrey
-    conditioning and the exact l1 distance sum integers over one common
-    denominator, and plain "a/b" text parses as two ints.  So the rational
-    mode checks ratios without adding, subtracting, multiplying or dividing
-    one Fraction, and decodes JSON without parsing a Fraction from text."""
+    products; the generator, ``normalize`` and Jeffrey conditioning take
+    shares, and the exact l1 distance and block weights sum integers, over one
+    common denominator, and plain "a/b" text parses as two ints.  So the
+    rational mode checks ratios without adding, subtracting, multiplying or
+    dividing one Fraction, and decodes JSON without parsing a Fraction from
+    text.  ``densify`` on a target whose ratios are already distinct nudges
+    nothing, so it neither divides nor subtracts a Fraction."""
     rng = random.Random(24)
     p, q = random_positive_dist(rng, 12), random_dist(rng, 12)
     priors = [geometric(r) for r in (F(1, 2), F(2, 5), F(5, 7))]
@@ -240,4 +245,34 @@ def test_exact_scans_make_no_fraction_division(monkeypatch):
     assert jc_apply(p, e, w).probs[3:5] == (0, 0)
     assert lp_distance(p, q, L1) == lp_distance(q, p, L1) > 0
     assert dist_from_json(json.loads(text)) == q
+    assert normalize([F(0), F(3, 8), F(1, 6), F(2)]).probs[0] == 0
+    assert BlockWeights((F(1, 2), F(0), F(1, 3), F(1, 6))).weights[1] == 0
     assert calls == []
+    target = generate_blindspot_member(priors, 24, seed=3)
+    calls.clear()
+    result = densify(priors[0], target, F(1, 2 ** 20))
+    assert result.distribution == target and result.l1_upper == 0  # nothing was nudged
+    assert [c for c in calls if "sub" in c or "truediv" in c] == []
+
+
+class TestOverlongHorizon:
+    """A horizon beyond a stored prefix is refused before any prefix is
+    built, whichever side the stored input is on."""
+
+    SHORT = TruncatedDistribution((F(1, 4), F(1, 8), F(1, 4), F(1, 8)), F(1, 4))
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda g, h, s: membership_prefix(g, s, 10 ** 6), id="geometric-prior"),
+        pytest.param(lambda g, h, s: membership_prefix(s, g, 10 ** 6), id="stored-prior"),
+        pytest.param(lambda g, h, s: family_membership([g, h], s, 10 ** 6), id="family"),
+        pytest.param(lambda g, h, s: collision_count(g, s, 10 ** 6), id="collision-count"),
+        pytest.param(lambda g, h, s: generate_raw_sequence([g, s], 10 ** 6, 1), id="generator"),
+    ])
+    def test_no_geometric_prefix_is_built(self, monkeypatch, call):
+        def refuse(self, n):
+            raise AssertionError(f"a geometric prefix of length {n} was built")
+
+        monkeypatch.setattr(Geometric, "prefix_pairs", refuse)
+        message = r"^horizon 1000000 exceeds available prefix length 4$"
+        with pytest.raises(InputError, match=message):
+            call(geometric(F(1, 3)), geometric(F(1, 2)), self.SHORT)

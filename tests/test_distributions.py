@@ -15,6 +15,7 @@ from bayesblind import (
     normalize,
     truncate,
 )
+from bayesblind import distributions
 from bayesblind.distributions import (
     RatioIndex,
     _ratio,
@@ -26,6 +27,7 @@ from bayesblind.distributions import (
     require_finite,
     require_positive_prefix,
     require_stored,
+    shares,
 )
 from bayesblind.errors import InputError
 from helpers import finite_from_rationals
@@ -83,6 +85,63 @@ class TestNormalize:
             return
         once = normalize(values)
         assert normalize(once.probs).probs == once.probs
+
+
+def outcome(fn, *args):
+    """What fn returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared, never swallowed
+        return type(exc), str(exc)
+
+
+class TestShares:
+    """``shares`` and ``normalize`` match the division forms they replace."""
+
+    @given(st.lists(st.tuples(st.integers(0, 10 ** 9), st.integers(1, 10 ** 9)),
+                    min_size=1, max_size=12).filter(lambda ps: any(a for a, _ in ps)),
+           st.integers(0, 60), st.integers(1, 60))
+    def test_matches_the_division_form(self, pairs, u, v):
+        total = sum(F(a, b) for a, b in pairs)
+        got = shares(pairs, u, v)
+        assert got == tuple(F(u, v) * F(a, b) / total for a, b in pairs)
+        assert all(type(x) is F for x in got)
+
+    @given(st.lists(st.one_of(st.fractions(min_value=-2, max_value=50), st.just(F(0)),
+                              st.integers(0, 9)), max_size=8))
+    def test_normalize_matches_the_division_oracle(self, values):
+        got, expected = outcome(normalize, values), outcome(reference.normalize, values)
+        if isinstance(expected, FiniteDistribution):
+            assert [v.as_integer_ratio() for v in got.probs] == [
+                v.as_integer_ratio() for v in expected.probs]
+            assert got.is_exact and got.tail_mass == 0 and type(got.tail_mass) is F
+        else:
+            assert got == expected
+
+
+def test_exactness_is_decided_at_validation(monkeypatch):
+    """``is_exact`` and a finite vector's ``tail_mass`` are set when the
+    distribution is validated; reading them scans nothing."""
+    calls = []
+    is_exact = distributions._is_exact
+    monkeypatch.setattr(distributions, "_is_exact", lambda vs: calls.append(1) or is_exact(vs))
+    cases = [
+        (FiniteDistribution((F(1, 2), F(1, 4), F(1, 4))), True, F(0)),
+        (FiniteDistribution((0.5, 0.25, 0.25)), False, 0.0),
+        (FiniteDistribution((F(1, 2), 0.25, F(1, 4))), False, 0.0),
+        (TruncatedDistribution((F(1, 2), F(1, 4)), F(1, 4)), True, F(1, 4)),
+        (TruncatedDistribution((0.5, 0.25), 0.25), False, 0.25),
+        (TruncatedDistribution((F(1, 2), F(1, 4)), 0.25), False, 0.25),
+        (TruncatedDistribution((F(1, 2), F(1, 2)), 0), False, 0),
+    ]
+    assert calls  # construction runs the counted check
+    calls.clear()
+    for d, exact, tail in cases:
+        for _ in range(100):
+            assert d.is_exact is exact
+            assert d.tail_mass == tail and type(d.tail_mass) is type(tail)
+    assert calls == []
+    assert geometric(F(1, 3)).is_exact is True
 
 
 class TestGeometric:
