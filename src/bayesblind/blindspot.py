@@ -14,7 +14,6 @@ distinctness among those only, never full membership.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .distributions import (
@@ -27,17 +26,21 @@ from .distributions import (
 )
 from .errors import InputError
 from .jeffrey import Partition
+from .records import Record, setfield
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Whether the ratios are pairwise distinct, over all indices or, with a
     horizon, over the first ``horizon`` only."""
 
-    distinct: bool
-    horizon: Optional[int] = None
-    witness: Optional[tuple] = None  # first colliding pair (i, j), 1-based, i < j
-    coarsest: Optional[Partition] = None  # full verdicts with a collision only
+    __slots__ = ("distinct", "horizon", "witness", "coarsest")
+
+    def __init__(self, distinct: bool, horizon: Optional[int] = None,
+                 witness: Optional[tuple] = None, coarsest: Optional[Partition] = None):
+        setfield(self, "distinct", distinct)
+        setfield(self, "horizon", horizon)
+        setfield(self, "witness", witness)  # first colliding pair (i, j), 1-based, i < j
+        setfield(self, "coarsest", coarsest)  # full verdicts with a collision only
 
     @property
     def status(self) -> str:
@@ -81,12 +84,14 @@ def membership_prefix(p: Distribution, q: Distribution, n: int) -> Verdict:
     return family_membership([p], q, n).verdicts[0]
 
 
-@dataclass(frozen=True)
-class FamilyVerdict:
+class FamilyVerdict(Record):
     """Per-prior verdicts plus their conjunction over a prior family."""
 
-    verdicts: tuple
-    member: bool
+    __slots__ = ("verdicts", "member")
+
+    def __init__(self, verdicts: tuple, member: bool):
+        setfield(self, "verdicts", verdicts)
+        setfield(self, "member", member)
 
 
 def family_membership(

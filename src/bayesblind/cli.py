@@ -17,7 +17,6 @@ it numpy; every exact command runs without it.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -202,6 +201,8 @@ def _bs_montecarlo(a):
     summary = f"monte carlo: {report.in_blindspot}/{report.trials} in blind spot"
     if not want_csv:
         return {"report": report.to_json()}, summary, EXIT_OK
+    import csv  # only this format pays for it
+
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["trial", "in_blindspot", "first_collision_i", "first_collision_j",

@@ -1,4 +1,4 @@
-"""Constructive generators and perturbation procedures with certified bounds.
+"""Generators for finite prior families, and perturbations with certified bounds.
 
 Everything here is exact-rational and deterministic given (inputs, seed).
 Outputs are never trusted from construction alone: callers re-verify them
@@ -9,7 +9,6 @@ data needed for that re-check (collision pairs, exact l1 move costs).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -25,6 +24,7 @@ from .distributions import (
     shares,
 )
 from .errors import HorizonInsufficient, InputError
+from .records import Record
 
 #: extra dyadic resolution below the 2^-i envelope for generated coordinates
 _DYADIC_BITS = 32
@@ -69,8 +69,8 @@ def generate_raw_sequence(
 def generate_blindspot_member(
     priors: Sequence[Distribution], n: int, seed: int
 ) -> TruncatedDistribution:
-    """Prefix-normalized m sequence: a blind-spot member at horizon n for
-    every prior in the family (normalization preserves ratio distinctness)."""
+    """Prefix-normalized m sequence: a blind-spot member at horizon n for every
+    prior of a finite family (normalization preserves ratio distinctness)."""
     ms = generate_raw_sequence(priors, n, seed)
     return TruncatedDistribution(shares([m.as_integer_ratio() for m in ms]), Fraction(0))
 
@@ -135,10 +135,8 @@ def pick_valid_delta(
         k = k % (scale - 1) + 1
 
 
-@dataclass(frozen=True)
-class DensifyResult:
-    distribution: TruncatedDistribution
-    l1_upper: Fraction  # certified upper bound on the full-sequence distance
+class DensifyResult(Record):
+    __slots__ = ("distribution", "l1_upper")  # l1_upper bounds the full-sequence distance
 
 
 def densify(p: Distribution, q_target: Distribution, eps: Fraction) -> DensifyResult:
@@ -181,21 +179,23 @@ def densify(p: Distribution, q_target: Distribution, eps: Fraction) -> DensifyRe
     return DensifyResult(out, upper)
 
 
-@dataclass(frozen=True)
-class CollisionMoveResult:
-    distribution: TruncatedDistribution
-    pairs: tuple  # colliding pairs (1, n) created by construction
-    branch: str  # "positive" | "negative" for single moves, "mixed" otherwise
-    l1_distance: Fraction  # exact: only prefix coordinates moved, tail shared
-    fallback_used: bool = False  # q_2 = 0 handled via q_3
+class CollisionMoveResult(Record):
+    __slots__ = ("distribution", "pairs", "branch", "l1_distance", "fallback_used")
+
+    def __init__(self, distribution: TruncatedDistribution,
+                 pairs: tuple,  # colliding pairs (1, n) created by construction
+                 branch: str,  # "positive" | "negative" for single moves, "mixed" otherwise
+                 l1_distance: Fraction,  # exact: only prefix coordinates moved, tail shared
+                 fallback_used: bool = False):  # q_2 = 0 handled via q_3
+        super().__init__(distribution, pairs, branch, l1_distance, fallback_used)
 
 
 def _move_prelude(p, q, eps, spend, spend_name, what) -> tuple:
     """Guards shared by the collision moves, raised in this order: q exact;
     a budget coordinate (q_2, else q_3 if stored) above ``spend``; p > 0; an
-    admissible index.  Returns (pv, budget, n0): p's prefix as exact Fractions,
+    admissible index.  Returns (pv, budget, n0): p's prefix as integer pairs,
     the 1-based budget index, and the smallest n0 <= n-1 with q_i < eps and
-    p_i / p_1 < eps for all i >= n0."""
+    p_i / p_1 < eps for all i >= n0, compared as integer cross products."""
     _require_exact(q, what)
     qv, n = q.prefix, len(q)
     budget = next((b for b in (2, 3) if b <= n and qv[b - 1] > 0), None)
@@ -205,9 +205,10 @@ def _move_prelude(p, q, eps, spend, spend_name, what) -> tuple:
         raise InputError(
             f"{spend_name} must lie in (0, q_{budget}) = (0, {qv[budget - 1]}), got {spend}"
         )
-    pv = [Fraction(*v) for v in require_positive_prefix(p, n)]
-    n0 = n + 1
-    while n0 > 2 and qv[n0 - 2] < eps and pv[n0 - 2] / pv[0] < eps:
+    pv = require_positive_prefix(p, n)
+    (c, d), (e, f) = pv[0], eps.as_integer_ratio()
+    n0 = n + 1  # p_i / p_1 < eps as a d f < e c b, for p_i = a / b
+    while n0 > 2 and qv[n0 - 2] < eps and pv[n0 - 2][0] * d * f < e * c * pv[n0 - 2][1]:
         n0 -= 1
     if n0 > n - 1:
         raise HorizonInsufficient(
@@ -224,18 +225,13 @@ def _collision_move(work, qv, pv, target_idx, budget_idx):
     the exact l1 change, < 2*eps by the threshold condition on target_idx.
     """
     t = target_idx - 1
-    aligned = qv[0] * pv[t] / pv[0]
-    if work[t] > aligned:
-        delta = work[t] - aligned
-        work[t] = aligned
-        work[t + 1] += delta
-        return "positive", 2 * delta
-    rho = aligned - work[t]
-    if work[budget_idx - 1] < rho:
+    aligned = qv[0] * Fraction(pv[t][0] * pv[0][1], pv[t][1] * pv[0][0])  # q_1 p_t / p_1
+    delta = work[t] - aligned
+    if delta <= 0 and work[budget_idx - 1] < -delta:
         raise HorizonInsufficient("budget coordinate exhausted by negative moves")
     work[t] = aligned
-    work[budget_idx - 1] -= rho
-    return "negative", 2 * rho
+    work[t + 1 if delta > 0 else budget_idx - 1] += delta
+    return ("positive", 2 * delta) if delta > 0 else ("negative", -2 * delta)
 
 
 def _collide(q, pv, targets, budget, bound, bound_name) -> CollisionMoveResult:

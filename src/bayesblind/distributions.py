@@ -12,16 +12,17 @@ internally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .errors import InputError
+from .records import Record, setfield
 
 #: absolute slack allowed when a float-mode distribution is validated
 FLOAT_TOL = 2.0 ** -40
 
 Number = Union[Fraction, float]
+_ZERO = Fraction(0)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -69,12 +70,12 @@ def l1_gap(us: tuple, vs: tuple) -> Fraction:
     return Fraction(sum(abs(a - b) for a, b in zip(nums, nums[len(us):])), d)
 
 
-def exact_sum(values: Iterable[Number]) -> Number:
-    """``sum(values)`` in value and type.  When every value is a Fraction the
-    numerators are added over the lcm (``over_lcm``) and reduced once, not
-    once per addition; otherwise builtin ``sum`` runs in the same order."""
+def exact_sum(values: Iterable[Number], exact: bool | None = None) -> Number:
+    """``sum(values)`` in value and type.  When every value is a Fraction (``exact``,
+    if the caller has checked) the numerators are added over the lcm (``over_lcm``)
+    and reduced once; otherwise builtin ``sum`` runs in the same order."""
     values = tuple(values)
-    if not values or not _is_exact(values):
+    if not values or not (_is_exact(values) if exact is None else exact):
         return sum(values)
     nums, d = over_lcm([v.as_integer_ratio() for v in values])
     return Fraction(sum(nums), d)
@@ -88,19 +89,18 @@ def _check_entries(values: Sequence[Number]) -> None:
             raise InputError("NaN probability entry")
 
 
-class StoredDistribution:
+class StoredDistribution(Record):
     """The view shared by the finite and truncated kinds: a stored prefix
     plus the tail mass beyond it (zero for a finite vector)."""
 
-    is_exact: bool  # every entry and the tail mass a Fraction; set by _validate
+    __slots__ = ("is_exact",)  # every entry and the tail mass a Fraction; set by _validate
 
-    def _validate(self) -> None:
+    def _validate(self, values: tuple) -> None:  # the entries and any tail, scanned once
         if len(self.prefix) < 2:
             raise InputError("a distribution needs at least 2 components")
-        values = self.prefix + (self.tail_mass,)
         _check_entries(values)
-        object.__setattr__(self, "is_exact", _is_exact(values))
-        total = exact_sum(values)
+        setfield(self, "is_exact", _is_exact(values))
+        total = exact_sum(values, self.is_exact)
         if self.is_exact:
             if total != 1:
                 raise InputError(f"entries sum to {total}, not 1")
@@ -129,43 +129,37 @@ class StoredDistribution:
         return exact_sum(self.prefix[n:] + (self.tail_mass,))
 
 
-@dataclass(frozen=True)
 class FiniteDistribution(StoredDistribution):
     """Probability vector on a finite index set; exact in rational mode."""
 
-    probs: tuple
-    prefix: tuple = field(init=False, repr=False, compare=False)
-    tail_mass: Number = field(init=False, repr=False, compare=False)
+    __slots__ = ("probs",)  # equality and hash read probs alone
+    prefix = property(lambda self: self.probs)  # the stored view: all of it, no tail
+    tail_mass = property(lambda self: _ZERO if self.is_exact else 0.0)
 
-    def __post_init__(self):
-        object.__setattr__(self, "probs", tuple(self.probs))
-        object.__setattr__(self, "prefix", self.probs)
-        object.__setattr__(self, "tail_mass", Fraction(0) if _is_exact(self.probs) else 0.0)
-        self._validate()
+    def __init__(self, probs: Iterable[Number]):
+        setfield(self, "probs", tuple(probs))
+        self._validate(self.probs)
 
 
-@dataclass(frozen=True)
 class TruncatedDistribution(StoredDistribution):
     """Finite prefix of a distribution on a denumerable set plus tail mass."""
 
-    prefix: tuple
-    tail_mass: Number
+    __slots__ = ("prefix", "tail_mass")
 
-    def __post_init__(self):
-        object.__setattr__(self, "prefix", tuple(self.prefix))
-        self._validate()
+    def __init__(self, prefix: Iterable[Number], tail_mass: Number):
+        setfield(self, "prefix", tuple(prefix))
+        setfield(self, "tail_mass", tail_mass)
+        self._validate(self.prefix + (tail_mass,))
 
 
-@dataclass(frozen=True)
-class Geometric:
+class Geometric(Record):
     """Strictly positive parametric family p_i = (1-r) * r^(i-1), i >= 1."""
 
-    ratio: Fraction
+    __slots__ = ("ratio",)
     is_exact = True  # a class constant, not a field
 
-    def __post_init__(self):
-        if not isinstance(self.ratio, Fraction):
-            object.__setattr__(self, "ratio", Fraction(self.ratio))
+    def __init__(self, ratio: Fraction):
+        setfield(self, "ratio", ratio if isinstance(ratio, Fraction) else Fraction(ratio))
         if not (0 < self.ratio < 1):
             raise InputError(f"geometric ratio must lie in (0, 1), got {self.ratio}")
 

@@ -9,7 +9,6 @@ set partitions in restricted-growth-string lexicographic order, which fixes witn
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
@@ -17,18 +16,21 @@ from .distributions import (
     FiniteDistribution, RatioIndex, exact_sum, require_finite, require_positive_prefix, shares,
 )
 from .errors import InputError
+from .records import Record, setfield
 
 #: Bell-number enumeration bound for accessible_brute_force
 BRUTE_FORCE_MAX_N = 8
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """Set partition of {1..n} in canonical block order.  ``of`` (which
     ``from_json`` calls) is the validating entry for outside data; the
     constructor trusts its caller, such as ``partitions``, to pass canonical blocks."""
 
-    blocks: tuple
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks: tuple):
+        setfield(self, "blocks", blocks)
 
     @classmethod
     def of(cls, blocks: Iterable[Iterable[int]]) -> "Partition":
@@ -62,14 +64,13 @@ class Partition:
         return cls.of(obj["blocks"])
 
 
-@dataclass(frozen=True)
-class BlockWeights:
+class BlockWeights(Record):
     """New block probabilities q(E_i): nonnegative rationals summing to 1."""
 
-    weights: tuple
+    __slots__ = ("weights",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(Fraction(w) for w in self.weights))
+    def __init__(self, weights: Iterable):
+        setfield(self, "weights", tuple(Fraction(w) for w in weights))
         for w in self.weights:
             if w < 0:
                 raise InputError(f"negative block weight {w}")
@@ -157,12 +158,13 @@ def coarsest_partition(p: FiniteDistribution, q: FiniteDistribution) -> Partitio
     return Partition.of(RatioIndex.of(q.prefix_pairs(len(q)), ps).fibres())
 
 
-@dataclass(frozen=True)
-class Accessibility:
+class Accessibility(Record):
     """Brute-force verdict: accessible via some nontrivial partition, or not."""
 
-    accessible: bool
-    witness: Optional[Partition] = None
+    __slots__ = ("accessible", "witness")
+
+    def __init__(self, accessible: bool, witness: Optional[Partition] = None):
+        super().__init__(accessible, witness)
 
 
 def accessible_brute_force(p: FiniteDistribution, q: FiniteDistribution) -> Accessibility:

@@ -9,25 +9,21 @@ integer gap sum over one lcm, ``distributions.l1_gap``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .distributions import Distribution, exact_sum, l1_gap, parse_rational, require_stored
 from .errors import InputError
+from .records import Record, setfield
 
-@dataclass(frozen=True)
-class Norm:
+class Norm(Record):
     """lp norm selector; ``p is None`` means the sup norm."""
 
-    p: Fraction | None = Fraction(1)
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if self.p is not None:
-            if not isinstance(self.p, Fraction):
-                object.__setattr__(self, "p", Fraction(self.p))
-            if self.p < 1:
-                raise InputError(f"lp norms require p >= 1, got {self.p}")
+    def __init__(self, p: Fraction | None = Fraction(1)):
+        setfield(self, "p", p if p is None or isinstance(p, Fraction) else Fraction(p))
+        if self.p is not None and self.p < 1:
+            raise InputError(f"lp norms require p >= 1, got {self.p}")
 
     @property
     def is_exact(self) -> bool:
@@ -53,12 +49,10 @@ def parse_norm(text: str) -> Norm:
     raise InputError(f"unknown norm {text!r}; expected l1|l2|linf|lp:<p>")
 
 
-@dataclass(frozen=True)
-class DistanceInterval:
+class DistanceInterval(Record):
     """Certified enclosure of a distance between truncated representations."""
 
-    lower: object
-    upper: object
+    __slots__ = ("lower", "upper")
 
 
 def _seq_distance(u: Distribution, v: Distribution, norm: Norm):

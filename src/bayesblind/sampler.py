@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -34,24 +32,23 @@ from .distributions import (
     require_positive_prefix,
 )
 from .errors import InputError
+from .records import Record, setfield
 
 NEAR_COLLISION_RTOL = 1e-12
 CHUNK_TRIALS = 4096
 
 
-@dataclass(frozen=True)
-class StickBase:
+class StickBase(Record):
     """Base draw on [0, 1): uniform or beta(a, b)."""
 
-    kind: str = "uniform"
-    a: float = 1.0
-    b: float = 1.0
+    __slots__ = ("kind", "a", "b")
 
-    def __post_init__(self):
-        if self.kind not in ("uniform", "beta"):
-            raise InputError(f"unknown stick base {self.kind!r}")
-        if self.kind == "beta" and not all(0 < x < math.inf for x in (self.a, self.b)):
+    def __init__(self, kind: str = "uniform", a: float = 1.0, b: float = 1.0):
+        if kind not in ("uniform", "beta"):
+            raise InputError(f"unknown stick base {kind!r}")
+        if kind == "beta" and not all(0 < x < math.inf for x in (a, b)):
             raise InputError("beta parameters must be positive and finite")
+        super().__init__(kind, a, b)
 
 
 UNIFORM = StickBase("uniform")
@@ -134,26 +131,22 @@ def stick_breaking_sample(seed: int, n: int, base: StickBase = UNIFORM) -> Trunc
     return TruncatedDistribution(tuple(float(v) for v in x[0]), float(residual[0]))
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    trial: int
-    in_blindspot: bool
-    first_collision: Optional[tuple]  # (i, j) 1-based or None
-    residual_mass: float
+class TrialRecord(Record):
+    __slots__ = ("trial", "in_blindspot", "first_collision", "residual_mass")
+
+    def __init__(self, trial, in_blindspot, first_collision, residual_mass):
+        setfield(self, "trial", trial)
+        setfield(self, "in_blindspot", in_blindspot)
+        setfield(self, "first_collision", first_collision)  # (i, j) 1-based or None
+        setfield(self, "residual_mass", residual_mass)
 
 
-@dataclass(frozen=True)
-class McReport:
-    trials: int
-    horizon: int
-    in_blindspot: int
-    exact_float_collisions: int
-    near_collisions: int
-    mean_residual_mass: float
-    seed: int
+class McReport(Record):
+    __slots__ = ("trials", "horizon", "in_blindspot", "exact_float_collisions",
+                 "near_collisions", "mean_residual_mass", "seed")
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return dict(zip(self.__slots__, self._values()))
 
 
 @np.errstate(divide="ignore", invalid="ignore")  # p_i underflowed to 0.0: inf, nan ratios

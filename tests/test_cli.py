@@ -393,17 +393,23 @@ GOLDEN_CASES = json.loads((Path(__file__).parent / "golden" / "cases.json").read
 SAMPLING = (["bs", "sample"], ["bs", "montecarlo"])
 EXACT_CASES = [case for case in GOLDEN_CASES if case["argv"][:2] not in SAMPLING]
 #: a fresh interpreter: import the CLI, replay the exact golden cases, and
-#: report which float modules were loaded after each step, plus the exit code
-#: and stdout of each case
+#: report which watched modules were loaded after each step, plus the exit
+#: code and stdout of each case.  Watched are the float modules (numpy,
+#: multiprocessing) and the start-up-heavy ones (dataclasses, inspect, csv)
+#: that the interpreter had not loaded before the CLI.  Start-up hooks in
+#: site-packages can load some: a .pth file importing certifi loads inspect
+#: under CPython 3.13.
 EXACT_REPLAY = """
 import io, json, sys
 from contextlib import redirect_stderr, redirect_stdout
+
+WATCHED = {"numpy", "multiprocessing", "dataclasses", "inspect", "csv"} - set(sys.modules)
 
 import bayesblind.cli as cli
 
 
 def loaded():
-    return sorted({"numpy", "multiprocessing"} & set(sys.modules))
+    return sorted(WATCHED & set(sys.modules))
 
 
 after_import, results = loaded(), {}
@@ -416,7 +422,7 @@ print(json.dumps([after_import, loaded(), results]))
 
 
 def replay_exact(python):
-    """[float modules loaded after import, after the replay, {name: [exit,
+    """[watched modules loaded after import, after the replay, {name: [exit,
     stdout]}] for the exact golden cases run under the interpreter ``python``."""
     src = Path(bayesblind.__file__).parents[1]
     proc = subprocess.run([python, "-c", EXACT_REPLAY], input=json.dumps(EXACT_CASES),

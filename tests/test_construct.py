@@ -21,7 +21,7 @@ from bayesblind import (
     pick_valid_delta,
     truncate,
 )
-from bayesblind.construct import generate_raw_sequence
+from bayesblind.construct import _move_prelude, generate_raw_sequence
 from bayesblind.distributions import FiniteDistribution, TruncatedDistribution
 from bayesblind.errors import BayesBlindError, HorizonInsufficient, InputError
 from reference import exclusion_set, raw_sequence, valid_delta
@@ -340,6 +340,36 @@ def test_float_prior_moves_as_the_rationals_it_stores(move):
     assert result == move(exact_prior, q)
     assert all(isinstance(v, Fraction) for v in result.distribution.prefix)
     assert collision_count(float_prior, result.distribution, 24) >= len(result.pairs)
+
+
+def test_collision_moves_make_no_fraction_division(monkeypatch):
+    """The collision moves' threshold scan walks down on integer cross products
+    of the prior pairs, and a move builds its one ratio p_t / p_1 from them, so
+    neither divides a Fraction (counted as in
+    ``test_exact_scans_make_no_fraction_division``).  The scan stops where the
+    Fraction quotient ``p_i / p_1 < eps`` stops it."""
+    q = generate_blindspot_member([GEO_HALF], 64, seed=3)
+    runs = []
+    for p in (GEO_HALF, GEO_THIRD, geometric(F(5, 7))):
+        for eps in (F(1, 1000), F(1, 10 ** 4), F(3, 10 ** 5)):
+            n0 = 65
+            while n0 > 2 and q.value(n0 - 1) < eps and p.value(n0 - 1) / p.value(1) < eps:
+                n0 -= 1
+            runs.append((p, eps, eps / 3, n0))
+    calls = []
+    for name in ("__truediv__", "__rtruediv__"):
+        operation = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name,
+                            lambda a, b, op=operation, name=name: calls.append(name) or op(a, b))
+    F(1, 2) / 2, 2 / F(1, 2)
+    assert calls == ["__truediv__", "__rtruediv__"]  # the wrappers count
+    calls.clear()
+    for p, eps, eps_multi, n0 in runs:
+        assert _move_prelude(p, q, eps, eps, "eps", "exteriorize")[2] == n0 < 63
+        result = exteriorize(p, q, eps)
+        assert result.pairs == ((1, n0),) and collision_count(p, result.distribution, 64) >= 1
+        assert len(multi_collision_near(p, q, 3, eps_multi).pairs) == 3
+    assert calls == []
 
 
 def test_certified_bound_survives_optimize():

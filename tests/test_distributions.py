@@ -120,27 +120,29 @@ class TestShares:
 
 
 def test_exactness_is_decided_at_validation(monkeypatch):
-    """``is_exact`` and a finite vector's ``tail_mass`` are set when the
-    distribution is validated; reading them scans nothing."""
+    """Building a distribution scans its entries for exactness once, in
+    validation; reading ``is_exact`` and a finite vector's ``tail_mass``
+    scans nothing."""
     calls = []
     is_exact = distributions._is_exact
     monkeypatch.setattr(distributions, "_is_exact", lambda vs: calls.append(1) or is_exact(vs))
     cases = [
-        (FiniteDistribution((F(1, 2), F(1, 4), F(1, 4))), True, F(0)),
-        (FiniteDistribution((0.5, 0.25, 0.25)), False, 0.0),
-        (FiniteDistribution((F(1, 2), 0.25, F(1, 4))), False, 0.0),
-        (TruncatedDistribution((F(1, 2), F(1, 4)), F(1, 4)), True, F(1, 4)),
-        (TruncatedDistribution((0.5, 0.25), 0.25), False, 0.25),
-        (TruncatedDistribution((F(1, 2), F(1, 4)), 0.25), False, 0.25),
-        (TruncatedDistribution((F(1, 2), F(1, 2)), 0), False, 0),
+        (FiniteDistribution, ((F(1, 2), F(1, 4), F(1, 4)),), True, F(0)),
+        (FiniteDistribution, ((0.5, 0.25, 0.25),), False, 0.0),
+        (FiniteDistribution, ((F(1, 2), 0.25, F(1, 4)),), False, 0.0),
+        (TruncatedDistribution, ((F(1, 2), F(1, 4)), F(1, 4)), True, F(1, 4)),
+        (TruncatedDistribution, ((0.5, 0.25), 0.25), False, 0.25),
+        (TruncatedDistribution, ((F(1, 2), F(1, 4)), 0.25), False, 0.25),
+        (TruncatedDistribution, ((F(1, 2), F(1, 2)), 0), False, 0),
     ]
-    assert calls  # construction runs the counted check
-    calls.clear()
-    for d, exact, tail in cases:
+    for kind, args, exact, tail in cases:
+        calls.clear()
+        d = kind(*args)
+        assert calls == [1], args  # one scan per construction
         for _ in range(100):
             assert d.is_exact is exact
             assert d.tail_mass == tail and type(d.tail_mass) is type(tail)
-    assert calls == []
+        assert calls == [1]
     assert geometric(F(1, 3)).is_exact is True
 
 

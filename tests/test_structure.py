@@ -2,6 +2,8 @@
 
 ``over_lcm`` is the one common-denominator step of the exact layer: every
 exact sum, share and l1 gap goes through it, so it alone calls ``math.lcm``.
+``records.Record`` is the one record idiom: no module imports ``dataclasses``,
+whose import and generated methods cost every CLI command start-up time.
 """
 
 import ast
@@ -37,3 +39,19 @@ def lcm_call_sites() -> list:
 
 def test_math_lcm_is_called_only_in_over_lcm():
     assert lcm_call_sites() == ["distributions.over_lcm"]
+
+
+def dataclasses_imports() -> list:
+    """``module: line`` of every import of ``dataclasses`` or a name from it."""
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else \
+                [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                sites.append(f"{path.stem}: {node.lineno}")
+    return sites
+
+
+def test_no_module_imports_dataclasses():
+    assert dataclasses_imports() == []
