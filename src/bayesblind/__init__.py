@@ -23,6 +23,7 @@ from .blindspot import (
     Verdict,
     collision_count,
     family_membership,
+    geometric_witness,
     membership_finite,
     membership_prefix,
 )

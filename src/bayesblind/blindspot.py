@@ -14,6 +14,7 @@ distinctness among those only, never full membership.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .distributions import (
@@ -23,6 +24,7 @@ from .distributions import (
     require_finite,
     require_horizon,
     require_positive_prefix,
+    require_stored,
 )
 from .errors import InputError
 from .jeffrey import Partition
@@ -115,3 +117,17 @@ def family_membership(
 def collision_count(p: Distribution, q: Distribution, n: int | None = None) -> int:
     """Number of unordered index pairs with exactly equal ratios."""
     return sum(len(f) * (len(f) - 1) // 2 for f in next(_scans([p], q, n)).fibres())
+
+
+def geometric_witness(q: Distribution) -> tuple | None:
+    """(r, (i, i+1)) from the first strict descent 0 < q_{i+1} < q_i of q's
+    stored prefix, with r = q_{i+1} / q_i.  Under geometric(r) the pair
+    collides, q_i / p_i = q_{i+1} / p_{i+1}, so q is outside BS(geometric(r)).
+    None when the stored prefix has no descent; a truncated input's descent
+    then lies in its unseen tail."""
+    require_stored(q)
+    pairs = q.prefix_pairs(len(q))
+    for i, ((a, b), (c, d)) in enumerate(zip(pairs, pairs[1:]), 1):
+        if 0 < c * b < a * d:  # 0 < c/d < a/b, with b, d > 0
+            return Fraction(c * b, d * a), (i, i + 1)
+    return None

@@ -13,8 +13,9 @@ reduced in chunk order, so output is identical for any worker count.
 
 Kernel layout: a call, or each pool worker, reuses one workspace for all its
 chunks: ``_sticks`` owns the draw, coordinate and survival buffers, ``_mc_run``
-the compare buffers.  Survivals and coordinates are built transposed, a row per
-stick index, and ratios are sorted in place in the draw buffer.  Buffer reuse changes no arithmetic, so the contract above holds.
+the one int64 compare buffer of the row screen.  Survivals and coordinates are
+built transposed, a row per stick index, and ratios are sorted in place in the
+draw buffer.  Buffer reuse changes no arithmetic, so the contract above holds.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .records import Record, setfield
 
 NEAR_COLLISION_RTOL = 1e-12
 CHUNK_TRIALS = 4096
+SCREEN_ULPS = 1 << 15  # closer sorted ratios send their row to the full compare
 
 
 class StickBase(Record):
@@ -149,21 +151,34 @@ class McReport(Record):
         return dict(zip(self.__slots__, self._values()))
 
 
+def _screened_rows(s, gap):
+    """Rows of s, sorted finite ratios (m, n), that may hold an equal or near
+    pair: int64 differences of adjacent bit patterns over the flat buffer, in
+    gap (m·n entries or more).  Bit patterns of finite doubles >= +0 are
+    monotone, so a difference counts ulps; no ratio is -0.0, as x = u·kept with
+    u, kept >= +0 and p_i > 0.  A near pair a <= b has fl(b - a) <= fl(1e-12·b),
+    so a > b/2 and b - a is exact: under 9,008 ulps within b's binade, 18,015
+    across a binade edge, at most 4,504 among subnormals; all < SCREEN_ULPS."""
+    m, n = s.shape
+    gap = gap[:m * n].reshape(m, n)
+    bits = s.reshape(-1).view(np.int64)
+    np.subtract(bits[1:], bits[:-1], out=gap.reshape(-1)[:-1])
+    gap[:, -1] = SCREEN_ULPS  # a row's last ratio against the next row's first
+    if gap.min() >= SCREEN_ULPS:
+        return np.empty(0, dtype=np.intp)
+    return np.flatnonzero((gap < SCREEN_ULPS).any(axis=1))
+
+
 @np.errstate(divide="ignore", invalid="ignore")  # p_i underflowed to 0.0: inf, nan ratios
-def _mc_chunk(trials, x, residual, s, p_float, collect, gap, tol, close):
+def _mc_chunk(trials, x, residual, s, p_float, collect, gap):
     """One chunk's counts and records; s is a free (m, n) buffer to sort ratios in."""
     m = x.shape[1]
     ratios = np.divide(x, p_float[:, None], out=x)  # transposed: a trial per column
     s[...] = ratios.T
     s.sort(axis=1)
     rows = slice(None)
-    if np.isfinite(s[:, -1]).all():
-        # finite non-negative sorted ratios: every equal or near pair has a
-        # gap within the tolerance, so only rows with such a gap are compared
-        gap, tol, close = gap[:m], tol[:m], close[:m]
-        np.subtract(s[:, 1:], s[:, :-1], out=gap)
-        np.multiply(s[:, 1:], NEAR_COLLISION_RTOL, out=tol)
-        rows = np.flatnonzero(np.less_equal(gap, tol, out=close).any(axis=1))
+    if np.isfinite(s[:, -1]).all():  # else inf or nan ratios: every row is compared
+        rows = _screened_rows(s, gap)
     s = s[rows]
     eq = s[:, 1:] == s[:, :-1]
     near = (s[:, 1:] - s[:, :-1]) <= NEAR_COLLISION_RTOL * np.abs(s[:, 1:])
@@ -180,21 +195,13 @@ def _mc_chunk(trials, x, residual, s, p_float, collect, gap, tol, close):
 def _mc_run(args):
     """One worker's contiguous run of chunks: a result per chunk."""
     seed, run, n, base, p_float, collect = args
-    gap, tol = np.empty((2, run[0][1], n - 1))  # compare buffers for the whole run
-    close = np.empty(gap.shape, dtype=bool)
-    return [_mc_chunk(*chunk, p_float, collect, gap=gap, tol=tol, close=close)
-            for chunk in _sticks(seed, run, n, base)]
+    gap = np.empty(run[0][1] * n, dtype=np.int64)  # the screen's buffer for the whole run
+    return [_mc_chunk(*chunk, p_float, collect, gap) for chunk in _sticks(seed, run, n, base)]
 
 
-def monte_carlo_blindspot_fraction(
-    prior: Distribution,
-    trials: int,
-    n: int,
-    base: StickBase = UNIFORM,
-    seed: int = 0,
-    workers: int = 1,
-    collect_trials: bool = False,
-):
+def monte_carlo_blindspot_fraction(prior: Distribution, trials: int, n: int,
+                                   base: StickBase = UNIFORM, seed: int = 0, workers: int = 1,
+                                   collect_trials: bool = False):
     """Monte Carlo frequency of (prefix) blind-spot membership under the
     stick-breaking measure.  Returns an McReport, or (McReport, records)
     when per-trial records are requested."""
@@ -214,15 +221,7 @@ def monte_carlo_blindspot_fraction(
     for r in sums:  # fixed chunk order keeps the float sum reproducible
         residual_sum += r
     records = [rec for r in chunk_records for rec in r]
-    report = McReport(
-        trials=trials,
-        horizon=n,
-        in_blindspot=trials - exact,
-        exact_float_collisions=exact,
-        near_collisions=sum(near),
-        mean_residual_mass=residual_sum / trials,
-        seed=seed,
-    )
-    if collect_trials:
-        return report, records
-    return report
+    report = McReport(trials=trials, horizon=n, in_blindspot=trials - exact,
+                      exact_float_collisions=exact, near_collisions=sum(near),
+                      mean_residual_mass=residual_sum / trials, seed=seed)
+    return (report, records) if collect_trials else report

@@ -218,6 +218,14 @@ def stick_matrix(seed: int, trials: int, n: int, base):
     return np.concatenate(xs, axis=0), np.concatenate(residuals, axis=0)
 
 
+def full_compare(s):
+    """Per-row flags of sorted ratio rows (m, n), every row compared in full:
+    (an exactly equal pair, a near pair that is not equal)."""
+    eq = s[:, 1:] == s[:, :-1]
+    close = (s[:, 1:] - s[:, :-1]) <= NEAR_COLLISION_RTOL * np.abs(s[:, 1:])
+    return eq.any(axis=1), (close & ~eq).any(axis=1)
+
+
 def monte_carlo(prior, trials: int, n: int, base, seed: int):
     """Serial Monte Carlo with the full equal/near compare on every row:
     (McReport, per-trial records)."""
@@ -227,12 +235,9 @@ def monte_carlo(prior, trials: int, n: int, base, seed: int):
     records = []
     for first, x, residual in stick_chunks(seed, trials, n, base):
         ratios = x / p_float
-        s = np.sort(ratios, axis=1)
-        eq = s[:, 1:] == s[:, :-1]
-        close = (s[:, 1:] - s[:, :-1]) <= NEAR_COLLISION_RTOL * np.abs(s[:, 1:])
-        exact_trials = eq.any(axis=1)
+        exact_trials, near_trials = full_compare(np.sort(ratios, axis=1))
         exact += int(exact_trials.sum())
-        near += int((close & ~eq).any(axis=1).sum())
+        near += int(near_trials.sum())
         residual_sum += float(residual.sum())
         for t in range(len(x)):
             pair = RatioIndex(ratios[t].tolist()).first_collision if exact_trials[t] else None

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bayesblind import (
     L1,
@@ -16,6 +17,7 @@ from bayesblind import (
     family_membership,
     geometric,
     generate_blindspot_member,
+    geometric_witness,
     jc_apply,
     lp_distance,
     membership_finite,
@@ -276,3 +278,45 @@ class TestOverlongHorizon:
         message = r"^horizon 1000000 exceeds available prefix length 4$"
         with pytest.raises(InputError, match=message):
             call(geometric(F(1, 3)), geometric(F(1, 2)), self.SHORT)
+
+
+class TestGeometricWitness:
+    """No representable posterior is in the blind spot of every rational
+    geometric prior: the first strict descent names one that it is not in."""
+
+    @given(st.lists(st.integers(0, 12), min_size=2, max_size=12).filter(any))
+    def test_witness_collides_at_or_before_its_pair(self, weights):
+        q = normalize([F(w) for w in weights])
+        descents = [i for i in range(1, len(q)) if 0 < q.value(i + 1) < q.value(i)]
+        witness = geometric_witness(q)
+        if not descents:
+            assert witness is None
+            return
+        r, pair = witness
+        i = descents[0]
+        assert pair == (i, i + 1) and r == q.value(i + 1) / q.value(i)
+        verdict = membership_prefix(geometric(r), q, len(q))
+        assert not verdict.distinct and verdict.witness <= pair
+
+    def test_generated_family_member_is_caught(self):
+        priors = [geometric(F(1, 3)), geometric(F(2, 5))]
+        member = generate_blindspot_member(priors, 64, seed=1)
+        assert family_membership(priors, member, 64).member
+        r, pair = geometric_witness(member)
+        verdict = membership_prefix(geometric(r), member, 64)
+        assert not verdict.distinct and verdict.witness <= pair
+
+    @pytest.mark.parametrize("q", [
+        pytest.param(TruncatedDistribution((F(1, 8), F(1, 8), F(1, 4)), F(1, 2)), id="truncated"),
+        pytest.param(FiniteDistribution((F(0), F(0), F(1, 3), F(2, 3))), id="zeros-first"),
+        pytest.param(FiniteDistribution((0.25, 0.75)), id="float"),
+    ])
+    def test_nondecreasing_prefix_gives_none(self, q):
+        assert geometric_witness(q) is None
+
+    def test_float_descent_is_exact(self):
+        assert geometric_witness(FiniteDistribution((0.75, 0.25))) == (F(1, 3), (1, 2))
+
+    def test_geometric_input_refused(self):
+        with pytest.raises(InputError, match="no stored prefix"):
+            geometric_witness(geometric(F(1, 2)))

@@ -426,7 +426,7 @@ def replay_exact(python):
     stdout]}] for the exact golden cases run under the interpreter ``python``."""
     src = Path(bayesblind.__file__).parents[1]
     proc = subprocess.run([python, "-c", EXACT_REPLAY], input=json.dumps(EXACT_CASES),
-                          env={**os.environ, "PYTHONPATH": str(src)},
+                          env={**os.environ, "PYTHONPATH": str(src), "COLUMNS": "80"},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)

@@ -6,10 +6,12 @@ or an exit code fails here.  After a deliberate output change, re-record the
 affected cases with ``PYTHONPATH=src python tests/test_golden.py --record
 NAME [NAME ...]`` (every case when no name is given) and review the diff.  To
 add an invocation, append its name and argv to ``cases.json`` and record that
-one name.
+one name.  Help text is wrapped to the terminal width, so replay and record
+run at a fixed 80 columns.
 """
 
 import json
+import os
 import shutil
 import sys
 from pathlib import Path
@@ -23,7 +25,8 @@ CASES = json.loads((GOLDEN / "cases.json").read_text())
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
-def test_golden_replay(case, capsysbinary):
+def test_golden_replay(case, capsysbinary, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
     code = dispatch(case["argv"])
     out = capsysbinary.readouterr().out
     assert code == case["exit"]
@@ -73,4 +76,5 @@ def _record(names, golden: Path = GOLDEN) -> None:
 if __name__ == "__main__":
     if sys.argv[1:2] != ["--record"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --record [NAME ...]")
+    os.environ["COLUMNS"] = "80"
     _record(sys.argv[2:])

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -258,3 +259,101 @@ def test_underflowed_prior_raises_no_numpy_warning():
         warnings.simplefilter("error")
         got = monte_carlo_blindspot_fraction(prior, 50, 120, seed=1, collect_trials=True)
     assert got == expected
+
+
+TINY = np.nextafter(0.0, 1.0)  # the smallest subnormal
+MAX = np.finfo(np.float64).max
+
+
+def _below(b, k):
+    """The double k steps of np.nextafter below b."""
+    a = np.float64(b)
+    for _ in range(k):
+        a = np.nextafter(a, 0.0)
+    return a
+
+
+def _near_bound(b):
+    """The largest k for which b and the double k steps below it are a near
+    pair under the kernel's test b - a <= 1e-12·b."""
+    k, a = 0, np.float64(b)
+    while b - np.nextafter(a, 0.0) <= sampler.NEAR_COLLISION_RTOL * b:
+        k, a = k + 1, np.nextafter(a, 0.0)
+    return k
+
+
+def _planted_pairs():
+    """Sorted pairs (a, b): ties, pairs on both sides of the 1e-12 bound
+    (within a binade, straddling a power of two, subnormal, near the largest
+    double), 0.0 beside the smallest subnormal, and subnormal pairs."""
+    pairs = [(0.0, 0.0), (TINY, TINY), (1.0, 1.0), (MAX, MAX), (0.0, TINY),
+             (3 * TINY, 7 * TINY), (_below(2.0, 1), np.nextafter(2.0, 3.0))]
+    for b in (1.0, 1.5, 1.0 + 2.0 ** -40, np.nextafter(2.0 ** -1022, 0.0), 2.0 ** -1022,
+              2.0 ** -1060, MAX):
+        bound = _near_bound(b)
+        pairs += [(_below(b, k), b) for k in (bound - 1, bound, bound + 1, bound + 2)]
+    return pairs
+
+
+def _planted_rows(n):
+    """(m, n) rows, sorted: each planted pair among n - 2 random fillers, or for
+    n = 1 each value of the pairs alone."""
+    pairs = _planted_pairs()
+    if n == 1:
+        return np.array([[v] for pair in pairs for v in pair])
+    rng = np.random.default_rng(n)
+    fillers = rng.random((len(pairs), n - 2)) * 2.0 ** rng.integers(-1074, 1023, (len(pairs), 1))
+    return np.sort(np.hstack([np.array(pairs), fillers]), axis=1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_screen_flags_every_row_the_full_compare_flags(n):
+    s = _planted_rows(n)
+    exact, near = reference.full_compare(s)
+    assert n == 1 or (exact.any() and near.any())  # the planted pairs are seen
+    flagged = sampler._screened_rows(s.copy(), np.empty(s.size, dtype=np.int64))
+    assert set(np.flatnonzero(exact | near)) <= set(flagged.tolist())
+
+
+def test_screen_bound_and_row_ends():
+    s = np.array([[_below(1.0, sampler.SCREEN_ULPS - 1), 1.0],
+                  [_below(1.0, sampler.SCREEN_ULPS), 1.0],
+                  [1.0, 2.0], [2.0, 4.0]])  # equal across a row end only
+    assert sampler._screened_rows(s, np.empty(s.size, dtype=np.int64)).tolist() == [0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_chunk_counts_match_reference_on_planted_rows(n):
+    s = _planted_rows(n)
+    m = len(s)
+    exact, near = reference.full_compare(s)
+    x = np.random.default_rng(0).permuted(s, axis=1).T.copy()  # a trial per column
+    got_exact, got_near, _, records = sampler._mc_chunk(
+        slice(0, m), x, np.zeros(m), np.empty((m, n)), np.ones(n), True,
+        np.empty(m * n, dtype=np.int64))
+    assert (got_exact, got_near) == (int(exact.sum()), int(near.sum()))
+    assert [not r.in_blindspot for r in records] == exact.tolist()
+
+
+@pytest.mark.parametrize("n", [50, 800])
+def test_workspace_is_four_chunk_buffers(monkeypatch, n):
+    """README: one 4096-trial call holds 4 × 4096 × n × 8 bytes of workspace,
+    the draw, coordinate, survival and screen buffers, live at the first chunk."""
+    live, chunk = [], sampler._mc_chunk
+
+    def measure_first(*args):
+        if not live:
+            traces = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+            traces = traces.filter_traces([tracemalloc.Filter(True, sampler.__file__)])
+            live.append(sum(stat.size for stat in traces.statistics("filename")))
+        return chunk(*args)
+
+    monkeypatch.setattr(sampler, "_mc_chunk", measure_first)
+    p_float = np.array([float(v) for v in GEO_HALF.prefix_values(n)])
+    tracemalloc.start()
+    try:
+        sampler._mc_run((0, sampler._chunks(0, CHUNK_TRIALS), n, UNIFORM, p_float, False))
+    finally:
+        tracemalloc.stop()
+    assert live == [4 * CHUNK_TRIALS * n * 8]
