@@ -12,10 +12,10 @@ spawn_key=(c,))``.  Workers take contiguous runs of chunks; results are
 reduced in chunk order, so output is identical for any worker count.
 
 Kernel layout: a call, or each pool worker, reuses one workspace for all its
-chunks: ``_sticks`` owns the draw, coordinate and survival buffers, ``_mc_run``
-the one int64 compare buffer of the row screen.  Survivals and coordinates are
-built transposed, a row per stick index, and ratios are sorted in place in the
-draw buffer.  Buffer reuse changes no arithmetic, so the contract above holds.
+chunks, the two buffers of ``_sticks``: draws (m, n) and coordinates (n, m).
+Once the draws are copied out, the draw buffer holds the survivals, then the
+row screen's sorted int32 high words and their steps; only flagged rows are
+float-sorted.  Buffer reuse changes no arithmetic, so the contract holds.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+import sys
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .records import Record, setfield
 
 NEAR_COLLISION_RTOL = 1e-12
 CHUNK_TRIALS = 4096
-SCREEN_ULPS = 1 << 15  # closer sorted ratios send their row to the full compare
+HIGH_WORD = int(sys.byteorder == "little")  # int32 index of a double's sign and exponent
 
 
 class StickBase(Record):
@@ -84,12 +85,11 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
 
 def _unit_draws(rng: np.random.Generator, u: np.ndarray, base: StickBase) -> None:
     """Fill u with base draws, in the stream order of one ``u.shape`` draw."""
-    if base.kind == "uniform":
+    if base.kind == "uniform":  # k/2^53 with k < 2^53: never 1, nothing to re-draw
         rng.random(out=u)
-    else:
-        u[...] = rng.beta(base.a, base.b, u.shape)
-    # a draw exactly equal to the remaining mass (u == 1) is re-drawn;
-    # the half-open convention keeps every break strictly below the stick
+        return
+    u[...] = rng.beta(base.a, base.b, u.shape)
+    # a beta draw can round to 1.0: it is re-drawn, so every break stays below the stick
     if u.max() >= 1.0:
         redrawn = u[u >= 1.0]
         _unit_draws(rng, redrawn, base)
@@ -98,16 +98,17 @@ def _unit_draws(rng: np.random.Generator, u: np.ndarray, base: StickBase) -> Non
 
 def _sticks(seed: int, run: list, n: int, base: StickBase):
     """Stick-breaking samples for a run of chunks through one workspace, sized
-    by the run's first (largest) chunk of m: draws (m, n), coordinates and
-    survivals (n, m).  Yields each chunk's trial rows, coordinates (n, m),
-    residuals and its draw buffer (m, n), free for the caller to reuse."""
+    by the run's first (largest) chunk of m: draws (m, n), then survivals
+    (n, m) in the same memory, and coordinates (n, m).  Yields each chunk's
+    trial rows, coordinates, residuals and its draw buffer (m, n), free to
+    reuse once the residuals, its last m entries, are read."""
     m = run[0][1]
-    draws, coords, survivals = np.empty((m, n)), np.empty((n, m)), np.empty((n, m))
+    draws, coords = np.empty((m, n)), np.empty((n, m))
     for chunk, m, first in run:
-        u, x, kept = draws[:m], coords[:, :m], survivals[:, :m]
+        u, x = draws[:m], coords[:, :m]
         _unit_draws(_chunk_rng(seed, chunk), u, base)
         x[...] = u.T
-        np.subtract(1.0, x, out=kept)
+        kept = np.subtract(1.0, x, out=u.reshape(n, m))  # the draws are spent
         for i in range(1, n):  # np.cumprod's left-to-right product, row by row
             kept[i] *= kept[i - 1]
         x[1:] *= kept[:-1]
@@ -151,52 +152,51 @@ class McReport(Record):
         return dict(zip(self.__slots__, self._values()))
 
 
-def _screened_rows(s, gap):
-    """Rows of s, sorted finite ratios (m, n), that may hold an equal or near
-    pair: int64 differences of adjacent bit patterns over the flat buffer, in
-    gap (m·n entries or more).  Bit patterns of finite doubles >= +0 are
-    monotone, so a difference counts ulps; no ratio is -0.0, as x = u·kept with
-    u, kept >= +0 and p_i > 0.  A near pair a <= b has fl(b - a) <= fl(1e-12·b),
-    so a > b/2 and b - a is exact: under 9,008 ulps within b's binade, 18,015
-    across a binade edge, at most 4,504 among subnormals; all < SCREEN_ULPS."""
-    m, n = s.shape
-    gap = gap[:m * n].reshape(m, n)
-    bits = s.reshape(-1).view(np.int64)
-    np.subtract(bits[1:], bits[:-1], out=gap.reshape(-1)[:-1])
-    gap[:, -1] = SCREEN_ULPS  # a row's last ratio against the next row's first
-    if gap.min() >= SCREEN_ULPS:
-        return np.empty(0, dtype=np.intp)
-    return np.flatnonzero((gap < SCREEN_ULPS).any(axis=1))
+def _flagged_rows(ratios, u):
+    """Trials, columns of ratios (n, m), that may hold an equal or near pair:
+    their ratios' int32 high words sorted per trial in the first half of u, a
+    free (m, n) float buffer, adjacent steps in its second.  A superset of the
+    float compare in ``_mc_chunk``, as
+    - bit patterns of finite doubles >= +0 are monotone (no ratio is -0.0: x =
+      u·kept with u, kept >= +0 and p_i > 0);
+    - a near pair a <= b has fl(b - a) <= fl(1e-12·b), so a > b/2, b - a is
+      exact and under 18,015 ulps < 2^32: their high words differ by at most
+      1, and so does some adjacent pair of the sorted words;
+    - two infs share a word; a NaN is never equal or near to anything;
+    - an int32 step that overflows wraps negative: one more candidate row."""
+    n, m = ratios.shape
+    high, step = u.reshape(-1).view(np.int32).reshape(2, m, n)
+    high[...] = ratios.view(np.int32)[:, HIGH_WORD::2].T
+    high.sort(axis=1)
+    np.subtract(high.reshape(-1)[1:], high.reshape(-1)[:-1], out=step.reshape(-1)[:-1])
+    step[:, -1] = 2  # a row's last word against the next row's first
+    rows = np.flatnonzero(step <= 1) // n  # sorted, a row once per flagged step
+    return rows[np.diff(rows, prepend=-1) > 0]
 
 
 @np.errstate(divide="ignore", invalid="ignore")  # p_i underflowed to 0.0: inf, nan ratios
-def _mc_chunk(trials, x, residual, s, p_float, collect, gap):
-    """One chunk's counts and records; s is a free (m, n) buffer to sort ratios in."""
-    m = x.shape[1]
+def _mc_chunk(trials, x, residual, u, p_float, collect):
+    """One chunk's counts and records; u, its draw buffer, holds the residuals till screened."""
+    residual_sum, residuals = float(residual.sum()), residual.tolist() if collect else ()
     ratios = np.divide(x, p_float[:, None], out=x)  # transposed: a trial per column
-    s[...] = ratios.T
-    s.sort(axis=1)
-    rows = slice(None)
-    if np.isfinite(s[:, -1]).all():  # else inf or nan ratios: every row is compared
-        rows = _screened_rows(s, gap)
-    s = s[rows]
+    rows = _flagged_rows(ratios, u)
+    s = np.sort(ratios[:, rows].T, axis=1)
     eq = s[:, 1:] == s[:, :-1]
     near = (s[:, 1:] - s[:, :-1]) <= NEAR_COLLISION_RTOL * np.abs(s[:, 1:])
-    exact = np.zeros(m, dtype=bool)
+    near &= np.isfinite(s[:, 1:])  # inf - a <= 1e-12·inf holds for any finite a
+    exact = np.zeros(x.shape[1], dtype=bool)
     exact[rows] = eq.any(axis=1)
     records = []
-    if collect:
-        for t in range(m):
-            pair = RatioIndex(ratios[:, t].tolist()).first_collision if exact[t] else None
-            records.append(TrialRecord(trials.start + t, not exact[t], pair, float(residual[t])))
-    return int(exact.sum()), int((near & ~eq).any(axis=1).sum()), float(residual.sum()), records
+    for t, r in enumerate(residuals):  # none unless collecting
+        pair = RatioIndex(ratios[:, t].tolist()).first_collision if exact[t] else None
+        records.append(TrialRecord(trials.start + t, not exact[t], pair, r))
+    return int(exact.sum()), int((near & ~eq).any(axis=1).sum()), residual_sum, records
 
 
 def _mc_run(args):
     """One worker's contiguous run of chunks: a result per chunk."""
     seed, run, n, base, p_float, collect = args
-    gap = np.empty(run[0][1] * n, dtype=np.int64)  # the screen's buffer for the whole run
-    return [_mc_chunk(*chunk, p_float, collect, gap) for chunk in _sticks(seed, run, n, base)]
+    return [_mc_chunk(*chunk, p_float, collect) for chunk in _sticks(seed, run, n, base)]
 
 
 def monte_carlo_blindspot_fraction(prior: Distribution, trials: int, n: int,

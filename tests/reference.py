@@ -220,9 +220,11 @@ def stick_matrix(seed: int, trials: int, n: int, base):
 
 def full_compare(s):
     """Per-row flags of sorted ratio rows (m, n), every row compared in full:
-    (an exactly equal pair, a near pair that is not equal)."""
+    (an exactly equal pair, a near pair that is not equal).  A finite ratio
+    beside inf is not near, though inf - a <= 1e-12·inf holds."""
     eq = s[:, 1:] == s[:, :-1]
     close = (s[:, 1:] - s[:, :-1]) <= NEAR_COLLISION_RTOL * np.abs(s[:, 1:])
+    close &= np.isfinite(s[:, 1:])
     return eq.any(axis=1), (close & ~eq).any(axis=1)
 
 

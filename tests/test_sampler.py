@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bayesblind import (
     StickBase,
@@ -282,17 +283,30 @@ def _near_bound(b):
     return k
 
 
+def _double(bits):
+    return np.array([bits], dtype=np.uint64).view(np.float64)[0]
+
+
+def _straddle(high):
+    """The adjacent doubles whose high words are high and high + 1: low word
+    0xFFFFFFFF beside the next high word's 0x00000000."""
+    return _double(high << 32 | 0xFFFFFFFF), _double((high + 1) << 32)
+
+
 def _planted_pairs():
     """Sorted pairs (a, b): ties, pairs on both sides of the 1e-12 bound
     (within a binade, straddling a power of two, subnormal, near the largest
-    double), 0.0 beside the smallest subnormal, and subnormal pairs."""
+    double), 0.0 beside the smallest subnormal, subnormal pairs, pairs across a
+    high-word boundary (the last one is the largest double beside inf), and
+    inf and NaN pairs: a finite ratio beside inf is not near."""
     pairs = [(0.0, 0.0), (TINY, TINY), (1.0, 1.0), (MAX, MAX), (0.0, TINY),
-             (3 * TINY, 7 * TINY), (_below(2.0, 1), np.nextafter(2.0, 3.0))]
+             (3 * TINY, 7 * TINY), (_below(2.0, 1), np.nextafter(2.0, 3.0)),
+             (1.0, np.inf), (np.inf, np.inf), (np.nan, np.nan), (-np.nan, np.nan)]
     for b in (1.0, 1.5, 1.0 + 2.0 ** -40, np.nextafter(2.0 ** -1022, 0.0), 2.0 ** -1022,
               2.0 ** -1060, MAX):
         bound = _near_bound(b)
         pairs += [(_below(b, k), b) for k in (bound - 1, bound, bound + 1, bound + 2)]
-    return pairs
+    return pairs + [_straddle(h) for h in (0, 0x000FFFFF, 0x3FEFFFFF, 0x3FF00000, 0x7FEFFFFF)]
 
 
 def _planted_rows(n):
@@ -306,39 +320,103 @@ def _planted_rows(n):
     return np.sort(np.hstack([np.array(pairs), fillers]), axis=1)
 
 
+def _flagged(s):
+    """The screen's flagged rows of sorted ratio rows s (m, n)."""
+    return sampler._flagged_rows(s.T.copy(), np.empty(s.shape)).tolist()
+
+
 @pytest.mark.parametrize("n", [1, 2, 6])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the reference
 def test_screen_flags_every_row_the_full_compare_flags(n):
     s = _planted_rows(n)
     exact, near = reference.full_compare(s)
     assert n == 1 or (exact.any() and near.any())  # the planted pairs are seen
-    flagged = sampler._screened_rows(s.copy(), np.empty(s.size, dtype=np.int64))
-    assert set(np.flatnonzero(exact | near)) <= set(flagged.tolist())
+    assert set(np.flatnonzero(exact | near)) <= set(_flagged(s))
+
+
+@settings(deadline=None)
+@given(st.integers(2, 12), st.integers(0, 0x7FF0000000000000), st.integers(0, 1 << 20),
+       st.integers(0, 2 ** 32))
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_screen_flags_a_pair_planted_k_ulps_apart(n, b_bits, k, seed):
+    """A pair a <= b, k ulps apart, among n - 2 random ratios: the row is
+    flagged whenever the full compare flags it, and whenever the pair's high
+    words differ by at most 1."""
+    a_bits = max(b_bits - k, 0)
+    rng = np.random.default_rng(seed)
+    fillers = rng.random(n - 2) * 2.0 ** float(rng.integers(-1074, 1023))
+    s = np.sort(np.concatenate([[_double(a_bits), _double(b_bits)], fillers]))[None, :]
+    exact, near = reference.full_compare(s)
+    flagged = _flagged(s) == [0]
+    assert flagged or not (exact[0] or near[0])
+    assert flagged or (b_bits >> 32) - (a_bits >> 32) > 1
 
 
 def test_screen_bound_and_row_ends():
-    s = np.array([[_below(1.0, sampler.SCREEN_ULPS - 1), 1.0],
-                  [_below(1.0, sampler.SCREEN_ULPS), 1.0],
-                  [1.0, 2.0], [2.0, 4.0]])  # equal across a row end only
-    assert sampler._screened_rows(s, np.empty(s.size, dtype=np.int64)).tolist() == [0]
+    one = 0x3FF00000  # the high word of 1.0
+    s = np.array([[_double((one - 1) << 32), 1.0],  # high words 1 apart
+                  [_double((one - 2) << 32 | 0xFFFFFFFF), 1.0],  # 2 apart, 2^32 + 1 ulps
+                  [1.0, 2.0], [2.0, 4.0],  # equal across a row end only
+                  [-np.nan, np.nan]])  # the int32 step wraps negative: flagged
+    assert _flagged(s) == [0, 4]
+    assert not np.any(reference.full_compare(s)[1][2:])
+    assert _flagged(np.array([[1.0], [1.0], [np.inf], [np.inf]])) == []  # n = 1: no pairs
 
 
 @pytest.mark.parametrize("n", [1, 2, 6])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_chunk_counts_match_reference_on_planted_rows(n):
     s = _planted_rows(n)
     m = len(s)
     exact, near = reference.full_compare(s)
     x = np.random.default_rng(0).permuted(s, axis=1).T.copy()  # a trial per column
     got_exact, got_near, _, records = sampler._mc_chunk(
-        slice(0, m), x, np.zeros(m), np.empty((m, n)), np.ones(n), True,
-        np.empty(m * n, dtype=np.int64))
+        slice(0, m), x, np.zeros(m), np.empty((m, n)), np.ones(n), True)
     assert (got_exact, got_near) == (int(exact.sum()), int(near.sum()))
     assert [not r.in_blindspot for r in records] == exact.tolist()
 
 
+def test_finite_ratio_beside_inf_is_not_near():
+    """geometric(1/1000) entries underflow to 0.0 by index 120, so every trial
+    holds inf ratios: the 50 exact collisions stand (ROADMAP item 4), the 50
+    near ones that inf - a <= 1e-12·inf made are gone."""
+    report = monte_carlo_blindspot_fraction(geometric(F(1, 1000)), 50, 120, seed=1)
+    assert (report.exact_float_collisions, report.near_collisions) == (50, 0)
+
+
+def test_few_trials_reach_the_float_compare(monkeypatch):
+    """Three 4096-trial uniform chunks under geometric(1/2) at n = 50: the
+    screen sends fewer than 1% of the trials to the float compare."""
+    screened, flagged, screen = [], [], sampler._flagged_rows
+
+    def counted(ratios, u):
+        rows = screen(ratios, u)
+        screened.append(ratios.shape[1])
+        flagged.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(sampler, "_flagged_rows", counted)
+    monte_carlo_blindspot_fraction(GEO_HALF, 3 * CHUNK_TRIALS, 50, seed=1)
+    assert screened == [CHUNK_TRIALS] * 3
+    assert sum(flagged) < 0.01 * 3 * CHUNK_TRIALS
+
+
+def test_beta_draw_of_one_is_redrawn():
+    class OnesFirst:  # a beta stream whose first draws round to 1.0
+        draws = iter([[[0.5, 1.0], [1.0, 0.25]], [1.0, 0.75], [0.125]])
+
+        def beta(self, a, b, shape):
+            return np.array(next(self.draws)).reshape(shape)
+
+    u = np.empty((2, 2))
+    _unit_draws(OnesFirst(), u, StickBase("beta", 2.0, 2.0))
+    assert u.tolist() == [[0.5, 0.125], [0.75, 0.25]]
+
+
 @pytest.mark.parametrize("n", [50, 800])
-def test_workspace_is_four_chunk_buffers(monkeypatch, n):
-    """README: one 4096-trial call holds 4 × 4096 × n × 8 bytes of workspace,
-    the draw, coordinate, survival and screen buffers, live at the first chunk."""
+def test_workspace_is_two_chunk_buffers(monkeypatch, n):
+    """README: one 4096-trial call holds 2 × 4096 × n × 8 bytes of workspace,
+    the draw and coordinate buffers, live at the first chunk."""
     live, chunk = [], sampler._mc_chunk
 
     def measure_first(*args):
@@ -356,4 +434,4 @@ def test_workspace_is_four_chunk_buffers(monkeypatch, n):
         sampler._mc_run((0, sampler._chunks(0, CHUNK_TRIALS), n, UNIFORM, p_float, False))
     finally:
         tracemalloc.stop()
-    assert live == [4 * CHUNK_TRIALS * n * 8]
+    assert live == [2 * CHUNK_TRIALS * n * 8]
