@@ -27,6 +27,8 @@ _ZERO = Fraction(0)
 
 def parse_rational(text: str) -> Fraction:
     """Parse "a/b", integer, or decimal (at most 18 fractional digits) exactly."""
+    if not isinstance(text, str):
+        raise InputError(f"a rational is written as a string, got {text!r}")
     s = text.strip()
     a, slash, b = s.partition("/")
     if slash:  # plain digits "a/b" skip Fraction's string parser
@@ -89,11 +91,14 @@ def _check_entries(values: Sequence[Number]) -> None:
             raise InputError("NaN probability entry")
 
 
-class StoredDistribution(Record):
-    """The view shared by the finite and truncated kinds: a stored prefix
-    plus the tail mass beyond it (zero for a finite vector)."""
+class Distribution(Record):
+    """The one view of every kind: a stored prefix q_1..q_N, possibly empty, and
+    the tail mass T beyond it.  The tail ratio s is None unless the tail is
+    geometric: then q_i = T(1-s) s^(i-N-1) for i > N.  A kind's ``__slots__``
+    are its fields, in constructor and JSON order, and ``kind`` is its JSON name."""
 
-    __slots__ = ("is_exact",)  # every entry and the tail mass a Fraction; set by _validate
+    __slots__ = ("is_exact",)  # every entry and the tail mass a Fraction; set once, when built
+    ratio = None  # the tail ratio s; a field of the kinds whose tail is geometric
 
     def _validate(self, values: tuple) -> None:  # the entries and any tail, scanned once
         if len(self.prefix) < 2:
@@ -108,31 +113,47 @@ class StoredDistribution(Record):
             raise InputError(f"float entries sum to {total}")
 
     def __len__(self) -> int:
-        return len(self.prefix)
+        return len(self.prefix)  # the stored components only
 
     def value(self, i: int) -> Number:
         """1-based component access."""
-        return self.prefix[i - 1]
+        if self.ratio is None or i <= len(self):
+            return self.prefix[i - 1]
+        return self.tail_mass * (1 - self.ratio) * self.ratio ** (i - len(self) - 1)
 
     def prefix_values(self, n: int) -> tuple:
-        """Components 1..n."""
+        """Components 1..n; past the stored prefix, the Fraction view of ``prefix_pairs``."""
         require_horizon(n, self)
-        return self.prefix[:n]
+        tail = () if self.ratio is None else self.prefix_pairs(n)[len(self):]
+        return self.prefix[:n] + tuple(Fraction(x, y) for x, y in tail)
 
     def prefix_pairs(self, n: int) -> tuple:
-        """Components 1..n as integer pairs (numerator, denominator)."""
-        return tuple(v.as_integer_ratio() for v in self.prefix_values(n))
+        """Components 1..n as integer pairs (numerator, denominator).  Past the stored
+        prefix they are running integer products: (c(b - a) a^k, d b^(k+1)) for
+        T = c/d and s = a/b, coprime when T = 1, as gcd(b - a, b) = 1."""
+        require_horizon(n, self)
+        pairs = [v.as_integer_ratio() for v in self.prefix[:n]]
+        if self.ratio is not None:
+            (a, b), (c, d) = self.ratio.as_integer_ratio(), self.tail_mass.as_integer_ratio()
+            x, y = c * (b - a), d * b
+            for _ in range(n - len(pairs)):
+                pairs.append((x, y))
+                x, y = x * a, y * b
+        return tuple(pairs)
 
     def tail_after(self, n: int) -> Number:
-        """Mass beyond index n: stored components after n plus the tail mass."""
+        """Mass beyond index n: later stored entries plus T, or T s^(n-N) for n >= N, ratio s."""
         require_horizon(n, self)
+        if self.ratio is not None and n >= len(self):
+            return self.tail_mass * self.ratio ** (n - len(self))
         return exact_sum(self.prefix[n:] + (self.tail_mass,))
 
 
-class FiniteDistribution(StoredDistribution):
+class FiniteDistribution(Distribution):
     """Probability vector on a finite index set; exact in rational mode."""
 
     __slots__ = ("probs",)  # equality and hash read probs alone
+    kind = "finite"
     prefix = property(lambda self: self.probs)  # the stored view: all of it, no tail
     tail_mass = property(lambda self: _ZERO if self.is_exact else 0.0)
 
@@ -141,10 +162,11 @@ class FiniteDistribution(StoredDistribution):
         self._validate(self.probs)
 
 
-class TruncatedDistribution(StoredDistribution):
+class TruncatedDistribution(Distribution):
     """Finite prefix of a distribution on a denumerable set plus tail mass."""
 
     __slots__ = ("prefix", "tail_mass")
+    kind = "truncated"
 
     def __init__(self, prefix: Iterable[Number], tail_mass: Number):
         setfield(self, "prefix", tuple(prefix))
@@ -152,41 +174,20 @@ class TruncatedDistribution(StoredDistribution):
         self._validate(self.prefix + (tail_mass,))
 
 
-class Geometric(Record):
-    """Strictly positive parametric family p_i = (1-r) * r^(i-1), i >= 1."""
+class Geometric(Distribution):
+    """Strictly positive family p_i = (1-r) r^(i-1), i >= 1: an empty prefix, tail mass 1."""
 
     __slots__ = ("ratio",)
-    is_exact = True  # a class constant, not a field
+    kind, prefix, tail_mass = "geometric", (), 1
 
     def __init__(self, ratio: Fraction):
         setfield(self, "ratio", ratio if isinstance(ratio, Fraction) else Fraction(ratio))
         if not (0 < self.ratio < 1):
             raise InputError(f"geometric ratio must lie in (0, 1), got {self.ratio}")
-
-    def value(self, i: int) -> Fraction:
-        return (1 - self.ratio) * self.ratio ** (i - 1)
-
-    def prefix_values(self, n: int) -> tuple:
-        return tuple(Fraction(x, y) for x, y in self.prefix_pairs(n))
-
-    def prefix_pairs(self, n: int) -> tuple:
-        """((b - a) a^(i-1), b^i), i = 1..n, for r = a/b: coprime, as gcd(b - a, b) = 1."""
-        a, b = self.ratio.as_integer_ratio()
-        out, x, y = [], b - a, b
-        for _ in range(n):
-            out.append((x, y))
-            x, y = x * a, y * b
-        return tuple(out)
-
-    def tail_after(self, n: int) -> Fraction:
-        return self.ratio ** n
+        setfield(self, "is_exact", True)
 
 
-def geometric(r: Fraction) -> Geometric:
-    return Geometric(r)
-
-
-Distribution = Union[FiniteDistribution, TruncatedDistribution, Geometric]
+geometric = Geometric  # the public constructor, geometric(r)
 
 
 def _ratio(q: tuple, p: tuple) -> tuple:
@@ -265,7 +266,7 @@ def normalize(values: Iterable[Fraction]) -> FiniteDistribution:
     return FiniteDistribution(shares([v.as_integer_ratio() for v in vals]))
 
 
-def truncate(d: Geometric, n: int) -> TruncatedDistribution:
+def truncate(d: Distribution, n: int) -> TruncatedDistribution:
     """Exact N-term prefix of a parametric distribution, tail via closed form."""
     if n < 2:
         raise InputError("truncation horizon must be at least 2")
@@ -273,8 +274,8 @@ def truncate(d: Geometric, n: int) -> TruncatedDistribution:
 
 
 def require_stored(*ds: Distribution) -> None:
-    """Guard for operations that read a stored prefix: rejects geometric."""
-    if any(isinstance(d, Geometric) for d in ds):
+    """Guard for operations that read a stored prefix: rejects a geometric tail."""
+    if any(d.ratio is not None for d in ds):
         raise InputError("a geometric distribution has no stored prefix; truncate it first")
 
 
@@ -282,7 +283,7 @@ def require_finite(*ds: Distribution) -> int:
     """Guard for operations on finite vectors of one length: rejects truncated
     and geometric, which need a horizon, and unequal lengths.  Returns the
     common length."""
-    if not all(isinstance(d, FiniteDistribution) for d in ds):
+    if any(d.kind != "finite" for d in ds):
         raise InputError("truncated and geometric distributions need a horizon")
     if len({len(d) for d in ds}) > 1:
         raise InputError("lengths differ: " + " vs ".join(str(len(d)) for d in ds))
@@ -290,9 +291,9 @@ def require_finite(*ds: Distribution) -> int:
 
 
 def require_horizon(n: int, *ds: Distribution) -> None:
-    """Guard run before any prefix is built: n is within every stored prefix."""
+    """Guard run before any prefix is built: n is within every prefix no tail ratio extends."""
     for d in ds:
-        if isinstance(d, StoredDistribution) and n > len(d):
+        if d.ratio is None and n > len(d):
             raise InputError(f"horizon {n} exceeds available prefix length {len(d)}")
 
 
@@ -305,18 +306,6 @@ def require_positive_prefix(d: Distribution, n: int) -> tuple:
         if x <= 0:
             raise InputError(f"prior has nonpositive component {d.value(i)} at index {i}")
     return pairs
-
-
-def dist_to_json(d: Distribution) -> dict:
-    if isinstance(d, FiniteDistribution):
-        return {"kind": "finite", "probs": [_encode(v) for v in d.probs]}
-    if isinstance(d, TruncatedDistribution):
-        return {
-            "kind": "truncated",
-            "prefix": [_encode(v) for v in d.prefix],
-            "tail_mass": _encode(d.tail_mass),
-        }
-    return {"kind": "geometric", "ratio": format_rational(d.ratio)}
 
 
 def _decode(v) -> Number:
@@ -336,15 +325,26 @@ def json_list(value) -> list:
     return value
 
 
-def dist_from_json(obj: dict) -> Distribution:
-    kind = obj.get("kind")
-    if kind == "finite":
-        return FiniteDistribution(tuple(_decode(v) for v in json_list(obj["probs"])))
-    if kind == "truncated":
-        return TruncatedDistribution(
-            tuple(_decode(v) for v in json_list(obj["prefix"])), _decode(obj["tail_mass"])
-        )
-    if kind == "geometric":
-        return Geometric(parse_rational(obj["ratio"]))
-    raise InputError(f"unknown distribution kind {kind!r}")
+_VALUES = (lambda vs: [_encode(v) for v in vs], lambda vs: tuple(map(_decode, json_list(vs))))
+#: the (encoder, decoder) of the JSON value of each field a kind lists in ``__slots__``
+_FIELDS = {"probs": _VALUES, "prefix": _VALUES, "tail_mass": (_encode, _decode),
+           "ratio": (format_rational, parse_rational)}
+_KINDS = {cls.kind: cls for cls in (FiniteDistribution, TruncatedDistribution, Geometric)}
 
+
+def dist_to_json(d: Distribution) -> dict:
+    """``kind``, then each field of the kind in ``__slots__`` order."""
+    return {"kind": d.kind, **{name: _FIELDS[name][0](getattr(d, name)) for name in d.__slots__}}
+
+
+def dist_from_json(obj) -> Distribution:
+    """The kind's class built from its fields, each decoded; none missing, none unknown."""
+    if not isinstance(obj, dict):
+        raise InputError(f"a distribution is a JSON object, got {obj!r}")
+    kind = obj.get("kind")
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise InputError(f"unknown distribution kind {kind!r}")
+    if obj.keys() != {"kind", *cls.__slots__}:
+        raise InputError(f"{kind} keys are {['kind', *cls.__slots__]}, got {list(obj)}")
+    return cls(*(_FIELDS[name][1](obj[name]) for name in cls.__slots__))

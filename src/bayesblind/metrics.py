@@ -2,9 +2,9 @@
 
 Distances involving truncated distributions are reported as an interval
 [lower, upper]: the lower end uses prefix coordinates only, the upper end
-adds a bound on the unseen tail difference.  An upper end below a target
-certifies a distance claim despite truncation.  An exact l1 distance is the
-integer gap sum over one lcm, ``distributions.l1_gap``.
+adds a bound on the unseen tail difference.  Exact l1 and linf ends certify a
+distance claim despite truncation; l2 and lp ends are float estimates.  An
+exact l1 distance is the integer gap sum over one lcm, ``distributions.l1_gap``.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def parse_norm(text: str) -> Norm:
 
 
 class DistanceInterval(Record):
-    """Certified enclosure of a distance between truncated representations."""
+    """[lower, upper] of a distance: exact for exact l1 and linf; l2 and lp ends are floats."""
 
     __slots__ = ("lower", "upper")
 

@@ -17,6 +17,7 @@ from bayesblind import (
 )
 from bayesblind import distributions
 from bayesblind.distributions import (
+    Distribution,
     RatioIndex,
     _ratio,
     dist_from_json,
@@ -162,7 +163,8 @@ class TestGeometric:
            st.integers(1, 300))
     def test_prefix_pairs_are_the_terms_in_lowest_terms(self, ab, n):
         """The running integer products ((b - a) a^(i-1), b^i) are the terms
-        (1 - r) r^(i-1) already reduced, and prefix_values is their Fraction view."""
+        (1 - r) r^(i-1) already reduced, and prefix_values is their Fraction view;
+        value(i) is each term and tail_after(n) the Fraction r^n."""
         r = F(*ab)
         g = geometric(r)
         got, expected = g.prefix_pairs(n), reference.geometric_prefix(r, n)
@@ -170,6 +172,9 @@ class TestGeometric:
         assert all(y > 0 and math.gcd(x, y) == 1 for x, y in got)
         assert F(*got[-1]) == (1 - r) * r ** (n - 1) == g.value(n)
         assert g.prefix_values(n) == expected
+        assert tuple(g.value(i) for i in range(1, n + 1)) == expected
+        tail = g.tail_after(n)
+        assert tail == r ** n == 1 - sum(expected) and type(tail) is F
 
     def test_boundary(self):
         with pytest.raises(InputError, match="geometric ratio must lie in"):
@@ -517,6 +522,23 @@ class TestJson:
         d = dist_from_json({"kind": "finite", "probs": ["1", "0", "0"]})
         assert d.probs == (F(1), F(0), F(0))
 
+    @pytest.mark.parametrize("obj, message", [
+        ({"kind": "finite"}, r"^finite keys are \['kind', 'probs'\], got \['kind'\]$"),
+        ({"kind": "truncated", "prefix": ["1/2", "1/4"], "tail_mass": "1/4", "ratio": "1/2"},
+         r"^truncated keys are \['kind', 'prefix', 'tail_mass'\], got \[.*'ratio'\]$"),
+        ({"kind": "geometric", "ratio": "1/2", "tail_mass": "1"}, "^geometric keys are"),
+        ({"kind": "geometric", "ratio": 0.5}, "^a rational is written as a string, got 0.5$"),
+        ([{"kind": "geometric", "ratio": "1/2"}], "^a distribution is a JSON object, got"),
+        ("finite", "^a distribution is a JSON object, got 'finite'$"),
+        ({"kind": ["finite"], "probs": ["1"]}, r"^unknown distribution kind \['finite'\]$"),
+        ({"probs": ["1/2", "1/2"]}, "^unknown distribution kind None$"),
+    ], ids=["missing", "unknown", "extra", "float-ratio", "list", "string", "list-kind", "no-kind"])
+    def test_malformed_objects_raise_input_error(self, obj, message):
+        """A missing or unknown field, a non-object and a ratio that is not a
+        string are input errors, as an unknown kind is."""
+        with pytest.raises(InputError, match=message):
+            dist_from_json(obj)
+
 
 class TestFloatMode:
     def test_tolerance_enforced(self):
@@ -558,6 +580,7 @@ class TestDistributionView:
     FINITE = finite_from_rationals([F(1, 2), F(1, 4), F(1, 4)])
     TRUNC = TruncatedDistribution((F(1, 2), F(1, 4), F(1, 8)), F(1, 8))
     GEO = geometric(F(1, 2))
+    FLOATS = TruncatedDistribution((0.5, 0.25, 0.125), 0.125)
 
     def test_finite_is_a_prefix_with_zero_tail(self):
         assert self.FINITE.prefix == self.FINITE.probs
@@ -566,13 +589,32 @@ class TestDistributionView:
         assert float_finite.tail_mass == 0.0 and isinstance(float_finite.tail_mass, float)
         assert not float_finite.is_exact
 
-    @pytest.mark.parametrize("kind", ["FINITE", "TRUNC", "GEO"])
+    @pytest.mark.parametrize("kind", ["FINITE", "TRUNC", "GEO", "FLOATS"])
     def test_prefix_and_tail_agree(self, kind):
+        """The tail after n is the rest of the mass, a float for float entries."""
         d = getattr(self, kind)
-        assert d.is_exact
+        assert d.is_exact is (kind != "FLOATS")
         for n in (1, 2, 3):
-            assert sum(d.prefix_values(n)) + d.tail_after(n) == 1
+            tail = d.tail_after(n)
+            assert sum(d.prefix_values(n)) + tail == 1
+            assert type(tail) is (float if kind == "FLOATS" else Fraction)
             assert d.prefix_values(n) == tuple(d.value(i) for i in range(1, n + 1))
+
+    def test_stored_prefix_then_geometric_tail(self):
+        """The view's general case, which no JSON kind has yet: past N stored
+        entries, q_i = T(1-s) s^(i-N-1), read through every accessor."""
+
+        class PrefixThenGeometric(Distribution):
+            __slots__ = ("prefix", "tail_mass", "ratio")
+
+        T, s = F(1, 4), F(2, 3)
+        d = PrefixThenGeometric((F(1, 2), F(1, 4)), T, s)
+        terms = (F(1, 2), F(1, 4)) + tuple(T * (1 - s) * s ** k for k in range(6))
+        assert d.prefix_values(8) == terms == tuple(d.value(i) for i in range(1, 9))
+        assert tuple(F(x, y) for x, y in d.prefix_pairs(8)) == terms
+        assert [d.tail_after(n) for n in range(9)] == [1 - sum(terms[:n]) for n in range(9)]
+        with pytest.raises(InputError, match="no stored prefix"):
+            require_stored(d)
 
     def test_stored_horizon_too_large(self):
         for d in (self.FINITE, self.TRUNC):

@@ -4,6 +4,8 @@
 exact sum, share and l1 gap goes through it, so it alone calls ``math.lcm``.
 ``records.Record`` is the one record idiom: no module imports ``dataclasses``,
 whose import and generated methods cost every CLI command start-up time.
+``distributions.Distribution`` is the one view of a distribution: no module
+tells the kinds apart with ``isinstance``, and each accessor is written once.
 """
 
 import ast
@@ -55,3 +57,34 @@ def dataclasses_imports() -> list:
 
 def test_no_module_imports_dataclasses():
     assert dataclasses_imports() == []
+
+
+KINDS = {"Distribution", "FiniteDistribution", "TruncatedDistribution", "Geometric"}
+ACCESSORS = ("value", "prefix_values", "prefix_pairs", "tail_after")
+
+
+def kind_isinstance_calls() -> list:
+    """``module: line`` of every ``isinstance`` whose class argument names a
+    distribution kind, alone or in a tuple."""
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2):
+                continue
+            classes = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            if any(getattr(c, "id", getattr(c, "attr", None)) in KINDS for c in classes):
+                sites.append(f"{path.stem}: {node.lineno}")
+    return sites
+
+
+def accessor_definitions() -> list:
+    """``Class.method`` of every definition of a distribution accessor."""
+    tree = ast.parse((SRC / "distributions.py").read_text())
+    return [f"{cls.name}.{fn.name}" for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name in ACCESSORS]
+
+
+def test_distribution_kinds_are_told_apart_by_fields():
+    assert kind_isinstance_calls() == []
+    assert accessor_definitions() == [f"Distribution.{name}" for name in ACCESSORS]
