@@ -71,7 +71,7 @@ def _scans(priors: Sequence[Distribution], q: Distribution, n: int | None) -> It
         m = require_finite(p, q) if n is None else n
         pv = require_positive_prefix(p, m)
         qs = qs or q.prefix_pairs(m)
-        yield RatioIndex.of(qs, pv)
+        yield RatioIndex(qs, pv)
 
 
 def membership_finite(p: FiniteDistribution, q: FiniteDistribution) -> Verdict:

@@ -52,7 +52,7 @@ def generate_raw_sequence(
     prefixes = [require_positive_prefix(p, n) for p in priors]
     rng = random.Random(seed)
     ms = [Fraction(1, 2)]
-    seen = [RatioIndex.of([(1, 2)], pv) for pv in prefixes]
+    seen = [RatioIndex([(1, 2)], pv) for pv in prefixes]
     for i in range(2, n + 1):
         denom = 1 << (i + _DYADIC_BITS)
         while True:
@@ -117,7 +117,7 @@ def pick_valid_delta(
     n = len(q)
     pvs = [require_positive_prefix(p, n) for p in priors]
     qs = q.prefix_pairs(n)
-    fixed = [(pv[0], pv[1], RatioIndex.of(qs[2:], pv[2:])) for pv in pvs]
+    fixed = [(pv[0], pv[1], RatioIndex(qs[2:], pv[2:])) for pv in pvs]
     if any(rest.first_collision for _, _, rest in fixed):
         raise HorizonInsufficient("indices 3..N already collide; no delta can help")
     q1, q2 = q.prefix[0], q.prefix[1]
@@ -160,7 +160,7 @@ def densify(p: Distribution, q_target: Distribution, eps: Fraction) -> DensifyRe
     pv = require_positive_prefix(p, n)
     qv, qs = q_target.prefix, q_target.prefix_pairs(n)
     rs = [qs[0]]
-    seen = RatioIndex.of(qs[:1], pv)
+    seen = RatioIndex(qs[:1], pv)
     for i in range(1, n):
         pair, shift = qs[i], i + 3  # nudges from eps / 2^(i+3) < eps / 2^(n+1), n = i+1
         probe = seen.probe(pair, pv[i])

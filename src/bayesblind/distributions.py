@@ -31,14 +31,14 @@ def parse_rational(text: str) -> Fraction:
         raise InputError(f"a rational is written as a string, got {text!r}")
     s = text.strip()
     a, slash, b = s.partition("/")
-    if slash:  # plain digits "a/b" skip Fraction's string parser
-        return Fraction(int(a), int(b)) if a.isdecimal() and b.isdecimal() else Fraction(s)
-    if "." in s:
-        digits = len(s.split(".", 1)[1])
-        if digits > 18:
-            raise InputError(f"decimal input limited to 18 fractional digits: {text!r}")
-        return Fraction(s)
-    return Fraction(int(s))
+    if "." in s and not slash and len(s.split(".", 1)[1]) > 18:
+        raise InputError(f"decimal input limited to 18 fractional digits: {text!r}")
+    try:  # plain digits "a/b" skip Fraction's string parser
+        if slash:
+            return Fraction(int(a), int(b)) if a.isdecimal() and b.isdecimal() else Fraction(s)
+        return Fraction(s) if "." in s else Fraction(int(s))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"not a rational: {text!r}") from exc
 
 
 def format_rational(x: Fraction) -> str:
@@ -116,9 +116,12 @@ class Distribution(Record):
         return len(self.prefix)  # the stored components only
 
     def value(self, i: int) -> Number:
-        """1-based component access."""
-        if self.ratio is None or i <= len(self):
+        """1-based component access, within the stored prefix unless a tail ratio extends it."""
+        if i < 1:
+            raise InputError(f"components are indexed from 1, got {i}")
+        if i <= len(self):
             return self.prefix[i - 1]
+        require_horizon(i, self)
         return self.tail_mass * (1 - self.ratio) * self.ratio ** (i - len(self) - 1)
 
     def prefix_values(self, n: int) -> tuple:
@@ -194,10 +197,8 @@ def _ratio(q: tuple, p: tuple) -> tuple:
     """(key, x, y): the unreduced integer cross products x = a*d, y = b*c of
     the integer pairs q = (a, b) and p = (c, d).  The key, shared by every
     representation of a ratio, is the correctly rounded x / y if that is a normal
-    float or zero, else its (exponent, mantissa).  A non-finite q = (v, 0) keys as v."""
+    float or zero, else its (exponent, mantissa)."""
     (a, b), (c, d) = q, p
-    if not b:
-        return a, 1, 0
     x, y = a * d, b * c
     try:
         if (key := x / y) >= 2.0 ** -1022 or not x:  # a normal float, or zero
@@ -210,26 +211,18 @@ def _ratio(q: tuple, p: tuple) -> tuple:
 
 
 class RatioIndex:
-    """Positions 1, 2, ... grouped by exact ratio q_i / p_i, grown one at a
-    time from integer pairs q_i = (a, b), p_i = (c, d); the constructor takes
-    numbers, such as a sampler row.  Keys from ``_ratio`` only find candidates:
-    (x, y) joins a fibre only if x * y' == y * x'.  Each fibre is a block of
-    the coarsest witness partition."""
+    """Positions 1, 2, ... grouped by exact ratio q_i / p_i of integer pairs
+    q_i = (a, b), p_i = (c, d) with b, c, d positive: built from the pairs qs[i]
+    over ps[i], then grown one at a time.  Keys from ``_ratio`` only find
+    candidates: (x, y) joins a fibre only if x * y' == y * x'.  Each fibre is a
+    block of the coarsest witness partition."""
 
-    def __init__(self, ratios: Iterable = ()):
+    def __init__(self, qs: Iterable[tuple] = (), ps: Iterable[tuple] = ()):
         self._buckets: dict = {}  # key -> [(x, y, fibre)]
         self._fibres: list = []
         self._size = 0
-        for r in ratios:  # a non-finite float, over an underflowed prior, is (r, 0)
-            self.commit(*self.probe((r, 0) if r != r or r == math.inf else r.as_integer_ratio()))
-
-    @classmethod
-    def of(cls, qs: Iterable[tuple], ps: Iterable[tuple]) -> "RatioIndex":
-        """Index of the ratios of the pairs qs[i] over ps[i]; ps strictly positive."""
-        index = cls()
         for q, p in zip(qs, ps):
-            index.commit(*index.probe(q, p))
-        return index
+            self.commit(*self.probe(q, p))
 
     def probe(self, q: tuple, p: tuple = (1, 1)) -> tuple:
         """(position, fibre): the (key, x, y) of q / p and the fibre holding its ratio, or None."""

@@ -13,7 +13,8 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
 from .distributions import (
-    FiniteDistribution, RatioIndex, exact_sum, require_finite, require_positive_prefix, shares,
+    FiniteDistribution, RatioIndex, exact_sum, json_list, require_finite, require_positive_prefix,
+    shares,
 )
 from .errors import InputError
 from .records import Record, setfield
@@ -60,8 +61,11 @@ class Partition(Record):
         return {"blocks": [list(b) for b in self.blocks]}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "Partition":
-        return cls.of(obj["blocks"])
+    def from_json(cls, obj) -> "Partition":
+        """A JSON object whose one key, ``blocks``, holds a list of index lists."""
+        if not isinstance(obj, dict) or obj.keys() != {"blocks"}:
+            raise InputError(f"a partition is a JSON object with the one key 'blocks', got {obj!r}")
+        return cls.of(json_list(b) for b in json_list(obj["blocks"]))
 
 
 class BlockWeights(Record):
@@ -155,7 +159,7 @@ def rigidity_holds(p: FiniteDistribution, q: FiniteDistribution, e: Partition) -
 def coarsest_partition(p: FiniteDistribution, q: FiniteDistribution) -> Partition:
     """Fibers of the ratio map x -> q_x / p_x, in canonical order."""
     ps = check_prior(p, q)
-    return Partition.of(RatioIndex.of(q.prefix_pairs(len(q)), ps).fibres())
+    return Partition.of(RatioIndex(q.prefix_pairs(len(q)), ps).fibres())
 
 
 class Accessibility(Record):

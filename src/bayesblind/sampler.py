@@ -15,7 +15,7 @@ Kernel layout: a call, or each pool worker, reuses one workspace for all its
 chunks, the two buffers of ``_sticks``: draws (m, n) and coordinates (n, m).
 Once the draws are copied out, the draw buffer holds the survivals, then the
 row screen's sorted int32 high words and their steps; only flagged rows are
-float-sorted.  Buffer reuse changes no arithmetic, so the contract holds.
+float-ordered, once.  Buffer reuse changes no arithmetic, so the contract holds.
 """
 
 from __future__ import annotations
@@ -27,12 +27,7 @@ import sys
 
 import numpy as np
 
-from .distributions import (
-    Distribution,
-    RatioIndex,
-    TruncatedDistribution,
-    require_positive_prefix,
-)
+from .distributions import Distribution, TruncatedDistribution, require_positive_prefix
 from .errors import InputError
 from .records import Record, setfield
 
@@ -174,23 +169,30 @@ def _flagged_rows(ratios, u):
     return rows[np.diff(rows, prepend=-1) > 0]
 
 
-@np.errstate(divide="ignore", invalid="ignore")  # p_i underflowed to 0.0: inf, nan ratios
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # p_i underflowed: inf, nan
 def _mc_chunk(trials, x, residual, u, p_float, collect):
-    """One chunk's counts and records; u, its draw buffer, holds the residuals till screened."""
+    """One chunk's counts and records; u, its draw buffer, holds the residuals till screened.
+    A flagged trial's ratios are ordered once, stably, so a run a < b < c of equal ratios
+    steps (a, b), then (b, c): its equal steps decide the collision, and their least pair
+    (order[k] + 1, order[k + 1] + 1) is ``RatioIndex.first_collision``, a fibre's first two."""
     residual_sum, residuals = float(residual.sum()), residual.tolist() if collect else ()
     ratios = np.divide(x, p_float[:, None], out=x)  # transposed: a trial per column
     rows = _flagged_rows(ratios, u)
-    s = np.sort(ratios[:, rows].T, axis=1)
+    r = ratios[:, rows].T
+    order = np.argsort(r, axis=1, kind="stable")
+    s = np.take_along_axis(r, order, axis=1)
     eq = s[:, 1:] == s[:, :-1]
     near = (s[:, 1:] - s[:, :-1]) <= NEAR_COLLISION_RTOL * np.abs(s[:, 1:])
     near &= np.isfinite(s[:, 1:])  # inf - a <= 1e-12·inf holds for any finite a
-    exact = np.zeros(x.shape[1], dtype=bool)
-    exact[rows] = eq.any(axis=1)
-    records = []
-    for t, r in enumerate(residuals):  # none unless collecting
-        pair = RatioIndex(ratios[:, t].tolist()).first_collision if exact[t] else None
-        records.append(TrialRecord(trials.start + t, not exact[t], pair, r))
-    return int(exact.sum()), int((near & ~eq).any(axis=1).sum()), residual_sum, records
+    hit = np.flatnonzero(eq.any(axis=1))
+    witness = {}
+    if collect and hit.size:  # a row with an equal step has one to take the argmin over
+        k = np.where(eq[hit], order[hit, :-1], len(x)).argmin(axis=1)
+        pairs = zip((order[hit, k] + 1).tolist(), (order[hit, k + 1] + 1).tolist())
+        witness = dict(zip(rows[hit].tolist(), pairs))
+    records = [TrialRecord(trials.start + t, t not in witness, witness.get(t), mass)
+               for t, mass in enumerate(residuals)]  # none unless collecting
+    return hit.size, int((near & ~eq).any(axis=1).sum()), residual_sum, records
 
 
 def _mc_run(args):

@@ -41,9 +41,11 @@ def _ratio_key(r):
 class RatioIndex:
     """The ratio index keyed by the reduced quotient: one Fraction division
     per exact position.  Same fibres, ``first_collision`` and membership as
-    ``bayesblind.distributions.RatioIndex``, whose ``of``, ``add`` and
-    ``contains`` take q and p as integer (numerator, denominator) pairs
-    instead of the quotient."""
+    ``bayesblind.distributions.RatioIndex``, whose constructor and
+    ``probe``/``commit`` take q and p as integer (numerator, denominator)
+    pairs instead of the quotient.  This one also takes floats, infinities
+    and NaN, as a sampler row holds them: equal floats share a fibre, and a
+    NaN shares none."""
 
     def __init__(self, ratios=()):
         self._fibres = {}

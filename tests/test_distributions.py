@@ -269,9 +269,9 @@ posteriors = st.lists(st.integers(0, 6), min_size=1, max_size=12)
 
 
 def pair(v) -> tuple:
-    """v as the integer pair (numerator, denominator) that RatioIndex positions
-    take; a non-finite float, as the constructor reads it, is (v, 0)."""
-    return (v, 0) if v != v or v == math.inf else v.as_integer_ratio()
+    """A finite number as the integer pair (numerator, denominator) that
+    RatioIndex positions take; a float is the dyadic rational it stores."""
+    return v.as_integer_ratio()
 
 
 def pairs(values) -> list:
@@ -289,16 +289,17 @@ class TestRatioIndex:
         ps = data.draw(st.lists(st.integers(1, 6), min_size=len(qs), max_size=len(qs)))
         qv = [F(q, 7) for q in qs]  # zero posterior entries allowed
         pv = [F(p, 5) for p in ps]
-        index = RatioIndex.of(pairs(qv), pairs(pv))
+        index = RatioIndex(pairs(qv), pairs(pv))
         first, blocks = brute_fibres(
             lambda i, j: qv[i - 1] * pv[j - 1] == qv[j - 1] * pv[i - 1], len(qv)
         )
         assert index.first_collision == first
         assert index.fibres() == blocks
 
-    @given(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1e-300, 2.5, float("inf")]), max_size=12))
+    @given(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1e-300, 2.5, 2.0**-1074, 1e308]),
+                    max_size=12))
     def test_float_keys_match_pairwise_equality(self, ratios):
-        index = RatioIndex(ratios)
+        index = RatioIndex(pairs(ratios), [(1, 1)] * len(ratios))
         first, blocks = brute_fibres(lambda i, j: ratios[i - 1] == ratios[j - 1], len(ratios))
         assert index.first_collision == first
         assert index.fibres() == blocks
@@ -306,12 +307,12 @@ class TestRatioIndex:
     @given(st.integers(1, 20))
     def test_all_equal_ratios_form_one_fibre(self, n):
         pv = [F(k, n * (n + 1) // 2) for k in range(1, n + 1)]
-        index = RatioIndex.of(pairs(pv), pairs(pv))
+        index = RatioIndex(pairs(pv), pairs(pv))
         assert index.fibres() == [list(range(1, n + 1))]
         assert index.first_collision == ((1, 2) if n > 1 else None)
 
     def test_incremental_membership(self):
-        index = RatioIndex([F(1, 2), F(1, 3)])
+        index = RatioIndex([(1, 2), (2, 6)], [(1, 1), (1, 1)])
         assert holds(index, (2, 4)) and not holds(index, (1, 4))
         index.commit(*index.probe((1, 3)))
         index.commit(*index.probe((2, 4)))
@@ -319,10 +320,10 @@ class TestRatioIndex:
         assert index.fibres() == [[1, 4], [2, 3]]
 
     def test_equal_values_of_mixed_types_share_a_fibre(self):
-        inf = float("inf")
-        index = RatioIndex([F(1, 2), 0.5, 1, F(1), F(2, 3), inf, float("inf")])
-        assert index.fibres() == [[1, 2], [3, 4], [5], [6, 7]]
-        assert not holds(index, pair(2 / 3)) and holds(index, (4, 6)) and holds(index, pair(inf))
+        qs = pairs([F(1, 2), 0.5, 1, F(1), F(2, 3)]) + [(4, 6), (6, 4)]
+        index = RatioIndex(qs, [(1, 1)] * 6 + [(3, 2)])
+        assert index.fibres() == [[1, 2], [3, 4, 7], [5, 6]]
+        assert not holds(index, pair(2 / 3)) and holds(index, (4, 6)) and holds(index, (2, 2))
 
 
 #: exact operands that stress the integer key: a ratio one part in 2^81 off
@@ -342,7 +343,7 @@ class TestRatioIndexMatchesDivisionOracle:
 
     @staticmethod
     def assert_same(qv, pv, probes, quotient=operator.truediv):
-        index = RatioIndex.of(pairs(qv), pairs(pv))
+        index = RatioIndex(pairs(qv), pairs(pv))
         oracle = reference.RatioIndex(map(quotient, qv, pv))
         assert index.fibres() == oracle.fibres()
         assert index.first_collision == oracle.first_collision
@@ -351,8 +352,8 @@ class TestRatioIndexMatchesDivisionOracle:
 
     @staticmethod
     def stored_quotient(q, p):
-        """q / p of the rationals the operands store; a non-finite q keys as itself."""
-        return Fraction(q) / Fraction(p) if math.isfinite(q) else q
+        """q / p of the rationals the operands store."""
+        return Fraction(q) / Fraction(p)
 
     @given(st.lists(st.tuples(exact_operands, positive_operands), min_size=1, max_size=16),
            st.lists(st.tuples(exact_operands, positive_operands), max_size=6))
@@ -361,7 +362,7 @@ class TestRatioIndexMatchesDivisionOracle:
         self.assert_same(qv, pv, probes)
 
     @given(st.lists(st.tuples(
-        st.one_of(small_operands, st.sampled_from([0.0, 0.5, 1 / 3, 2.0**-1074, math.inf])),
+        st.one_of(small_operands, st.sampled_from([0.0, 0.5, 1 / 3, 2.0**-1074, 1e308])),
         st.one_of(small_operands.filter(lambda v: v > 0), st.sampled_from([0.5, 3.0, 1e-320])),
     ), min_size=1, max_size=12))
     def test_float_operands(self, pairs):
@@ -371,19 +372,19 @@ class TestRatioIndexMatchesDivisionOracle:
     def test_ratios_sharing_a_float_key_stay_apart(self):
         third, near = F(1, 3), F(3 * 2**80 + 1, 9 * 2**80)
         assert float(third) == float(near) and third != near
-        index = RatioIndex.of(pairs([third, near, 2 * third]), pairs([1, 1, 2]))
+        index = RatioIndex(pairs([third, near, 2 * third]), pairs([1, 1, 2]))
         assert index.fibres() == [[1, 3], [2]]
         assert holds(index, pair(near)) and not holds(index, pair(F(1, 3) + F(1, 2**90)))
 
     def test_equal_ratios_across_the_rounding_boundary_share_a_fibre(self):
-        index = RatioIndex.of(pairs([F(2**60 - 1), F(3 * (2**60 - 1)), F(2**60)]),
+        index = RatioIndex(pairs([F(2**60 - 1), F(3 * (2**60 - 1)), F(2**60)]),
                               pairs([1, 3, 1]))
         assert index.fibres() == [[1, 2], [3]]
         assert index.first_collision == (1, 2)
 
     def test_magnitudes_beyond_the_float_range(self):
         tiny, huge = F(1, 2**3000), F(2**3000)
-        index = RatioIndex.of(pairs([tiny, huge, F(2), 0]), pairs([1, 1, 2**3001, 1]))
+        index = RatioIndex(pairs([tiny, huge, F(2), 0]), pairs([1, 1, 2**3001, 1]))
         assert index.fibres() == [[1, 3], [2], [4]]
         assert holds(index, (1, 1), (2**3000, 1)) and not holds(index, (1, 2**2999))
 
@@ -417,14 +418,14 @@ class TestRatioKeyBoundaries:
     def test_each_ratio_in_two_representations_shares_one_fibre(self):
         n = len(KEY_BOUNDARY)
         draws = [(r, 1, 1, 1) for r in KEY_BOUNDARY] + [(r, 3, 5, 7) for r in KEY_BOUNDARY]
-        index = RatioIndex.of(*self.positions(draws))
+        index = RatioIndex(*self.positions(draws))
         assert index.fibres() == [[i, i + n] for i in range(1, n + 1)]
         assert index.first_collision == (1, n + 1)
 
     @given(st.lists(st.tuples(st.sampled_from(KEY_BOUNDARY), st.integers(1, 9),
                               st.integers(1, 9), st.integers(1, 9)), min_size=1, max_size=12))
     def test_matches_the_fraction_keyed_oracle(self, draws):
-        index = RatioIndex.of(*self.positions(draws))
+        index = RatioIndex(*self.positions(draws))
         oracle = reference.RatioIndex(r for r, *_ in draws)
         assert index.fibres() == oracle.fibres()
         assert index.first_collision == oracle.first_collision
@@ -476,10 +477,14 @@ class TestRationalText:
 
     @staticmethod
     def outcome(parse, text):
-        """The parsed value, or the type and message of what parsing raised."""
+        """The parsed value, or the type and message of what parsing raised;
+        parse_rational raises only InputError, from the error Fraction raises."""
         try:
             return parse(text)
+        except InputError as exc:
+            return type(exc.__cause__), str(exc.__cause__)
         except Exception as exc:  # the exception is the outcome
+            assert parse is not parse_rational, f"{exc!r} reached the caller"
             return type(exc), str(exc)
 
     #: digits, signs, separators and non-ASCII digits that Fraction's parser
@@ -499,6 +504,19 @@ class TestRationalText:
     ])
     def test_edge_texts_parse_as_fraction_does(self, text):
         assert self.outcome(parse_rational, text) == self.outcome(Fraction, text.strip())
+
+    @pytest.mark.parametrize("obj", [
+        {"kind": "finite", "probs": ["abc", "1"]},
+        {"kind": "finite", "probs": ["1/0", "1"]},
+        {"kind": "finite", "probs": ["0.5.0", "1/2"]},
+        {"kind": "geometric", "ratio": "x"},
+        {"kind": "geometric", "ratio": "1/0"},
+    ], ids=["letters", "zero-denominator", "two-points", "ratio-letter", "ratio-zero-denominator"])
+    def test_malformed_text_is_an_input_error(self, obj):
+        """Library callers get InputError, not the ValueError or
+        ZeroDivisionError of int() or Fraction."""
+        with pytest.raises(InputError, match="^not a rational: "):
+            dist_from_json(obj)
 
 
 class TestJson:
@@ -615,6 +633,14 @@ class TestDistributionView:
         assert [d.tail_after(n) for n in range(9)] == [1 - sum(terms[:n]) for n in range(9)]
         with pytest.raises(InputError, match="no stored prefix"):
             require_stored(d)
+
+    @pytest.mark.parametrize("kind, i", [
+        ("FINITE", 0), ("FINITE", -1), ("FINITE", 4), ("TRUNC", 4), ("GEO", 0),
+    ])
+    def test_value_outside_the_components_is_an_input_error(self, kind, i):
+        """Not the last entry for i = 0 (prefix[-1]), nor IndexError past the prefix."""
+        with pytest.raises(InputError):
+            getattr(self, kind).value(i)
 
     def test_stored_horizon_too_large(self):
         for d in (self.FINITE, self.TRUNC):

@@ -62,6 +62,17 @@ class TestPartition:
         e = Partition.of([[1], [2, 3]])
         assert Partition.from_json(e.to_json()) == e
 
+    @pytest.mark.parametrize("obj", [
+        pytest.param({"blocks": [[1], [2, 3]], "rest": "block"}, id="unknown-key"),
+        pytest.param({}, id="no-blocks"),
+        pytest.param([[1], [2, 3]], id="not-an-object"),
+        pytest.param({"blocks": 5}, id="blocks-not-a-list"),
+        pytest.param({"blocks": [1, 2]}, id="block-not-a-list"),
+    ])
+    def test_from_json_rejects_malformed_objects(self, obj):
+        with pytest.raises(InputError):
+            Partition.from_json(obj)
+
     def test_refines(self):
         fine = Partition.of([[1], [2], [3, 4]])
         coarse = Partition.of([[1, 2], [3, 4]])

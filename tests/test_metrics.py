@@ -118,6 +118,11 @@ class TestNormParsing:
         with pytest.raises(InputError, match="unknown norm"):
             parse_norm("l0")
 
+    @pytest.mark.parametrize("text", ["lp:x", "lp:1/0", "lp:"])
+    def test_malformed_p_is_an_input_error(self, text):
+        with pytest.raises(InputError, match="^not a rational: "):
+            parse_norm(text)
+
 
 def test_l1_upper_bound_scalar_and_interval():
     assert l1_upper_bound(POINT, OTHER) == 2

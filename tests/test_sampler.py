@@ -249,16 +249,18 @@ def test_kernel_matches_reference_bytes(base, prior, n, trials):
         assert np.float64(sample.tail_mass).tobytes() == ref_residual[0].tobytes()
 
 
-def test_underflowed_prior_raises_no_numpy_warning():
-    """geometric(1/1000) entries underflow to 0.0 by index 120: the inf and nan
-    ratios are counted by the compare, not reported as RuntimeWarnings."""
+@pytest.mark.parametrize("base", [UNIFORM, StickBase("beta", 0.5, 2.0)], ids=["uniform", "beta"])
+def test_underflowed_prior_raises_no_numpy_warning(base):
+    """geometric(1/1000) entries underflow to 0.0 or a subnormal by index 120:
+    the inf and nan ratios, and under the beta base the quotients that overflow
+    to inf, are counted by the compare, not reported as RuntimeWarnings."""
     prior = geometric(F(1, 1000))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the reference still warns
-        expected = reference.monte_carlo(prior, 50, 120, UNIFORM, 1)
+        expected = reference.monte_carlo(prior, 50, 120, base, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = monte_carlo_blindspot_fraction(prior, 50, 120, seed=1, collect_trials=True)
+        got = monte_carlo_blindspot_fraction(prior, 50, 120, base, seed=1, collect_trials=True)
     assert got == expected
 
 
@@ -374,6 +376,23 @@ def test_chunk_counts_match_reference_on_planted_rows(n):
         slice(0, m), x, np.zeros(m), np.empty((m, n)), np.ones(n), True)
     assert (got_exact, got_near) == (int(exact.sum()), int(near.sum()))
     assert [not r.in_blindspot for r in records] == exact.tolist()
+
+
+def test_chunk_witness_is_the_least_pair_of_equal_ratios():
+    """Each trial's first collision from the one stable ordering in _mc_chunk:
+    a three-way tie, two ties whose least pair does not sort first, an inf
+    pair, a NaN pair (never equal), a zero pair and a distinct row."""
+    nan, inf = np.nan, np.inf
+    rows = np.array([[7.0, 2.0, 2.0, 2.0], [5.0, 3.0, 5.0, 3.0], [1.0, inf, 4.0, inf],
+                     [nan, 1.0, nan, 2.0], [0.0, 3.0, 0.0, 1.0], [4.0, 3.0, 2.0, 1.0]])
+    m, n = rows.shape
+    exact, _, _, records = sampler._mc_chunk(
+        slice(10, 10 + m), rows.T.copy(), np.zeros(m), np.empty((m, n)), np.ones(n), True)
+    expected = [reference.RatioIndex(row.tolist()).first_collision for row in rows]
+    assert expected == [(2, 3), (1, 3), (2, 4), None, (1, 3), None]
+    assert [r.first_collision for r in records] == expected
+    assert [r.in_blindspot for r in records] == [pair is None for pair in expected]
+    assert [r.trial for r in records] == list(range(10, 10 + m)) and exact == 4
 
 
 def test_finite_ratio_beside_inf_is_not_near():
