@@ -186,7 +186,7 @@ def _mc_chunk(trials, x, residual, u, p_float, collect):
     near &= np.isfinite(s[:, 1:])  # inf - a <= 1e-12·inf holds for any finite a
     hit = np.flatnonzero(eq.any(axis=1))
     witness = {}
-    if collect and hit.size:  # a row with an equal step has one to take the argmin over
+    if collect and hit.size:  # argmin needs a step; at n = 1 there is none, and no hit
         k = np.where(eq[hit], order[hit, :-1], len(x)).argmin(axis=1)
         pairs = zip((order[hit, k] + 1).tolist(), (order[hit, k + 1] + 1).tolist())
         witness = dict(zip(rows[hit].tolist(), pairs))
