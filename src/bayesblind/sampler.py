@@ -8,22 +8,22 @@ Exact float ratio equality counts as a collision; near-equality within a
 Reproducibility contract: ``_chunks`` alone plans the work.  It checks the
 seed and trial count, then partitions the trials into chunks of at most
 ``CHUNK_TRIALS``; chunk c draws from ``SeedSequence(entropy=seed,
-spawn_key=(c,))``.  Workers take contiguous runs of chunks; results are
-reduced in chunk order, so output is identical for any worker count.
+spawn_key=(c,))``.  Each worker, the caller or a thread, takes a contiguous
+run of chunks, reduced in chunk order: output is identical for any worker count.
 
-Kernel layout: a call, or each pool worker, reuses one workspace for all its
-chunks, the two buffers of ``_sticks``: draws (m, n) and coordinates (n, m).
-Once the draws are copied out, the draw buffer holds the survivals, then the
-row screen's sorted int32 high words and their steps; only flagged rows are
-float-ordered, once.  Buffer reuse changes no arithmetic, so the contract holds.
+Kernel layout: each worker reuses one workspace for all its chunks, the two
+buffers of ``_sticks``: draws (m, n) and coordinates (n, m).  Once the draws
+are copied out, the draw buffer holds the survivals, then the row screen's
+sorted int32 high words and their steps; only flagged rows are float-ordered,
+once.  Buffer reuse changes no arithmetic, so the contract holds.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import sys
+import threading
 
 import numpy as np
 
@@ -56,16 +56,17 @@ def parse_base(text: str) -> StickBase:
     s = text.strip().lower()
     if s == "uniform":
         return UNIFORM
-    if s.startswith("beta:"):
-        a, b = (float(t) for t in s[5:].split(","))
-        return StickBase("beta", a, b)
-    raise InputError(f"unknown stick base {text!r}; expected uniform|beta:a,b")
+    try:  # "beta:a,b" with two floats; anything else is unpacked from () and fails
+        a, b = (float(t) for t in s[5:].split(",")) if s.startswith("beta:") else ()
+    except ValueError:
+        raise InputError(f"unknown stick base {text!r}; expected uniform|beta:a,b") from None
+    return StickBase("beta", a, b)
 
 
 def _chunks(seed: int, trials: int) -> list:
     """The chunk plan: (chunk, size, first_trial) for each chunk of at most
-    CHUNK_TRIALS trials.  The trial count and seed are checked here, in the
-    calling process, before any draw or worker pool."""
+    CHUNK_TRIALS trials.  The trial count and seed are checked here, before
+    any draw or worker thread."""
     if trials < 1:
         raise InputError("need at least one trial")
     if seed < 0:
@@ -195,10 +196,16 @@ def _mc_chunk(trials, x, residual, u, p_float, collect):
     return hit.size, int((near & ~eq).any(axis=1).sum()), residual_sum, records
 
 
-def _mc_run(args):
-    """One worker's contiguous run of chunks: a result per chunk."""
-    seed, run, n, base, p_float, collect = args
-    return [_mc_chunk(*chunk, p_float, collect) for chunk in _sticks(seed, run, n, base)]
+def _mc_run(seed, run, n, base, p_float, collect, stop):
+    """One worker's contiguous run of chunks: a result per chunk till ``stop`` is set."""
+    chunks, results = _sticks(seed, run, n, base), []
+    try:
+        while not stop.is_set() and (chunk := next(chunks, None)):
+            results.append(_mc_chunk(*chunk, p_float, collect))
+        return results
+    except BaseException:  # a failed run ends every other run before its next chunk
+        stop.set()
+        raise
 
 
 def monte_carlo_blindspot_fraction(prior: Distribution, trials: int, n: int,
@@ -207,18 +214,19 @@ def monte_carlo_blindspot_fraction(prior: Distribution, trials: int, n: int,
     """Monte Carlo frequency of (prefix) blind-spot membership under the
     stick-breaking measure.  Returns an McReport, or (McReport, records)
     when per-trial records are requested."""
+    from concurrent.futures import ThreadPoolExecutor
     plan = _chunks(seed, trials)
     p_float = np.array([x / y for x, y in require_positive_prefix(prior, n)])
-    # more processes than chunks or cores would only add start-up cost
-    workers = max(1, min(workers, len(plan), os.cpu_count() or 1))
-    tasks = [(seed, plan[w * len(plan) // workers:(w + 1) * len(plan) // workers],
-              n, base, p_float, collect_trials) for w in range(workers)]
-    if workers > 1:
-        with multiprocessing.Pool(workers) as pool:
-            runs = pool.map(_mc_run, tasks)
-    else:
-        runs = [_mc_run(t) for t in tasks]
-    exact, near, sums, chunk_records = zip(*(r for run in runs for r in run))
+    workers = max(1, min(workers, len(plan), os.cpu_count() or 1))  # more would idle or contend
+    runs = [plan[w * len(plan) // workers:(w + 1) * len(plan) // workers] for w in range(workers)]
+    args = (n, base, p_float, collect_trials, stop := threading.Event())
+    with ThreadPoolExecutor(workers) as pool:  # a thread for each run but the caller's first
+        try:
+            later = [pool.submit(_mc_run, seed, run, *args) for run in runs[1:]]
+            results = _mc_run(seed, runs[0], *args) + [r for f in later for r in f.result()]
+        finally:  # an error or interrupt here ends every thread's run at its next chunk
+            stop.set()
+    exact, near, sums, chunk_records = zip(*results)
     exact, residual_sum = sum(exact), 0.0
     for r in sums:  # fixed chunk order keeps the float sum reproducible
         residual_sum += r

@@ -471,16 +471,30 @@ def test_exact_commands_replay_byte_for_byte_on_other_cpythons():
         assert got == expected, python
 
 
-def test_montecarlo_stderr_is_the_summary_alone():
+#: the CLI in a fresh interpreter; it fails if the run loaded multiprocessing
+MAIN_WITHOUT_PROCESSES = """
+import sys
+from bayesblind.cli import dispatch
+
+code = dispatch(sys.argv[1:])
+sys.exit("multiprocessing was loaded" if "multiprocessing" in sys.modules else code)
+"""
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_montecarlo_stderr_is_the_summary_alone(workers):
+    """Underflowed ratios warn in no worker: the summary is all of stderr.  The
+    run has two chunks, so two workers run one each, and starts no process."""
     src = Path(bayesblind.__file__).parents[1]
+    trials = str(sampler.CHUNK_TRIALS + 1)
     argv = ["bs", "montecarlo", "--prior", '{"kind":"geometric","ratio":"1/1000"}',
-            "--trials", "50", "--horizon", "120", "--seed", "1"]
-    proc = subprocess.run([sys.executable, "-m", "bayesblind.cli", *argv],
+            "--trials", trials, "--horizon", "120", "--seed", "1", "--workers", workers]
+    proc = subprocess.run([sys.executable, "-c", MAIN_WITHOUT_PROCESSES, *argv],
                           env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0
+    assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["report"]["in_blindspot"] == 0
-    assert proc.stderr == "monte carlo: 0/50 in blind spot\n"
+    assert proc.stderr == f"monte carlo: 0/{trials} in blind spot\n"
 
 
 def test_package_resolves_sampler_names_on_use():

@@ -1,3 +1,6 @@
+import concurrent.futures
+import sys
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -43,6 +46,11 @@ class TestStickBase:
             parse_base("cauchy")
         with pytest.raises(InputError, match="beta parameters"):
             StickBase("beta", -1.0, 1.0)
+
+    @pytest.mark.parametrize("text", ["beta:x,1", "beta:1", "beta:1,2,3"])
+    def test_malformed_beta_is_an_input_error(self, text):
+        with pytest.raises(InputError, match="unknown stick base"):
+            parse_base(text)
 
 
 class TestStickBreakingSample:
@@ -138,24 +146,15 @@ class TestMonteCarlo:
     (-2, 3, 4, None),
 ])
 def test_worker_clamp(monkeypatch, workers, chunks, cpus, pool_size):
-    sizes, runs, workspaces = [], [], []
+    thread_runs, workspaces, caller = [], [], threading.get_ident()
 
-    class InProcessPool:
-        def __init__(self, size):
-            sizes.append(size)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            runs.extend(task[1] for task in tasks)
-            return [fn(t) for t in tasks]
+    class CountedPool(concurrent.futures.ThreadPoolExecutor):
+        def submit(self, fn, *args):
+            thread_runs.append(args[1])
+            return super().submit(fn, *args)
 
     def counted_sticks(*args):
-        workspaces.append(args[1])
+        workspaces.append((args[1], threading.get_ident() == caller))
         return sticks(*args)
 
     # the last chunk is partial: the trial count is no multiple of CHUNK_TRIALS
@@ -163,17 +162,84 @@ def test_worker_clamp(monkeypatch, workers, chunks, cpus, pool_size):
     serial = monte_carlo_blindspot_fraction(GEO_HALF, **kwargs)
     sticks = sampler._sticks
     monkeypatch.setattr(sampler, "_sticks", counted_sticks)
-    monkeypatch.setattr(sampler.multiprocessing, "Pool", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
     monkeypatch.setattr(sampler.os, "cpu_count", lambda: cpus)
     assert monte_carlo_blindspot_fraction(GEO_HALF, **kwargs, workers=workers) == serial
-    assert sizes == ([] if pool_size is None else [pool_size])
+    # a thread for each worker but the caller, none for a serial call
+    assert len(thread_runs) == (0 if pool_size is None else pool_size - 1)
+    runs = [run for run, in_caller in workspaces if in_caller] + thread_runs
     plan = sampler._chunks(2, kwargs["trials"])
     if pool_size is not None:
         # one contiguous, non-empty run of chunks per worker, in chunk order
         assert len(runs) == pool_size and all(runs)
         assert [c for run in runs for c in run] == plan
-    # one workspace (one _sticks call) per worker, or one for a serial call
-    assert workspaces == (runs if pool_size is not None else [plan])
+    # one workspace (one _sticks call) per worker, or one for a serial call;
+    # threads make theirs in any order
+    assert sorted(run for run, _ in workspaces) == (runs if pool_size is not None else [plan])
+
+
+def test_more_threads_than_cores_match_serial(monkeypatch):
+    """Eight workers on any host, switching threads every microsecond: each
+    keeps its own workspace, so the report and records are the serial ones."""
+    kwargs = dict(trials=8 * CHUNK_TRIALS - 5, n=6, seed=13, collect_trials=True)
+    serial = monte_carlo_blindspot_fraction(GEO_HALF, **kwargs)
+    monkeypatch.setattr(sampler.os, "cpu_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert monte_carlo_blindspot_fraction(GEO_HALF, **kwargs, workers=8) == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def stopping_run(monkeypatch, hold, fail=None):
+    """Six chunks, two workers: the caller runs chunks 0-2, a thread 3-5.
+    Chunk ``hold`` waits till the run's stop event is set, chunk ``fail``
+    raises.  Returns the list of chunks that ran to their end."""
+    done, stops, chunk, run = [], [], sampler._mc_chunk, sampler._mc_run
+
+    def spied_run(*args):
+        stops.append(args[-1])
+        return run(*args)
+
+    def held_chunk(trials, *args):
+        c = trials.start // CHUNK_TRIALS
+        if c == fail:
+            raise ZeroDivisionError(f"chunk {c}")
+        if c == hold:
+            assert stops[0].wait(timeout=30), "no run was stopped"
+        done.append(c)
+        return chunk(trials, *args)
+
+    monkeypatch.setattr(sampler, "_mc_run", spied_run)
+    monkeypatch.setattr(sampler, "_mc_chunk", held_chunk)
+    monkeypatch.setattr(sampler.os, "cpu_count", lambda: 2)
+    return done
+
+
+def test_failed_run_stops_every_other_run(monkeypatch):
+    """Chunk 4, in the thread's run, raises: the caller gets that error, and its
+    own run ends after chunk 0, the one it was in; no thread is left running."""
+    done, before = stopping_run(monkeypatch, hold=0, fail=4), threading.active_count()
+    with pytest.raises(ZeroDivisionError, match="chunk 4"):
+        monte_carlo_blindspot_fraction(GEO_HALF, 6 * CHUNK_TRIALS, 4, workers=2)
+    assert sorted(done) == [0, 3]
+    assert threading.active_count() == before
+
+
+def test_interrupt_stops_every_run(monkeypatch):
+    """An interrupt while the caller waits for the thread reaches the caller,
+    and the thread's run ends after chunk 3, the one it was in."""
+    done, before = stopping_run(monkeypatch, hold=3), threading.active_count()
+
+    def interrupted(self, timeout=None):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(concurrent.futures.Future, "result", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        monte_carlo_blindspot_fraction(GEO_HALF, 6 * CHUNK_TRIALS, 4, workers=2)
+    assert sorted(done) == [0, 1, 2, 3]
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("call", [
@@ -184,9 +250,9 @@ def test_worker_clamp(monkeypatch, workers, chunks, cpus, pool_size):
 ])
 def test_negative_seed_rejected_before_any_pool(monkeypatch, call):
     def no_pool(size):
-        raise AssertionError("a pool was started for a negative seed")
+        raise AssertionError("a thread pool was made for a negative seed")
 
-    monkeypatch.setattr(sampler.multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     monkeypatch.setattr(sampler.os, "cpu_count", lambda: 2)
     with pytest.raises(InputError, match="seed"):
         call()
@@ -204,7 +270,7 @@ def test_bad_trials_or_horizon_rejected_before_any_draw(monkeypatch, call):
         raise AssertionError("a draw was made for a bad trial count or horizon")
 
     monkeypatch.setattr(sampler, "_chunk_rng", no_draw)
-    monkeypatch.setattr(sampler.multiprocessing, "Pool", no_draw)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_draw)
     with pytest.raises(InputError, match="at least"):
         call()
 
@@ -450,7 +516,8 @@ def test_workspace_is_two_chunk_buffers(monkeypatch, n):
     p_float = np.array([float(v) for v in GEO_HALF.prefix_values(n)])
     tracemalloc.start()
     try:
-        sampler._mc_run((0, sampler._chunks(0, CHUNK_TRIALS), n, UNIFORM, p_float, False))
+        sampler._mc_run(0, sampler._chunks(0, CHUNK_TRIALS), n, UNIFORM, p_float, False,
+                        threading.Event())
     finally:
         tracemalloc.stop()
     assert live == [2 * CHUNK_TRIALS * n * 8]
