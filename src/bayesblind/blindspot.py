@@ -15,7 +15,7 @@ distinctness among those only, never full membership.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .distributions import (
     Distribution,
@@ -28,21 +28,15 @@ from .distributions import (
 )
 from .errors import InputError
 from .jeffrey import Partition
-from .records import Record, setfield
+from .records import Record
 
 
 class Verdict(Record):
-    """Whether the ratios are pairwise distinct, over all indices or, with a
-    horizon, over the first ``horizon`` only."""
+    """Whether the ratios are pairwise distinct, over all indices or, with a horizon, over
+    the first ``horizon`` only.  ``witness`` is the first colliding pair (i, j), 1-based,
+    with i < j; ``coarsest`` is set only for full verdicts with a collision."""
 
     __slots__ = ("distinct", "horizon", "witness", "coarsest")
-
-    def __init__(self, distinct: bool, horizon: Optional[int] = None,
-                 witness: Optional[tuple] = None, coarsest: Optional[Partition] = None):
-        setfield(self, "distinct", distinct)
-        setfield(self, "horizon", horizon)
-        setfield(self, "witness", witness)  # first colliding pair (i, j), 1-based, i < j
-        setfield(self, "coarsest", coarsest)  # full verdicts with a collision only
 
     @property
     def status(self) -> str:
@@ -90,10 +84,6 @@ class FamilyVerdict(Record):
     """Per-prior verdicts plus their conjunction over a prior family."""
 
     __slots__ = ("verdicts", "member")
-
-    def __init__(self, verdicts: tuple, member: bool):
-        setfield(self, "verdicts", verdicts)
-        setfield(self, "member", member)
 
 
 def family_membership(

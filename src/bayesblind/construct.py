@@ -180,14 +180,11 @@ def densify(p: Distribution, q_target: Distribution, eps: Fraction) -> DensifyRe
 
 
 class CollisionMoveResult(Record):
-    __slots__ = ("distribution", "pairs", "branch", "l1_distance", "fallback_used")
+    """The moved distribution and the colliding pairs (1, n) the moves created.  ``branch``
+    is "positive"/"negative" for one move and "mixed" otherwise; ``l1_distance`` is exact,
+    as only prefix coordinates move; ``fallback_used`` means q_3 paid because q_2 = 0."""
 
-    def __init__(self, distribution: TruncatedDistribution,
-                 pairs: tuple,  # colliding pairs (1, n) created by construction
-                 branch: str,  # "positive" | "negative" for single moves, "mixed" otherwise
-                 l1_distance: Fraction,  # exact: only prefix coordinates moved, tail shared
-                 fallback_used: bool = False):  # q_2 = 0 handled via q_3
-        super().__init__(distribution, pairs, branch, l1_distance, fallback_used)
+    __slots__ = ("distribution", "pairs", "branch", "l1_distance", "fallback_used")
 
 
 def _move_prelude(p, q, eps, spend, spend_name, what) -> tuple:

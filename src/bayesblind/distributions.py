@@ -217,14 +217,14 @@ class RatioIndex:
     candidates: (x, y) joins a fibre only if x * y' == y * x'.  Each fibre is a
     block of the coarsest witness partition."""
 
-    def __init__(self, qs: Iterable[tuple] = (), ps: Iterable[tuple] = ()):
+    def __init__(self, qs: Iterable[tuple], ps: Iterable[tuple]):
         self._buckets: dict = {}  # key -> [(x, y, fibre)]
         self._fibres: list = []
         self._size = 0
         for q, p in zip(qs, ps):
             self.commit(*self.probe(q, p))
 
-    def probe(self, q: tuple, p: tuple = (1, 1)) -> tuple:
+    def probe(self, q: tuple, p: tuple) -> tuple:
         """(position, fibre): the (key, x, y) of q / p and the fibre holding its ratio, or None."""
         key, x, y = position = _ratio(q, p)
         for fx, fy, fibre in self._buckets.get(key, ()):

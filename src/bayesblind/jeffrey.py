@@ -10,7 +10,7 @@ set partitions in restricted-growth-string lexicographic order, which fixes witn
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from .distributions import (
     FiniteDistribution, RatioIndex, exact_sum, json_list, require_finite, require_positive_prefix,
@@ -166,9 +166,6 @@ class Accessibility(Record):
     """Brute-force verdict: accessible via some nontrivial partition, or not."""
 
     __slots__ = ("accessible", "witness")
-
-    def __init__(self, accessible: bool, witness: Optional[Partition] = None):
-        super().__init__(accessible, witness)
 
 
 def accessible_brute_force(p: FiniteDistribution, q: FiniteDistribution) -> Accessibility:

@@ -20,10 +20,14 @@ class Norm(Record):
 
     __slots__ = ("p",)
 
-    def __init__(self, p: Fraction | None = Fraction(1)):
+    def __init__(self, p: Fraction | None):
         setfield(self, "p", p if p is None or isinstance(p, Fraction) else Fraction(p))
         if self.p is not None and self.p < 1:
             raise InputError(f"lp norms require p >= 1, got {self.p}")
+        try:
+            float(self.p or 1)  # l2 and lp ends are computed in floats; linf has no p
+        except OverflowError:
+            raise InputError("lp norms require p to fit a float") from None
 
     @property
     def is_exact(self) -> bool:
@@ -63,8 +67,9 @@ def _seq_distance(u: Distribution, v: Distribution, norm: Norm):
         return max(diffs)
     if norm.p == 1:
         return exact_sum(diffs)
-    p = float(norm.p)
-    return sum(float(d) ** p for d in diffs) ** (1.0 / p)
+    # each gap over the largest (1 when all are 0), so that gap ** p cannot underflow to 0
+    p, scale = float(norm.p), float(max(diffs)) or 1.0
+    return scale * sum((float(d) / scale) ** p for d in diffs) ** (1.0 / p)
 
 
 def lp_distance(u: Distribution, v: Distribution, norm: Norm = L1):

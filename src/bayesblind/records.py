@@ -1,7 +1,7 @@
 """Frozen value records built without code generation: each lists its fields once,
 as ``__slots__`` in constructor order, for equality, hash, repr and pickling."""
 
-setfield = object.__setattr__  # for a written-out ``__init__``: defaults, checks, hot callers
+setfield = object.__setattr__  # for a written-out ``__init__``: checks, hot callers
 
 
 class Record:

@@ -106,8 +106,8 @@ FLOAT_ARTEFACTS = [
 
 @pytest.mark.parametrize("p, q", FLOAT_ARTEFACTS)
 def test_float_quotient_artefacts_are_not_collisions(p, q):
-    assert membership_finite(p, q) == Verdict(True)
-    assert membership_prefix(p, q, 3) == Verdict(True, 3)
+    assert membership_finite(p, q) == Verdict(True, None, None, None)
+    assert membership_prefix(p, q, 3) == Verdict(True, 3, None, None)
     assert collision_count(p, q) == 0
 
 

@@ -364,7 +364,7 @@ DENSIFY = ("bs", "densify", "--prior", GEO_HALF, "--target", TRUNC,
 
 @pytest.mark.parametrize("argv, module, name, fake", [
     pytest.param(CONSTRUCT, blindspot, "membership_prefix",
-                 lambda p, q, n: Verdict(False, n, (1, 2)), id="construct"),
+                 lambda p, q, n: Verdict(False, n, (1, 2), None), id="construct"),
     pytest.param(DENSIFY, metrics, "l1_upper_bound", lambda u, v: 1, id="densify"),
 ])
 def test_failed_claim_exits_four(capsys, monkeypatch, argv, module, name, fake):

@@ -314,8 +314,8 @@ class TestRatioIndex:
     def test_incremental_membership(self):
         index = RatioIndex([(1, 2), (2, 6)], [(1, 1), (1, 1)])
         assert holds(index, (2, 4)) and not holds(index, (1, 4))
-        index.commit(*index.probe((1, 3)))
-        index.commit(*index.probe((2, 4)))
+        index.commit(*index.probe((1, 3), (1, 1)))
+        index.commit(*index.probe((2, 4), (1, 1)))
         assert index.first_collision == (1, 4)
         assert index.fibres() == [[1, 4], [2, 3]]
 

@@ -40,6 +40,15 @@ class TestLpDistance:
         t = lp_distance(POINT, OTHER, L2)
         assert abs(t - 2 ** 0.5) < 1e-12
 
+    def test_large_p_does_not_underflow(self):
+        """Gaps are scaled by the largest before the power: 0.5 ** 2000 alone is 0."""
+        lp2000 = Norm(2000)
+        t = lp_distance(dist("1/2", "1/2"), dist("1", "0"), lp2000)
+        assert t == pytest.approx(2 ** (1 / 2000) / 2, rel=1e-12, abs=0)
+        u = truncate(geometric(F(1, 2)), 8)
+        v = truncate(geometric(F(1, 3)), 8)
+        assert lp_distance(u, v, lp2000).lower > 0
+
     def test_length_mismatch(self):
         with pytest.raises(InputError, match="lengths differ"):
             lp_distance(POINT, dist("1/2", "1/2"), L1)
@@ -113,6 +122,11 @@ class TestNormParsing:
     def test_p_below_one_rejected(self):
         with pytest.raises(InputError, match="lp norms require p"):
             Norm(F(1, 2))
+
+    @pytest.mark.parametrize("p", [10**400, F(10**400, 3)])
+    def test_p_beyond_the_float_range_rejected(self, p):
+        with pytest.raises(InputError, match="lp norms require p to fit a float"):
+            Norm(p)
 
     def test_unknown(self):
         with pytest.raises(InputError, match="unknown norm"):

@@ -27,10 +27,11 @@ RECORDS = [
     (lambda: Accessibility(True, Partition(((1, 2),))), (True, Partition(((1, 2),)))),
     (lambda: Norm(3), (F(3),)),
     (lambda: DistanceInterval(F(1, 4), F(1, 2)), (F(1, 4), F(1, 2))),
-    (lambda: Verdict(False, 4, (1, 2)), (False, 4, (1, 2), None)),
-    (lambda: FamilyVerdict((Verdict(True),), True), ((Verdict(True),), True)),
+    (lambda: Verdict(False, 4, (1, 2), None), (False, 4, (1, 2), None)),
+    (lambda: FamilyVerdict((Verdict(True, None, None, None),), True),
+     ((Verdict(True, None, None, None),), True)),
     (lambda: DensifyResult(HALVES, F(1, 8)), (HALVES, F(1, 8))),
-    (lambda: CollisionMoveResult(HALVES, ((1, 2),), "positive", F(1, 8)),
+    (lambda: CollisionMoveResult(HALVES, ((1, 2),), "positive", F(1, 8), False),
      (HALVES, ((1, 2),), "positive", F(1, 8), False)),
     (lambda: StickBase("beta", 0.5, 2.0), ("beta", 0.5, 2.0)),
     (lambda: TrialRecord(7, False, (2, 5), 0.25), (7, False, (2, 5), 0.25)),
@@ -64,11 +65,9 @@ def test_record_behaviour(build, values):
 def test_records_differ_across_classes_and_values():
     finite = FiniteDistribution((F(1, 2), F(1, 2)))
     assert finite != TruncatedDistribution((F(1, 2), F(1, 2)), F(0))
-    assert Verdict(True) != Verdict(True, 3) and Verdict(True) == Verdict(True, None, None, None)
-    assert Accessibility(False).witness is None
-    assert CollisionMoveResult(HALVES, (), "positive", F(0)).fallback_used is False
+    assert Verdict(True, None, None, None) != Verdict(True, 3, None, None)
     assert StickBase() == StickBase("uniform", 1.0, 1.0)
-    assert Norm() == Norm(F(1))
+    assert Norm(1) == Norm(F(1))
     with pytest.raises(TypeError):
         DistanceInterval(F(1, 4))
     with pytest.raises(TypeError):
