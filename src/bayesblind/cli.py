@@ -194,10 +194,8 @@ def _bs_sample(a):
 def _bs_montecarlo(a):
     want_csv = a.format == "csv"
     result = _sampler().monte_carlo_blindspot_fraction(
-        a.prior, a.trials, a.horizon, a.base, a.seed,
-        workers=a.workers, collect_trials=want_csv,
-    )
-    report, records = result if want_csv else (result, None)
+        a.prior, a.trials, a.horizon, a.base, a.seed, a.workers, want_csv)
+    report, witness, residuals = result if want_csv else (result, None, None)
     summary = f"monte carlo: {report.in_blindspot}/{report.trials} in blind spot"
     if not want_csv:
         return {"report": report.to_json()}, summary, EXIT_OK
@@ -207,9 +205,9 @@ def _bs_montecarlo(a):
     writer = csv.writer(buf)
     writer.writerow(["trial", "in_blindspot", "first_collision_i", "first_collision_j",
                      "residual_mass"])
-    for rec in records:
-        i, j = rec.first_collision if rec.first_collision else ("", "")
-        writer.writerow([rec.trial, int(rec.in_blindspot), i, j, repr(rec.residual_mass)])
+    for trial, mass in enumerate(residuals):
+        i, j = witness.get(trial, ("", ""))
+        writer.writerow([trial, int(trial not in witness), i, j, repr(mass)])
     return buf.getvalue(), summary, EXIT_OK
 
 
@@ -330,20 +328,30 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     command = COMMANDS[args.group, args.cmd]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()  # None before 3.10.7
     try:
-        _decode(args, command.flags)
+        _decode(args, command.flags)  # an input integer over the digit limit exits 2
+        if limit is not None:  # an exact result prints at any size
+            sys.set_int_max_str_digits(0)
         payload, summary, code = command.handler(args)
     except BayesBlindError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     if isinstance(payload, dict):
         claims = payload.get("certificate", {}).get("claims", ())
         if not all(c["verified"] for c in claims):
             code = EXIT_CLAIM_FAILED
         payload = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w", newline="") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"error: cannot write --out: {exc}", file=sys.stderr)
+            return EXIT_INPUT
     else:
         sys.stdout.write(payload)
     print(summary, file=sys.stderr)

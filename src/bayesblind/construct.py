@@ -248,7 +248,7 @@ def _collide(q, pv, targets, budget, bound, bound_name) -> CollisionMoveResult:
         tuple((1, t) for t in targets),
         branches.pop() if len(branches) == 1 else "mixed",
         total,
-        fallback_used=(budget == 3),
+        budget == 3,
     )
 
 

@@ -26,13 +26,13 @@ _ZERO = Fraction(0)
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "a/b", integer, or decimal (at most 18 fractional digits) exactly."""
+    """Parse "a/b", integer, or decimal (at most 18 fractional digits, no exponent) exactly."""
     if not isinstance(text, str):
         raise InputError(f"a rational is written as a string, got {text!r}")
     s = text.strip()
     a, slash, b = s.partition("/")
-    if "." in s and not slash and len(s.split(".", 1)[1]) > 18:
-        raise InputError(f"decimal input limited to 18 fractional digits: {text!r}")
+    if "." in s and not slash and (len(s.split(".", 1)[1]) > 18 or "e" in s.lower()):
+        raise InputError(f"decimal input, no exponent, limited to 18 fractional digits: {text!r}")
     try:  # plain digits "a/b" skip Fraction's string parser
         if slash:
             return Fraction(int(a), int(b)) if a.isdecimal() and b.isdecimal() else Fraction(s)

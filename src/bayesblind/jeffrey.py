@@ -24,14 +24,11 @@ BRUTE_FORCE_MAX_N = 8
 
 
 class Partition(Record):
-    """Set partition of {1..n} in canonical block order.  ``of`` (which
-    ``from_json`` calls) is the validating entry for outside data; the
-    constructor trusts its caller, such as ``partitions``, to pass canonical blocks."""
+    """Set partition of {1..n} in canonical block order.  ``of`` (which ``from_json``
+    calls) is the validating entry for outside data; the constructor trusts its
+    callers, ``of`` and the brute-force witness, to pass canonical blocks."""
 
     __slots__ = ("blocks",)
-
-    def __init__(self, blocks: tuple):
-        setfield(self, "blocks", blocks)
 
     @classmethod
     def of(cls, blocks: Iterable[Iterable[int]]) -> "Partition":
@@ -82,14 +79,14 @@ class BlockWeights(Record):
             raise InputError(f"block weights sum to {total}, not 1")
 
 
-def partitions(n: int) -> Iterator[Partition]:
-    """All set partitions of {1..n} in canonical order: their restricted
-    growth strings (the block label of each index) ascend lexicographically.
-    Index i joins each open block in turn, then opens a block of its own."""
+def partitions(n: int) -> Iterator[tuple]:
+    """Canonical block tuples, no ``Partition`` each, of all set partitions of {1..n}:
+    their restricted growth strings (the block label of each index) ascend
+    lexicographically.  Index i joins each open block in turn, then opens its own."""
 
     def grow(blocks: tuple, i: int):
         if i > n:
-            yield Partition(blocks)
+            yield blocks
             return
         for k, b in enumerate(blocks):
             yield from grow(blocks[:k] + (b + (i,),) + blocks[k + 1:], i + 1)
@@ -178,7 +175,7 @@ def accessible_brute_force(p: FiniteDistribution, q: FiniteDistribution) -> Acce
     if len(p) > BRUTE_FORCE_MAX_N:
         raise InputError(f"brute force limited to n <= {BRUTE_FORCE_MAX_N}")
     xy = _cross_products(ps, q)
-    for e in partitions(len(p)):
-        if is_nontrivial(e) and _ratio_constant(xy, e.blocks):
-            return Accessibility(True, e)
+    for blocks in partitions(len(p)):  # nontrivial: fewer blocks than indices
+        if len(blocks) < len(p) and _ratio_constant(xy, blocks):
+            return Accessibility(True, Partition(blocks))
     return Accessibility(False, None)

@@ -1,15 +1,14 @@
 """Frozen value records built without code generation: each lists its fields once,
 as ``__slots__`` in constructor order, for equality, hash, repr and pickling."""
 
-setfield = object.__setattr__  # for a written-out ``__init__``: checks, hot callers
+setfield = object.__setattr__  # for a written-out ``__init__``: input checks
 
 
 class Record:
     __slots__ = ()
 
-    def __init__(self, *values, **named):  # by position or by name
-        values += tuple(named.pop(name) for name in self.__slots__[len(values):] if name in named)
-        if named or len(values) != len(self.__slots__):
+    def __init__(self, *values):  # every field by position
+        if len(values) != len(self.__slots__):
             raise TypeError(f"{type(self).__qualname__} takes {', '.join(self.__slots__)}")
         for name, value in zip(self.__slots__, values):
             setfield(self, name, value)

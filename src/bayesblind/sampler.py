@@ -29,7 +29,7 @@ import numpy as np
 
 from .distributions import Distribution, TruncatedDistribution, require_positive_prefix
 from .errors import InputError
-from .records import Record, setfield
+from .records import Record
 
 NEAR_COLLISION_RTOL = 1e-12
 CHUNK_TRIALS = 4096
@@ -41,7 +41,7 @@ class StickBase(Record):
 
     __slots__ = ("kind", "a", "b")
 
-    def __init__(self, kind: str = "uniform", a: float = 1.0, b: float = 1.0):
+    def __init__(self, kind: str, a: float, b: float):
         if kind not in ("uniform", "beta"):
             raise InputError(f"unknown stick base {kind!r}")
         if kind == "beta" and not all(0 < x < math.inf for x in (a, b)):
@@ -49,7 +49,7 @@ class StickBase(Record):
         super().__init__(kind, a, b)
 
 
-UNIFORM = StickBase("uniform")
+UNIFORM = StickBase("uniform", 1.0, 1.0)
 
 
 def parse_base(text: str) -> StickBase:
@@ -130,16 +130,6 @@ def stick_breaking_sample(seed: int, n: int, base: StickBase = UNIFORM) -> Trunc
     return TruncatedDistribution(tuple(float(v) for v in x[0]), float(residual[0]))
 
 
-class TrialRecord(Record):
-    __slots__ = ("trial", "in_blindspot", "first_collision", "residual_mass")
-
-    def __init__(self, trial, in_blindspot, first_collision, residual_mass):
-        setfield(self, "trial", trial)
-        setfield(self, "in_blindspot", in_blindspot)
-        setfield(self, "first_collision", first_collision)  # (i, j) 1-based or None
-        setfield(self, "residual_mass", residual_mass)
-
-
 class McReport(Record):
     __slots__ = ("trials", "horizon", "in_blindspot", "exact_float_collisions",
                  "near_collisions", "mean_residual_mass", "seed")
@@ -172,10 +162,11 @@ def _flagged_rows(ratios, u):
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # p_i underflowed: inf, nan
 def _mc_chunk(trials, x, residual, u, p_float, collect):
-    """One chunk's counts and records; u, its draw buffer, holds the residuals till screened.
-    A flagged trial's ratios are ordered once, stably, so a run a < b < c of equal ratios
-    steps (a, b), then (b, c): its equal steps decide the collision, and their least pair
-    (order[k] + 1, order[k + 1] + 1) is ``RatioIndex.first_collision``, a fibre's first two."""
+    """One chunk's counts, residual sum and, when collecting, witness map (absolute trial
+    index -> first colliding pair (i, j), 1-based) and residual list; u, its draw buffer,
+    holds the residuals till screened.  A flagged trial's ratios are ordered once, stably,
+    so a run a < b < c of equal ratios steps (a, b), then (b, c): its equal steps decide the
+    collision, their least pair (order[k] + 1, order[k + 1] + 1) the first collision."""
     residual_sum, residuals = float(residual.sum()), residual.tolist() if collect else ()
     ratios = np.divide(x, p_float[:, None], out=x)  # transposed: a trial per column
     rows = _flagged_rows(ratios, u)
@@ -190,10 +181,8 @@ def _mc_chunk(trials, x, residual, u, p_float, collect):
     if collect and hit.size:  # argmin needs a step; at n = 1 there is none, and no hit
         k = np.where(eq[hit], order[hit, :-1], len(x)).argmin(axis=1)
         pairs = zip((order[hit, k] + 1).tolist(), (order[hit, k + 1] + 1).tolist())
-        witness = dict(zip(rows[hit].tolist(), pairs))
-    records = [TrialRecord(trials.start + t, t not in witness, witness.get(t), mass)
-               for t, mass in enumerate(residuals)]  # none unless collecting
-    return hit.size, int((near & ~eq).any(axis=1).sum()), residual_sum, records
+        witness = dict(zip((rows[hit] + trials.start).tolist(), pairs))
+    return hit.size, int((near & ~eq).any(axis=1).sum()), residual_sum, witness, residuals
 
 
 def _mc_run(seed, run, n, base, p_float, collect, stop):
@@ -212,8 +201,11 @@ def monte_carlo_blindspot_fraction(prior: Distribution, trials: int, n: int,
                                    base: StickBase = UNIFORM, seed: int = 0, workers: int = 1,
                                    collect_trials: bool = False):
     """Monte Carlo frequency of (prefix) blind-spot membership under the
-    stick-breaking measure.  Returns an McReport, or (McReport, records)
-    when per-trial records are requested."""
+    stick-breaking measure.  Returns an McReport, or with ``collect_trials``
+    (McReport, witness, residuals): ``witness`` maps each trial index with an
+    exact float collision to its first colliding pair (i, j), 1-based, so a
+    trial is in the blind spot exactly when it is not a key; ``residuals``
+    lists each trial's residual mass in trial order."""
     from concurrent.futures import ThreadPoolExecutor
     plan = _chunks(seed, trials)
     p_float = np.array([x / y for x, y in require_positive_prefix(prior, n)])
@@ -226,12 +218,11 @@ def monte_carlo_blindspot_fraction(prior: Distribution, trials: int, n: int,
             results = _mc_run(seed, runs[0], *args) + [r for f in later for r in f.result()]
         finally:  # an error or interrupt here ends every thread's run at its next chunk
             stop.set()
-    exact, near, sums, chunk_records = zip(*results)
-    exact, residual_sum = sum(exact), 0.0
-    for r in sums:  # fixed chunk order keeps the float sum reproducible
+    exact, near, sums, witnesses, chunk_residuals = zip(*results)
+    exact, residual_sum, witness = sum(exact), 0.0, {}
+    for r, w in zip(sums, witnesses):  # fixed chunk order keeps the float sum reproducible
         residual_sum += r
-    records = [rec for r in chunk_records for rec in r]
-    report = McReport(trials=trials, horizon=n, in_blindspot=trials - exact,
-                      exact_float_collisions=exact, near_collisions=sum(near),
-                      mean_residual_mass=residual_sum / trials, seed=seed)
-    return (report, records) if collect_trials else report
+        witness.update(w)
+    report = McReport(trials, n, trials - exact, exact, sum(near), residual_sum / trials, seed)
+    residuals = [mass for r in chunk_residuals for mass in r]
+    return (report, witness, residuals) if collect_trials else report

@@ -31,7 +31,7 @@ def random_dist(rng, n, max_int=8) -> FiniteDistribution:
 
 def random_partition(rng, n) -> Partition:
     every = list(partitions(n))
-    return every[rng.randrange(len(every))]
+    return Partition(every[rng.randrange(len(every))])
 
 
 def random_weights(rng, k, max_int=6) -> BlockWeights:

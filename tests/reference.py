@@ -20,7 +20,6 @@ from bayesblind.metrics import DistanceInterval
 from bayesblind.sampler import (
     NEAR_COLLISION_RTOL,
     McReport,
-    TrialRecord,
     _chunk_rng,
     _chunks,
 )
@@ -232,11 +231,11 @@ def full_compare(s):
 
 def monte_carlo(prior, trials: int, n: int, base, seed: int):
     """Serial Monte Carlo with the full equal/near compare on every row:
-    (McReport, per-trial records)."""
+    (McReport, {trial: first colliding pair}, [residual mass of each trial])."""
     p_float = np.array([float(v) for v in positive_prefix(prior, n)])
     exact = near = 0
     residual_sum = 0.0
-    records = []
+    witness, residuals = {}, []
     for first, x, residual in stick_chunks(seed, trials, n, base):
         ratios = x / p_float
         exact_trials, near_trials = full_compare(np.sort(ratios, axis=1))
@@ -244,7 +243,8 @@ def monte_carlo(prior, trials: int, n: int, base, seed: int):
         near += int(near_trials.sum())
         residual_sum += float(residual.sum())
         for t in range(len(x)):
-            pair = RatioIndex(ratios[t].tolist()).first_collision if exact_trials[t] else None
-            records.append(TrialRecord(first + t, not exact_trials[t], pair, float(residual[t])))
+            if exact_trials[t]:
+                witness[first + t] = RatioIndex(ratios[t].tolist()).first_collision
+            residuals.append(float(residual[t]))
     report = McReport(trials, n, trials - exact, exact, near, residual_sum / trials, seed)
-    return report, records
+    return report, witness, residuals

@@ -35,7 +35,7 @@ from bayesblind import (
 from bayesblind.cli import dispatch
 from bayesblind.construct import generate_raw_sequence
 from bayesblind.distributions import TruncatedDistribution, truncate
-from bayesblind.jeffrey import partitions
+from bayesblind.jeffrey import Partition, partitions
 from bayesblind.sampler import stick_breaking_matrix
 from helpers import random_dist, random_partition, random_positive_dist, random_weights, refines
 from reference import has_repeat, ratio_profile, rigidity_by_masses
@@ -96,7 +96,7 @@ def test_criterion_2_equation_equivalence():
 def test_criterion_3_coarsest_partition_law():
     for p, q in oracle_cases():
         coarsest = coarsest_partition(p, q)
-        for e in partitions(len(p)):
+        for e in map(Partition, partitions(len(p))):
             if rigidity_holds(p, q, e):
                 assert refines(e, coarsest)
     report(3, "every JC witness refines the coarsest partition")

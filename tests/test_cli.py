@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -335,6 +336,13 @@ def _exit_two_inputs():
         "values-string": ("dist", "normalize", "--values", '"12"'),
         # a JSON float is the decimal it denotes, under the 18-digit rule
         "values-exponent-beyond-18-digits": ("dist", "normalize", "--values", "[1e-19, 1]"),
+        # exponents are read from JSON numbers only, never from strings
+        "values-string-exponent": ("dist", "normalize", "--values", '["1.0e-19", "1"]'),
+        "values-string-huge-exponent": ("dist", "normalize", "--values", '["1.0e-5000", "1"]'),
+        "epsilon-exponent": (*ext, "1.0e-10000000"),
+        # input integers stay under the interpreter's int-to-str digit limit
+        "values-integer-over-digit-limit": ("dist", "normalize", "--values",
+                                            json.dumps(["1", "9" * 5000])),
         "weights-string": (*apply, "--partition", PARTITION, "--weights", '"01"'),
         # beta parameters must be positive and finite
         "montecarlo-beta-nan": (*montecarlo, "--seed", "1", "--horizon", "5",
@@ -387,6 +395,30 @@ def test_out_file_holds_stdout_bytes(capsysbinary, tmp_path, argv):
     assert dispatch([*argv, "--out", str(out)]) == 0
     assert capsysbinary.readouterr().out == b""
     assert out.read_bytes() == printed
+
+
+@pytest.mark.parametrize("where", ["missing-parent", "directory"])
+def test_unwritable_out_exits_two(capsys, tmp_path, where):
+    out = tmp_path / "nosuch" / "x.json" if where == "missing-parent" else tmp_path
+    assert dispatch(["dist", "normalize", "--values", '["1","3"]', "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: cannot write --out: ")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
+def test_exact_payload_prints_beyond_the_digit_limit(capsys):
+    """Inputs of at most 4001 digits give a posterior of about 6000: it prints,
+    and the interpreter's int-to-str limit is the same after success or error."""
+    limit = sys.get_int_max_str_digits()
+    x, y, z = (10 ** 2000 + k for k in (7, 9, 11))
+    prior = {"kind": "finite",
+             "probs": [f"1/{x}", f"1/{y}", str(1 - Fraction(1, x) - Fraction(1, y))]}
+    apply = ("jc", "apply", "--prior", json.dumps(prior), "--partition", PARTITION, "--weights")
+    code, out = run(capsys, *apply, json.dumps([f"1/{z}", str(1 - Fraction(1, z))]))
+    assert code == 0 and sys.get_int_max_str_digits() == limit
+    assert max(len(v) for v in json.loads(out)["posterior"]["probs"]) > 10_000
+    assert run(capsys, *apply, '["1"]') == (2, "")  # one weight for two blocks
+    assert sys.get_int_max_str_digits() == limit
 
 
 GOLDEN_CASES = json.loads((Path(__file__).parent / "golden" / "cases.json").read_text())

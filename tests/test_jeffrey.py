@@ -15,6 +15,7 @@ from bayesblind import (
     normalize,
     rigidity_holds,
 )
+from bayesblind import jeffrey
 from bayesblind.jeffrey import partitions
 from bayesblind.errors import InputError
 from helpers import (
@@ -87,16 +88,16 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_growth_strings_strictly_increase(self, n):
-        def labels(e):
-            return [k for i in range(1, n + 1) for k, b in enumerate(e.blocks) if i in b]
+        def labels(blocks):
+            return [k for i in range(1, n + 1) for k, b in enumerate(blocks) if i in b]
 
         strings = [labels(e) for e in partitions(n)]
         assert all(a < b for a, b in zip(strings, strings[1:]))
 
     def test_order_endpoints(self):
         all3 = list(partitions(3))
-        assert all3[0] == Partition.of([[1, 2, 3]])
-        assert all3[-1] == Partition.of([[1], [2], [3]])
+        assert all3[0] == ((1, 2, 3),)
+        assert all3[-1] == ((1,), (2,), (3,))
 
 
 class TestNontrivial:
@@ -161,7 +162,7 @@ class TestRigidity:
         assert rigidity_holds(P3, UNIFORM3, Partition.of([[1], [2, 3]]))
 
     def test_identity(self):
-        for e in partitions(3):
+        for e in map(Partition, partitions(3)):
             assert rigidity_holds(P3, P3, e)
 
     def test_fails(self):
@@ -199,7 +200,7 @@ class TestRatioConstant:
         assert rigidity_by_masses(P3, UNIFORM3, Partition.of([[1], [2, 3]]))
 
     def test_identity_any_partition(self):
-        for e in partitions(3):
+        for e in map(Partition, partitions(3)):
             assert rigidity_by_masses(P3, P3, e)
 
     def test_trivial_partition_always_true(self):
@@ -257,6 +258,25 @@ class TestBruteForce:
         with pytest.raises(InputError, match="brute force limited"):
             accessible_brute_force(p, p)
 
+    def test_wraps_only_its_witness_in_a_partition(self, monkeypatch):
+        """The 4140 partitions of {1..8} are scanned as block tuples: a blind-spot
+        pair builds no ``Partition``, an accessible pair its witness alone."""
+        built = []
+
+        class Counted(Partition):  # no __slots__ of its own: Record reads Partition's
+            def __init__(self, *values):
+                built.append(values)
+                super().__init__(*values)
+
+        monkeypatch.setattr(jeffrey, "Partition", Counted)
+        p = normalize([F(i) for i in range(1, 9)])
+        blind = normalize([F(i * i) for i in range(1, 9)])  # q_i / p_i ~ i
+        assert not accessible_brute_force(p, blind).accessible and built == []
+        accessible = normalize([F(i * i) for i in range(1, 8)] + [F(56)])  # q_7/p_7 = q_8/p_8
+        witness = accessible_brute_force(p, accessible).witness
+        assert witness.blocks == ((1,), (2,), (3,), (4,), (5,), (6,), (7, 8))
+        assert built == [(witness.blocks,)]
+
 
 class TestEquivalence:
     def test_jc_output_satisfies_both_conditions(self):
@@ -290,6 +310,6 @@ class TestEquivalence:
             p = random_positive_dist(rng, n)
             q = random_dist(rng, n)
             coarsest = coarsest_partition(p, q)
-            for e in partitions(n):
+            for e in map(Partition, partitions(n)):
                 if rigidity_holds(p, q, e):
                     assert refines(e, coarsest)

@@ -12,7 +12,7 @@ from bayesblind.distributions import FiniteDistribution, Geometric, TruncatedDis
 from bayesblind.jeffrey import Accessibility, BlockWeights, Partition
 from bayesblind.metrics import DistanceInterval, Norm
 from bayesblind.records import Record
-from bayesblind.sampler import McReport, StickBase, TrialRecord
+from bayesblind.sampler import McReport, StickBase
 
 F = Fraction
 HALVES = TruncatedDistribution((F(1, 2), F(1, 4)), F(1, 4))
@@ -34,10 +34,7 @@ RECORDS = [
     (lambda: CollisionMoveResult(HALVES, ((1, 2),), "positive", F(1, 8), False),
      (HALVES, ((1, 2),), "positive", F(1, 8), False)),
     (lambda: StickBase("beta", 0.5, 2.0), ("beta", 0.5, 2.0)),
-    (lambda: TrialRecord(7, False, (2, 5), 0.25), (7, False, (2, 5), 0.25)),
-    (lambda: McReport(trials=10, horizon=5, in_blindspot=9, exact_float_collisions=1,
-                      near_collisions=0, mean_residual_mass=0.5, seed=3),
-     (10, 5, 9, 1, 0, 0.5, 3)),
+    (lambda: McReport(10, 5, 9, 1, 0, 0.5, 3), (10, 5, 9, 1, 0, 0.5, 3)),
 ]
 
 
@@ -66,12 +63,21 @@ def test_records_differ_across_classes_and_values():
     finite = FiniteDistribution((F(1, 2), F(1, 2)))
     assert finite != TruncatedDistribution((F(1, 2), F(1, 2)), F(0))
     assert Verdict(True, None, None, None) != Verdict(True, 3, None, None)
-    assert StickBase() == StickBase("uniform", 1.0, 1.0)
     assert Norm(1) == Norm(F(1))
     with pytest.raises(TypeError):
         DistanceInterval(F(1, 4))
     with pytest.raises(TypeError):
         DistanceInterval(F(1, 4), upper=F(1, 2), width=F(1, 4))
+
+
+def test_fields_are_passed_by_position_alone():
+    """One constructor: no record takes a field by name, and none has a default."""
+    with pytest.raises(TypeError):
+        Verdict(distinct=True, horizon=None, witness=None, coarsest=None)
+    with pytest.raises(TypeError):
+        DistanceInterval(F(1, 4), upper=F(1, 2))
+    with pytest.raises(TypeError):
+        StickBase()
 
 
 def test_finite_equality_reads_probs_alone():

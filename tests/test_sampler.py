@@ -107,12 +107,12 @@ class TestMonteCarlo:
             assert monte_carlo_blindspot_fraction(GEO_HALF, **kwargs, workers=workers) == serial
 
     def test_trial_records(self):
-        report, records = monte_carlo_blindspot_fraction(
+        report, witness, residuals = monte_carlo_blindspot_fraction(
             GEO_HALF, 200, 12, seed=3, collect_trials=True
         )
-        assert len(records) == 200
-        assert [r.trial for r in records] == list(range(200))
-        assert sum(not r.in_blindspot for r in records) == report.exact_float_collisions
+        assert len(residuals) == 200 and all(0.0 < r < 1.0 for r in residuals)
+        assert set(witness) <= set(range(200))
+        assert len(witness) == report.exact_float_collisions
 
     def test_residual_mean_tiny_at_64(self):
         report = monte_carlo_blindspot_fraction(GEO_HALF, 2000, 64, seed=11)
@@ -120,19 +120,20 @@ class TestMonteCarlo:
 
     def test_record_pairs_match_pairwise_scan(self):
         # at horizon 800 late stick coordinates underflow to 0.0, so float
-        # ratios repeat exactly and records carry witness pairs to check
+        # ratios repeat exactly and the witness map carries pairs to check
         n = 800
-        _, records = monte_carlo_blindspot_fraction(GEO_HALF, 20, n, seed=4, collect_trials=True)
+        _, witness, _ = monte_carlo_blindspot_fraction(GEO_HALF, 20, n, seed=4,
+                                                       collect_trials=True)
         x, _ = stick_breaking_matrix(4, 20, n)
         ratios = x / np.array([float(v) for v in GEO_HALF.prefix_values(n)])
-        for rec, row in zip(records, ratios):
+        for t, row in enumerate(ratios):
             expected = None
             for i in range(n):
                 later = np.nonzero(row[i + 1:] == row[i])[0]
                 if later.size:
                     expected = (i + 1, i + 2 + int(later[0]))
                     break
-            assert rec.first_collision == expected
+            assert witness.get(t) == expected
 
 
 @pytest.mark.parametrize("workers, chunks, cpus, pool_size", [
@@ -438,10 +439,10 @@ def test_chunk_counts_match_reference_on_planted_rows(n):
     m = len(s)
     exact, near = reference.full_compare(s)
     x = np.random.default_rng(0).permuted(s, axis=1).T.copy()  # a trial per column
-    got_exact, got_near, _, records = sampler._mc_chunk(
+    got_exact, got_near, _, witness, _ = sampler._mc_chunk(
         slice(0, m), x, np.zeros(m), np.empty((m, n)), np.ones(n), True)
     assert (got_exact, got_near) == (int(exact.sum()), int(near.sum()))
-    assert [not r.in_blindspot for r in records] == exact.tolist()
+    assert [t in witness for t in range(m)] == exact.tolist()
 
 
 def test_chunk_witness_is_the_least_pair_of_equal_ratios():
@@ -452,13 +453,13 @@ def test_chunk_witness_is_the_least_pair_of_equal_ratios():
     rows = np.array([[7.0, 2.0, 2.0, 2.0], [5.0, 3.0, 5.0, 3.0], [1.0, inf, 4.0, inf],
                      [nan, 1.0, nan, 2.0], [0.0, 3.0, 0.0, 1.0], [4.0, 3.0, 2.0, 1.0]])
     m, n = rows.shape
-    exact, _, _, records = sampler._mc_chunk(
+    exact, _, _, witness, residuals = sampler._mc_chunk(
         slice(10, 10 + m), rows.T.copy(), np.zeros(m), np.empty((m, n)), np.ones(n), True)
     expected = [reference.RatioIndex(row.tolist()).first_collision for row in rows]
     assert expected == [(2, 3), (1, 3), (2, 4), None, (1, 3), None]
-    assert [r.first_collision for r in records] == expected
-    assert [r.in_blindspot for r in records] == [pair is None for pair in expected]
-    assert [r.trial for r in records] == list(range(10, 10 + m)) and exact == 4
+    # keyed by absolute trial index: this chunk starts at trial 10
+    assert witness == {10 + t: pair for t, pair in enumerate(expected) if pair}
+    assert residuals == [0.0] * m and exact == 4
 
 
 def test_finite_ratio_beside_inf_is_not_near():

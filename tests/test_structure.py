@@ -4,9 +4,10 @@
 exact sum, share and l1 gap goes through it, so it alone calls ``math.lcm``.
 ``records.Record`` is the one record idiom: no module imports ``dataclasses``,
 whose import and generated methods cost every CLI command start-up time, and a
-record writes out ``__init__`` only to check its input or for a measured hot caller.
+record writes out ``__init__`` only to check its input.
 ``distributions.Distribution`` is the one view of a distribution: no module
 tells the kinds apart with ``isinstance``, and each accessor is written once.
+No linter is assumed, so an import that a module never reads is caught here.
 """
 
 import ast
@@ -91,15 +92,12 @@ def test_distribution_kinds_are_told_apart_by_fields():
     assert accessor_definitions() == [f"Distribution.{name}" for name in ACCESSORS]
 
 
-#: ``Record`` subclasses whose ``__init__`` is written out; every other record takes
-#: each field through ``Record``'s one constructor.  Input checks and coercion: the
-#: three distribution kinds, ``BlockWeights``, ``Norm`` and ``StickBase``.  Hot
-#: callers, timed on a 2-core host under CPython 3.11: the generic constructor takes
-#: 1.46 us against 0.58 us per ``Partition``, about 3.6 ms of the 4140 partitions
-#: a ``jc brute`` enumerates at n = 8, and 2.64 us against 0.88 us per ``TrialRecord``,
-#: about 16 ms of a 9000-trial ``bs montecarlo --format csv``.
-WRITTEN_OUT_INITS = ["BlockWeights", "FiniteDistribution", "Geometric", "Norm", "Partition",
-                     "StickBase", "TrialRecord", "TruncatedDistribution"]
+#: ``Record`` subclasses whose ``__init__`` is written out, each to check or coerce
+#: its input: the three distribution kinds, ``BlockWeights``, ``Norm`` and
+#: ``StickBase``.  Every other record takes each field, by position, through
+#: ``Record``'s one constructor.
+WRITTEN_OUT_INITS = ["BlockWeights", "FiniteDistribution", "Geometric", "Norm", "StickBase",
+                     "TruncatedDistribution"]
 
 
 def record_inits() -> list:
@@ -115,5 +113,25 @@ def record_inits() -> list:
         isinstance(f, ast.FunctionDef) and f.name == "__init__" for f in node.body))
 
 
-def test_records_write_out_init_only_to_check_input_or_for_hot_callers():
+def test_records_write_out_init_only_to_check_input():
     assert record_inits() == WRITTEN_OUT_INITS
+
+
+def unused_imports() -> list:
+    """``module: name`` of every name a library module other than ``__init__``
+    imports and never reads, annotations included; ``__future__`` is exempt."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = [alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__" for alias in node.names]
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}: {name}" for name in imported if name not in read]
+    return unused
+
+
+def test_every_imported_name_is_read():
+    assert unused_imports() == []
