@@ -14,7 +14,6 @@ from .jeffrey import (
     Partition,
     accessible_brute_force,
     coarsest_partition,
-    is_nontrivial,
     jc_apply,
     rigidity_holds,
 )

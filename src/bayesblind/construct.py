@@ -48,6 +48,8 @@ def generate_raw_sequence(
         raise InputError("prior family must be nonempty")
     if n < 2:
         raise InputError("horizon must be at least 2")
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
     require_horizon(n, *priors)
     prefixes = [require_positive_prefix(p, n) for p in priors]
     rng = random.Random(seed)
@@ -114,6 +116,8 @@ def pick_valid_delta(
     cap = min(1 - q.value(1), q.value(2))
     if not (0 < eps <= cap):
         raise InputError(f"eps must lie in (0, {cap}], got {eps}")
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
     n = len(q)
     pvs = [require_positive_prefix(p, n) for p in priors]
     qs = q.prefix_pairs(n)

@@ -327,7 +327,7 @@ _KINDS = {cls.kind: cls for cls in (FiniteDistribution, TruncatedDistribution, G
 
 def dist_to_json(d: Distribution) -> dict:
     """``kind``, then each field of the kind in ``__slots__`` order."""
-    return {"kind": d.kind, **{name: _FIELDS[name][0](getattr(d, name)) for name in d.__slots__}}
+    return {"kind": d.kind, **{name: _FIELDS[name][0](getattr(d, name)) for name in d._fields}}
 
 
 def dist_from_json(obj) -> Distribution:
@@ -338,6 +338,6 @@ def dist_from_json(obj) -> Distribution:
     cls = _KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise InputError(f"unknown distribution kind {kind!r}")
-    if obj.keys() != {"kind", *cls.__slots__}:
-        raise InputError(f"{kind} keys are {['kind', *cls.__slots__]}, got {list(obj)}")
-    return cls(*(_FIELDS[name][1](obj[name]) for name in cls.__slots__))
+    if obj.keys() != {"kind", *cls._fields}:
+        raise InputError(f"{kind} keys are {['kind', *cls._fields]}, got {list(obj)}")
+    return cls(*(_FIELDS[name][1](obj[name]) for name in cls._fields))

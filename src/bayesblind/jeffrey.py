@@ -95,11 +95,6 @@ def partitions(n: int) -> Iterator[tuple]:
     return grow((), 1)
 
 
-def is_nontrivial(e: Partition) -> bool:
-    """True iff some block has at least two elements."""
-    return any(len(b) >= 2 for b in e.blocks)
-
-
 def check_prior(p: FiniteDistribution, *posteriors: FiniteDistribution) -> tuple:
     """Exact-rational finite vectors on one index set; a strictly positive
     prior, whose integer pairs are returned."""

@@ -29,10 +29,6 @@ class Norm(Record):
         except OverflowError:
             raise InputError("lp norms require p to fit a float") from None
 
-    @property
-    def is_exact(self) -> bool:
-        return self.p is None or self.p == 1
-
     def __str__(self) -> str:
         return next((name for name, norm in NAMED.items() if norm == self), f"lp:{self.p}")
 

@@ -135,7 +135,7 @@ class McReport(Record):
                  "near_collisions", "mean_residual_mass", "seed")
 
     def to_json(self) -> dict:
-        return dict(zip(self.__slots__, self._values()))
+        return dict(zip(self._fields, self._values()))
 
 
 def _flagged_rows(ratios, u):

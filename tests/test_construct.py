@@ -59,6 +59,11 @@ class TestGenerator:
         forbidden = exclusion_set(ms, prefixes, 4)
         assert len(forbidden) <= 3 * 2
 
+    def test_negative_seed_is_an_input_error(self):
+        """``random.Random`` seeds from abs(seed): -7 would alias 7."""
+        with pytest.raises(InputError, match="seed must be non-negative, got -7"):
+            generate_raw_sequence(TWO_PRIORS, 16, -7)
+
     def test_deterministic(self):
         a = generate_blindspot_member(TWO_PRIORS, 24, seed=99)
         b = generate_blindspot_member(TWO_PRIORS, 24, seed=99)
@@ -119,6 +124,11 @@ class TestPickValidDelta:
         q = generate_blindspot_member(TWO_PRIORS, 16, seed=4)
         with pytest.raises(InputError, match="eps must lie in"):
             pick_valid_delta(q, TWO_PRIORS, F(0), seed=0)
+
+    def test_negative_seed_is_an_input_error(self):
+        q = generate_blindspot_member(TWO_PRIORS, 16, seed=4)
+        with pytest.raises(InputError, match="seed must be non-negative, got -1"):
+            pick_valid_delta(q, TWO_PRIORS, q.value(2) / 2, seed=-1)
 
     def test_degenerate_second_coordinate(self):
         q = TruncatedDistribution((F(1, 2), F(0), F(1, 2)), F(0))

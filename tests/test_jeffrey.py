@@ -10,7 +10,6 @@ from bayesblind import (
     Partition,
     accessible_brute_force,
     coarsest_partition,
-    is_nontrivial,
     jc_apply,
     normalize,
     rigidity_holds,
@@ -98,17 +97,6 @@ class TestEnumeration:
         all3 = list(partitions(3))
         assert all3[0] == ((1, 2, 3),)
         assert all3[-1] == ((1,), (2,), (3,))
-
-
-class TestNontrivial:
-    def test_trivial(self):
-        assert not is_nontrivial(Partition.of([[1], [2], [3]]))
-
-    def test_one_merged_block(self):
-        assert is_nontrivial(Partition.of([[1], [2, 3]]))
-
-    def test_single_block(self):
-        assert is_nontrivial(Partition.of([[1, 2, 3]]))
 
 
 class TestJcApply:
@@ -245,6 +233,8 @@ class TestBruteForce:
         assert v.witness == Partition.of([[1, 2, 3]])
 
     def test_inaccessible(self):
+        """Distinct ratios: only the all-singletons partition is rigid, and brute
+        force skips it as trivial (no fewer blocks than indices)."""
         q = finite_from_rationals([F(1, 2), F(3, 10), F(1, 5)])
         assert not accessible_brute_force(P3, q).accessible
 
@@ -263,7 +253,9 @@ class TestBruteForce:
         pair builds no ``Partition``, an accessible pair its witness alone."""
         built = []
 
-        class Counted(Partition):  # no __slots__ of its own: Record reads Partition's
+        class Counted(Partition):  # declares no fields: Record reads Partition's
+            __slots__ = ()
+
             def __init__(self, *values):
                 built.append(values)
                 super().__init__(*values)

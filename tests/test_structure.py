@@ -8,12 +8,20 @@ record writes out ``__init__`` only to check its input.
 ``distributions.Distribution`` is the one view of a distribution: no module
 tells the kinds apart with ``isinstance``, and each accessor is written once.
 No linter is assumed, so an import that a module never reads is caught here.
+No code exists for the tests alone: every top-level function or class of a
+module other than ``__init__`` is named by some such module outside its own
+definition, or listed in ``LAYERS`` of bench/workloads.py, or is one of the
+``ENTRY_POINTS`` that README documents.  No module has an ``assert``
+statement, so every certified bound is checked under ``python -O`` too.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "bayesblind"
+from test_bench_contract import bench_layers
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "bayesblind"
 
 
 def lcm_call_sites() -> list:
@@ -135,3 +143,38 @@ def unused_imports() -> list:
 
 def test_every_imported_name_is_read():
     assert unused_imports() == []
+
+
+#: library results that README documents and that nothing in ``src/`` or ``LAYERS`` calls
+ENTRY_POINTS = ["geometric_witness"]
+
+
+def unreached_definitions() -> list:
+    """``module.name`` of every top-level function or class of a module other than
+    ``__init__`` that no such module names (as a name or an attribute) outside its
+    own definition, and that neither ``LAYERS`` nor ``ENTRY_POINTS`` lists."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))
+             if path.name != "__init__.py"}
+    named = [(stmt, {getattr(node, "id", None) or getattr(node, "attr", None)
+                     for node in ast.walk(stmt)}) for tree in trees.values() for stmt in tree.body]
+    listed = {name for names in bench_layers().values() for name in names} | set(ENTRY_POINTS)
+    return [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name not in listed
+            and not any(node.name in names for stmt, names in named if stmt is not node)]
+
+
+def test_every_definition_is_reached():
+    assert unreached_definitions() == []
+    readme = (ROOT / "README.md").read_text()
+    assert [name for name in ENTRY_POINTS if f"`{name}`" not in readme] == []
+
+
+def assert_statements() -> list:
+    """``module: line`` of every ``assert`` statement, which ``python -O`` strips."""
+    return [f"{path.stem}: {node.lineno}" for path in sorted(SRC.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+
+
+def test_no_assert_statements():
+    assert assert_statements() == []
