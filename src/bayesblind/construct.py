@@ -18,9 +18,9 @@ from .distributions import (
     TruncatedDistribution,
     exact_sum,
     l1_gap,
+    require_exact,
     require_horizon,
     require_positive_prefix,
-    require_stored,
     shares,
 )
 from .errors import HorizonInsufficient, InputError
@@ -46,8 +46,6 @@ def generate_raw_sequence(
     """
     if not priors:
         raise InputError("prior family must be nonempty")
-    if n < 2:
-        raise InputError("horizon must be at least 2")
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
     require_horizon(n, *priors)
@@ -77,16 +75,9 @@ def generate_blindspot_member(
     return TruncatedDistribution(shares([m.as_integer_ratio() for m in ms]), Fraction(0))
 
 
-def _require_exact(q: Distribution, what: str) -> None:
-    """The construction guard: q has a stored, exact-rational prefix."""
-    require_stored(q)
-    if not q.is_exact:
-        raise InputError(f"{what} requires an exact-rational distribution")
-
-
 def delta_family(q: TruncatedDistribution, delta: Fraction) -> TruncatedDistribution:
     """The shift (q_1 + delta, q_2 - delta, q_3, ...); mass preserved."""
-    _require_exact(q, "delta_family")
+    require_exact("delta_family", q)
     if not (0 < delta < q.value(2)):
         raise InputError(f"delta must lie in (0, q_2) = (0, {q.value(2)}), got {delta}")
     prefix = (q.prefix[0] + delta, q.prefix[1] - delta) + q.prefix[2:]
@@ -110,7 +101,7 @@ def pick_valid_delta(
     pairs (q_i, p_i), i >= 3, are indexed once and a step cross-multiplies the
     two moved ones against them.  A repeat among 3..N raises HorizonInsufficient.
     """
-    _require_exact(q, "pick_valid_delta")
+    n = require_exact("pick_valid_delta", q)
     if q.value(2) == 0:
         raise InputError("q_2 = 0: the delta shift is unavailable")
     cap = min(1 - q.value(1), q.value(2))
@@ -118,7 +109,6 @@ def pick_valid_delta(
         raise InputError(f"eps must lie in (0, {cap}], got {eps}")
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
-    n = len(q)
     pvs = [require_positive_prefix(p, n) for p in priors]
     qs = q.prefix_pairs(n)
     fixed = [(pv[0], pv[1], RatioIndex(qs[2:], pv[2:])) for pv in pvs]
@@ -159,8 +149,7 @@ def densify(p: Distribution, q_target: Distribution, eps: Fraction) -> DensifyRe
     """
     if not (0 < eps < Fraction(1, 2)):
         raise InputError(f"eps must lie in (0, 1/2), got {eps}")
-    _require_exact(q_target, "densify")
-    n = len(q_target)
+    n = require_exact("densify", q_target)
     pv = require_positive_prefix(p, n)
     qv, qs = q_target.prefix, q_target.prefix_pairs(n)
     rs = [qs[0]]
@@ -197,8 +186,7 @@ def _move_prelude(p, q, eps, spend, spend_name, what) -> tuple:
     admissible index.  Returns (pv, budget, n0): p's prefix as integer pairs,
     the 1-based budget index, and the smallest n0 <= n-1 with q_i < eps and
     p_i / p_1 < eps for all i >= n0, compared as integer cross products."""
-    _require_exact(q, what)
-    qv, n = q.prefix, len(q)
+    qv, n = q.prefix, require_exact(what, q)
     budget = next((b for b in (2, 3) if b <= n and qv[b - 1] > 0), None)
     if budget is None:
         raise InputError("q_2 = 0 and q_3 is 0 or not stored: no budget coordinate")
@@ -224,12 +212,16 @@ def _collision_move(work, qv, pv, target_idx, budget_idx):
     Returns (branch, cost): excess mass moves to the next coordinate
     (positive branch) or is taken from budget_idx (negative branch).  Cost is
     the exact l1 change, < 2*eps by the threshold condition on target_idx.
+
+    The budget covers every negative move, so it is not checked: targets lie
+    above the budget index (``_move_prelude`` needs q_budget > spend >= eps, so
+    n0 does) and 2 apart, so a positive move dumps into neither a target nor the
+    budget; a negative move takes aligned - q_t <= q_1 p_t / p_1 < eps, so all
+    take less than spend < q_budget; ``TruncatedDistribution`` refuses a negative entry.
     """
     t = target_idx - 1
     aligned = qv[0] * Fraction(pv[t][0] * pv[0][1], pv[t][1] * pv[0][0])  # q_1 p_t / p_1
     delta = work[t] - aligned
-    if delta <= 0 and work[budget_idx - 1] < -delta:
-        raise HorizonInsufficient("budget coordinate exhausted by negative moves")
     work[t] = aligned
     work[t + 1 if delta > 0 else budget_idx - 1] += delta
     return ("positive", 2 * delta) if delta > 0 else ("negative", -2 * delta)

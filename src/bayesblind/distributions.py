@@ -117,11 +117,9 @@ class Distribution(Record):
 
     def value(self, i: int) -> Number:
         """1-based component access, within the stored prefix unless a tail ratio extends it."""
-        if i < 1:
-            raise InputError(f"components are indexed from 1, got {i}")
+        require_horizon(i, self)
         if i <= len(self):
             return self.prefix[i - 1]
-        require_horizon(i, self)
         return self.tail_mass * (1 - self.ratio) * self.ratio ** (i - len(self) - 1)
 
     def prefix_values(self, n: int) -> tuple:
@@ -261,39 +259,47 @@ def normalize(values: Iterable[Fraction]) -> FiniteDistribution:
 
 def truncate(d: Distribution, n: int) -> TruncatedDistribution:
     """Exact N-term prefix of a parametric distribution, tail via closed form."""
-    if n < 2:
-        raise InputError("truncation horizon must be at least 2")
     return TruncatedDistribution(d.prefix_values(n), d.tail_after(n))
 
 
-def require_stored(*ds: Distribution) -> None:
-    """Guard for operations that read a stored prefix: rejects a geometric tail."""
+def require_stored(*ds: Distribution) -> int:
+    """Guard for operations that read stored prefixes of one length: rejects a
+    geometric tail and unequal lengths.  Returns the common length."""
     if any(d.ratio is not None for d in ds):
         raise InputError("a geometric distribution has no stored prefix; truncate it first")
+    if len(lengths := {len(d) for d in ds}) > 1:
+        raise InputError("lengths differ: " + " vs ".join(str(len(d)) for d in ds))
+    return lengths.pop()
+
+
+def require_exact(what: str, *ds: Distribution) -> int:
+    """``require_stored``, and every entry a Fraction.  Returns the common length."""
+    n = require_stored(*ds)
+    if not all(d.is_exact for d in ds):
+        raise InputError(f"{what} requires an exact-rational distribution")
+    return n
 
 
 def require_finite(*ds: Distribution) -> int:
-    """Guard for operations on finite vectors of one length: rejects truncated
-    and geometric, which need a horizon, and unequal lengths.  Returns the
-    common length."""
+    """``require_stored`` for finite vectors only: rejects truncated and geometric,
+    which need a horizon.  Returns the common length."""
     if any(d.kind != "finite" for d in ds):
         raise InputError("truncated and geometric distributions need a horizon")
-    if len({len(d) for d in ds}) > 1:
-        raise InputError("lengths differ: " + " vs ".join(str(len(d)) for d in ds))
-    return len(ds[0])
+    return require_stored(*ds)
 
 
 def require_horizon(n: int, *ds: Distribution) -> None:
-    """Guard run before any prefix is built: n is within every prefix no tail ratio extends."""
+    """Guard run before any prefix is built: n counts from 1, like an index, and is
+    within every prefix no tail ratio extends."""
+    if n < 1:
+        raise InputError(f"horizon must be at least 1, got {n}")
     for d in ds:
         if d.ratio is None and n > len(d):
             raise InputError(f"horizon {n} exceeds available prefix length {len(d)}")
 
 
 def require_positive_prefix(d: Distribution, n: int) -> tuple:
-    """Components 1..n of a prior as integer pairs, all strictly positive; n >= 1."""
-    if n < 1:
-        raise InputError(f"horizon must be at least 1, got {n}")
+    """Components 1..n of a prior as integer pairs, all strictly positive."""
     pairs = d.prefix_pairs(n)
     for i, (x, _) in enumerate(pairs, start=1):
         if x <= 0:

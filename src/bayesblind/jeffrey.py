@@ -13,8 +13,8 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .distributions import (
-    FiniteDistribution, RatioIndex, exact_sum, json_list, require_finite, require_positive_prefix,
-    shares,
+    FiniteDistribution, RatioIndex, exact_sum, json_list, require_exact, require_finite,
+    require_positive_prefix, shares,
 )
 from .errors import InputError
 from .records import Record, setfield
@@ -98,10 +98,8 @@ def partitions(n: int) -> Iterator[tuple]:
 def check_prior(p: FiniteDistribution, *posteriors: FiniteDistribution) -> tuple:
     """Exact-rational finite vectors on one index set; a strictly positive
     prior, whose integer pairs are returned."""
-    n = require_finite(p, *posteriors)
-    if not all(d.is_exact for d in (p, *posteriors)):
-        raise InputError("Jeffrey conditioning needs exact-rational distributions")
-    return require_positive_prefix(p, n)
+    require_finite(p, *posteriors)
+    return require_positive_prefix(p, require_exact("Jeffrey conditioning", p, *posteriors))
 
 
 def _check_shapes(p: FiniteDistribution, e: Partition) -> None:

@@ -71,8 +71,6 @@ def _seq_distance(u: Distribution, v: Distribution, norm: Norm):
 def lp_distance(u: Distribution, v: Distribution, norm: Norm = L1):
     """Distance between u and v; scalar when both are tail-free, else an interval."""
     require_stored(u, v)
-    if len(u) != len(v):
-        raise InputError(f"lengths differ: {len(u)} vs {len(v)}")
     lower = _seq_distance(u, v, norm)
     ut, vt = u.tail_mass, v.tail_mass
     if ut == 0 and vt == 0:

@@ -27,7 +27,9 @@ import threading
 
 import numpy as np
 
-from .distributions import Distribution, TruncatedDistribution, require_positive_prefix
+from .distributions import (
+    Distribution, TruncatedDistribution, require_horizon, require_positive_prefix,
+)
 from .errors import InputError
 from .records import Record
 
@@ -113,8 +115,7 @@ def _sticks(seed: int, run: list, n: int, base: StickBase):
 
 def stick_breaking_matrix(seed: int, trials: int, n: int, base: StickBase = UNIFORM):
     """(trials, n) coordinate matrix plus residuals, chunk-deterministic."""
-    if n < 1:
-        raise InputError(f"horizon must be at least 1, got {n}")
+    require_horizon(n)
     plan = _chunks(seed, trials)
     xs, residuals = np.empty((trials, n)), np.empty(trials)
     for rows, x, residual, _ in _sticks(seed, plan, n, base):
@@ -124,8 +125,6 @@ def stick_breaking_matrix(seed: int, trials: int, n: int, base: StickBase = UNIF
 
 def stick_breaking_sample(seed: int, n: int, base: StickBase = UNIFORM) -> TruncatedDistribution:
     """One stick-breaking sample, deterministic given the seed."""
-    if n < 2:
-        raise InputError("horizon must be at least 2")
     x, residual = stick_breaking_matrix(seed, 1, n, base)
     return TruncatedDistribution(tuple(float(v) for v in x[0]), float(residual[0]))
 

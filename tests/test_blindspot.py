@@ -172,6 +172,11 @@ class TestFamilyMembership:
         fv = family_membership(priors, q, 16)
         assert all(v.horizon == 16 for v in fv.verdicts)
 
+    @pytest.mark.parametrize("n", [None, 3])
+    def test_empty_family_rejected(self, n):
+        with pytest.raises(InputError, match="^prior family must be nonempty$"):
+            family_membership([], P3, n)
+
 
 class TestCollisionCount:
     def test_all_pairs(self):

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -21,6 +22,7 @@ from bayesblind import (
     pick_valid_delta,
     truncate,
 )
+from bayesblind import construct
 from bayesblind.construct import _move_prelude, generate_raw_sequence
 from bayesblind.distributions import FiniteDistribution, TruncatedDistribution
 from bayesblind.errors import BayesBlindError, HorizonInsufficient, InputError
@@ -63,6 +65,18 @@ class TestGenerator:
         """``random.Random`` seeds from abs(seed): -7 would alias 7."""
         with pytest.raises(InputError, match="seed must be non-negative, got -7"):
             generate_raw_sequence(TWO_PRIORS, 16, -7)
+
+    def test_empty_family_rejected(self):
+        with pytest.raises(InputError, match="^prior family must be nonempty$"):
+            generate_raw_sequence([], 16, 0)
+
+    def test_horizon_counts_from_one(self):
+        """One term is a valid sequence; as a member it has too few components."""
+        assert generate_raw_sequence(TWO_PRIORS, 1, 0) == (F(1, 2),)
+        with pytest.raises(InputError, match="^a distribution needs at least 2 components$"):
+            generate_blindspot_member(TWO_PRIORS, 1, 0)
+        with pytest.raises(InputError, match="^horizon must be at least 1, got 0$"):
+            generate_raw_sequence(TWO_PRIORS, 0, 0)
 
     def test_deterministic(self):
         a = generate_blindspot_member(TWO_PRIORS, 24, seed=99)
@@ -380,6 +394,21 @@ def test_collision_moves_make_no_fraction_division(monkeypatch):
         assert result.pairs == ((1, n0),) and collision_count(p, result.distribution, 64) >= 1
         assert len(multi_collision_near(p, q, 3, eps_multi).pairs) == 3
     assert calls == []
+
+
+@pytest.mark.parametrize("move, pairs, bound_name", [
+    (lambda p, q, eps: exteriorize(p, q, eps), 1, "2*eps"),
+    (lambda p, q, eps: multi_collision_near(p, q, 3, eps), 3, "2*pairs*eps"),
+])
+def test_cost_at_the_bound_cannot_be_certified(monkeypatch, move, pairs, bound_name):
+    """The certified-bound check is strict: faked move costs that sum to
+    exactly 2*pairs*eps raise."""
+    eps = F(1, 10 ** 4)
+    monkeypatch.setattr(construct, "_collision_move", lambda *args: ("positive", 2 * eps))
+    q = generate_blindspot_member([GEO_HALF], 64, seed=3)
+    message = f"^cannot certify the {re.escape(bound_name)} bound: cost {2 * pairs * eps}$"
+    with pytest.raises(HorizonInsufficient, match=message):
+        move(GEO_HALF, q, eps)
 
 
 def test_certified_bound_survives_optimize():

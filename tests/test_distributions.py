@@ -194,7 +194,7 @@ class TestTruncate:
         assert t.tail_mass == F(1, 2 ** 64)
 
     def test_horizon_too_small(self):
-        with pytest.raises(InputError, match="truncation horizon"):
+        with pytest.raises(InputError, match="at least 2 components"):
             truncate(geometric(F(1, 2)), 1)
 
     def test_mass_exact_on_grid(self):
@@ -540,6 +540,17 @@ class TestJson:
         d = dist_from_json({"kind": "finite", "probs": ["1", "0", "0"]})
         assert d.probs == (F(1), F(0), F(0))
 
+    def test_json_integers_decode_exactly(self):
+        d = dist_from_json({"kind": "finite", "probs": [1, 0]})
+        assert d.probs == (F(1), F(0)) and all(type(v) is Fraction for v in d.probs)
+        assert d.is_exact
+
+    @pytest.mark.parametrize("entry", [True, None])
+    def test_json_non_numbers_rejected(self, entry):
+        """``True`` is an int to Python, but not a probability."""
+        with pytest.raises(InputError, match=f"^not a probability value: {entry!r}$"):
+            dist_from_json({"kind": "finite", "probs": [entry, 0]})
+
     @pytest.mark.parametrize("obj, message", [
         ({"kind": "finite"}, r"^finite keys are \['kind', 'probs'\], got \['kind'\]$"),
         ({"kind": "truncated", "prefix": ["1/2", "1/4"], "tail_mass": "1/4", "ratio": "1/2"},
@@ -630,9 +641,26 @@ class TestDistributionView:
         terms = (F(1, 2), F(1, 4)) + tuple(T * (1 - s) * s ** k for k in range(6))
         assert d.prefix_values(8) == terms == tuple(d.value(i) for i in range(1, 9))
         assert tuple(F(x, y) for x, y in d.prefix_pairs(8)) == terms
-        assert [d.tail_after(n) for n in range(9)] == [1 - sum(terms[:n]) for n in range(9)]
+        assert [d.tail_after(n) for n in range(1, 9)] == [1 - sum(terms[:n]) for n in range(1, 9)]
+        for n in (0, -1):
+            with pytest.raises(InputError, match="horizon must be at least 1"):
+                d.tail_after(n)
         with pytest.raises(InputError, match="no stored prefix"):
             require_stored(d)
+
+    @pytest.mark.parametrize("read", [
+        pytest.param(lambda d, n: d.prefix_pairs(n), id="prefix_pairs"),
+        pytest.param(lambda d, n: d.prefix_values(n), id="prefix_values"),
+        pytest.param(lambda d, n: d.tail_after(n), id="tail_after"),
+        pytest.param(truncate, id="truncate"),
+    ])
+    @pytest.mark.parametrize("kind, n", [("TRUNC", -1), ("TRUNC", 0), ("GEO", -2), ("GEO", 0)])
+    def test_horizon_below_one_is_an_input_error(self, read, kind, n):
+        """A horizon counts from 1; a negative one would slice the prefix from its
+        end: all but the last entry for prefix_pairs(-1), and the last entry plus
+        the tail, a wrong mass, for tail_after(-1)."""
+        with pytest.raises(InputError, match=f"^horizon must be at least 1, got {n}$"):
+            read(getattr(self, kind), n)
 
     @pytest.mark.parametrize("kind, i", [
         ("FINITE", 0), ("FINITE", -1), ("FINITE", 4), ("TRUNC", 4), ("GEO", 0),

@@ -127,6 +127,16 @@ class TestJcApply:
         with pytest.raises(InputError, match="block weights sum to"):
             BlockWeights((F(1, 2), F(1, 4)))
 
+    def test_negative_weight_rejected(self):
+        """Weights that sum to 1 are still refused with a negative entry."""
+        with pytest.raises(InputError, match="^negative block weight -1/2$"):
+            BlockWeights((F(3, 2), F(-1, 2)))
+
+    def test_partition_must_cover_the_vector(self):
+        p = finite_from_rationals([F(1, 4)] * 4)
+        with pytest.raises(InputError, match="^partition covers 3 indices, distribution has 4$"):
+            jc_apply(p, Partition.of([[1], [2, 3]]), BlockWeights((F(1, 2), F(1, 2))))
+
     @given(st.data())
     def test_matches_the_fraction_oracle(self, data):
         """Random exact priors over mixed denominators, random partitions and
@@ -160,6 +170,10 @@ class TestRigidity:
     def test_zero_posterior_block_skipped(self):
         q = finite_from_rationals([F(1), F(0), F(0)])
         assert rigidity_holds(P3, q, Partition.of([[1], [2, 3]]))
+
+    def test_partition_must_cover_the_vector(self):
+        with pytest.raises(InputError, match="^partition covers 2 indices, distribution has 3$"):
+            rigidity_holds(P3, UNIFORM3, Partition.of([[1], [2]]))
 
     @given(st.data())
     def test_matches_the_block_mass_oracle(self, data):
@@ -210,7 +224,7 @@ FLOAT_POSTERIOR = FiniteDistribution((0.12753451286971085, 0.013013725803031718,
 ])
 def test_float_inputs_refused(check):
     for p, q in ((MIXED_PRIOR, FLOAT_POSTERIOR), (FLOAT_POSTERIOR, MIXED_PRIOR)):
-        with pytest.raises(InputError, match="needs exact-rational distributions"):
+        with pytest.raises(InputError, match="^Jeffrey conditioning requires an exact-rational"):
             check(p, q)
 
 

@@ -87,6 +87,41 @@ class TestBoundedMetric:
         assert bounded == sorted(bounded)
 
 
+def full_distance(r: Fraction, s: Fraction, norm: Norm) -> Fraction:
+    """The exact l1 or linf distance of geometric(r) and geometric(s), r < s, over
+    every index.  p_i / q_i falls with i, so p_i > q_i on a prefix; as both sum
+    to 1, the l1 distance is twice the gap summed there.  The sup is reached
+    before both terms fall below it."""
+    p, q = geometric(r), geometric(s)
+    best, i = F(0), 1
+    while norm == L1 and p.value(i) > q.value(i):
+        best, i = best + 2 * (p.value(i) - q.value(i)), i + 1
+    while norm == LINF and max(p.value(i), q.value(i)) > best:
+        best, i = max(best, abs(p.value(i) - q.value(i))), i + 1
+    return best
+
+
+class TestCertifiedIntervals:
+    """Truncated pairs: the exact interval ends hold the full-sequence distance."""
+
+    def test_linf_upper_end_is_the_larger_tail(self):
+        u, v = truncate(geometric(F(1, 2)), 3), truncate(geometric(F(9, 10)), 3)
+        assert lp_distance(u, v, LINF) == DistanceInterval(F(2, 5), F(729, 1000))
+        assert full_distance(F(1, 2), F(9, 10), LINF) == F(2, 5)
+
+    @pytest.mark.parametrize("norm", [L1, LINF], ids=str)
+    @pytest.mark.parametrize("r, s", [(F(1, 2), F(9, 10)), (F(1, 3), F(2, 3)),
+                                      (F(1, 5), F(1, 2))])
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_interval_holds_the_full_distance(self, norm, r, s, n):
+        u, v = truncate(geometric(r), n), truncate(geometric(s), n)
+        t, b, exact = lp_distance(u, v, norm), bounded_metric(u, v, norm), full_distance(r, s, norm)
+        assert all(type(x) is Fraction for x in (t.lower, t.upper, b.lower, b.upper))
+        assert t.lower <= exact <= t.upper
+        assert b == DistanceInterval(t.lower / (1 + t.lower), t.upper / (1 + t.upper))
+        assert b.lower <= exact / (1 + exact) <= b.upper
+
+
 class TestMetricAxioms:
     def test_symmetry_and_triangle(self):
         rng = random.Random(2)

@@ -46,6 +46,8 @@ class TestStickBase:
             parse_base("cauchy")
         with pytest.raises(InputError, match="beta parameters"):
             StickBase("beta", -1.0, 1.0)
+        with pytest.raises(InputError, match="^unknown stick base 'gamma'$"):
+            StickBase("gamma", 1.0, 1.0)
 
     @pytest.mark.parametrize("text", ["beta:x,1", "beta:1", "beta:1,2,3"])
     def test_malformed_beta_is_an_input_error(self, text):

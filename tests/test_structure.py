@@ -12,7 +12,8 @@ No code exists for the tests alone: every top-level function or class of a
 module other than ``__init__`` is named by some such module outside its own
 definition, or listed in ``LAYERS`` of bench/workloads.py, or is one of the
 ``ENTRY_POINTS`` that README documents.  No module has an ``assert``
-statement, so every certified bound is checked under ``python -O`` too.
+statement, so every certified bound is checked under ``python -O`` too.  Each
+guard message is raised at one site, bar the few ``REPEATED_GUARDS``.
 """
 
 import ast
@@ -178,3 +179,32 @@ def assert_statements() -> list:
 
 def test_no_assert_statements():
     assert assert_statements() == []
+
+
+#: guard messages raised at more than one site, with their site counts: the seed
+#: check and the empty-family check.  A helper shared by the sites of either would
+#: make ``src/`` longer than the copies it replaced.
+REPEATED_GUARDS = {"f'seed must be non-negative, got {seed}'": 3,
+                   "'prior family must be nonempty'": 2}
+
+
+def guard_messages() -> dict:
+    """``ast.unparse`` of the message of every ``raise InputError(...)`` and
+    ``raise HorizonInsufficient(...)``, with the number of sites raising it."""
+    counts = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            call = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) in (
+                    "InputError", "HorizonInsufficient") and call.args:
+                message = ast.unparse(call.args[0])
+                counts[message] = counts.get(message, 0) + 1
+    return counts
+
+
+def test_each_guard_message_is_raised_once():
+    """Each input rule is checked by one guard (``require_horizon``,
+    ``require_stored``, ``require_exact`` in distributions), not by copies."""
+    repeated = {message: k for message, k in guard_messages().items() if k > 1}
+    assert {message: k for message, k in repeated.items() if message not in REPEATED_GUARDS} == {}
+    assert repeated == REPEATED_GUARDS
