@@ -15,7 +15,7 @@ distinctness among those only, never full membership.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .distributions import (
     Distribution,
@@ -23,10 +23,9 @@ from .distributions import (
     RatioIndex,
     require_finite,
     require_horizon,
-    require_positive_prefix,
+    require_priors,
     require_stored,
 )
-from .errors import InputError
 from .jeffrey import Partition
 from .records import Record
 
@@ -55,17 +54,14 @@ class Verdict(Record):
         return out
 
 
-def _scans(priors: Sequence[Distribution], q: Distribution, n: int | None) -> Iterator:
+def _scans(priors: Sequence[Distribution], q: Distribution, n: int | None) -> list:
     """Ratio indices of the first n coordinates (all of them, for finite inputs
     of one length, if n is None) under each prior; q's pairs are read once."""
     if n is not None:
         require_horizon(n, *priors, q)
-    qs = ()
-    for p in priors:
-        m = require_finite(p, q) if n is None else n
-        pv = require_positive_prefix(p, m)
-        qs = qs or q.prefix_pairs(m)
-        yield RatioIndex(qs, pv)
+    m = require_finite(*priors, q) if n is None else n
+    qs = q.prefix_pairs(m)
+    return [RatioIndex(qs, pv) for pv in require_priors(m, *priors)]
 
 
 def membership_finite(p: FiniteDistribution, q: FiniteDistribution) -> Verdict:
@@ -94,8 +90,6 @@ def family_membership(
     With a horizon, per-prior verdicts cover the first n ratios; without one,
     all inputs must be finite and verdicts are full.
     """
-    if not priors:
-        raise InputError("prior family must be nonempty")
     verdicts = []
     for index in _scans(priors, q, n):
         pair = index.first_collision
@@ -106,7 +100,7 @@ def family_membership(
 
 def collision_count(p: Distribution, q: Distribution, n: int | None = None) -> int:
     """Number of unordered index pairs with exactly equal ratios."""
-    return sum(len(f) * (len(f) - 1) // 2 for f in next(_scans([p], q, n)).fibres())
+    return sum(len(f) * (len(f) - 1) // 2 for f in _scans([p], q, n)[0].fibres())
 
 
 def geometric_witness(q: Distribution) -> tuple | None:

@@ -43,7 +43,7 @@ EXIT_INPUT = 2
 EXIT_CLAIM_FAILED = 4
 
 #: what malformed text raises while it is decoded; all of it is an input error
-DECODE_ERRORS = (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError)
+DECODE_ERRORS = (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError, RecursionError)
 
 
 def _load_json_arg(text: str):
@@ -111,20 +111,15 @@ def _jc_brute(a):
 
 
 def _bs_test(a):
-    if a.horizon is None:
-        v = blindspot.membership_finite(a.prior, a.posterior)
-    else:
-        v = blindspot.membership_prefix(a.prior, a.posterior, a.horizon)
+    v = blindspot.family_membership([a.prior], a.posterior, a.horizon).verdicts[0]
     return v.to_json(), f"verdict: {v.status}", EXIT_OK if v.distinct else EXIT_ACCESSIBLE
 
 
 def _bs_construct(a):
     q = construct.generate_blindspot_member(a.priors, a.horizon, a.seed)
-    claims = [
-        (f"prefix_distinct[prior {k}]", a.horizon,
-         blindspot.membership_prefix(p, q, a.horizon).distinct)
-        for k, p in enumerate(a.priors, start=1)
-    ]
+    verdicts = blindspot.family_membership(a.priors, q, a.horizon).verdicts
+    claims = [(f"prefix_distinct[prior {k}]", a.horizon, v.distinct)
+              for k, v in enumerate(verdicts, start=1)]
     claims.append(("mass", "1", exact_sum(q.prefix + (q.tail_mass,)) == 1))
     payload = {"distribution": dist_to_json(q), "certificate": _certificate(a, claims)}
     return payload, f"generated blind-spot member at horizon {a.horizon}", EXIT_OK

@@ -19,8 +19,7 @@ from .distributions import (
     exact_sum,
     l1_gap,
     require_exact,
-    require_horizon,
-    require_positive_prefix,
+    require_priors,
     shares,
 )
 from .errors import HorizonInsufficient, InputError
@@ -44,12 +43,9 @@ def generate_raw_sequence(
     probing a candidate once.  The forbidden set is finite at every step, so
     the retry loop always terminates.
     """
-    if not priors:
-        raise InputError("prior family must be nonempty")
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
-    require_horizon(n, *priors)
-    prefixes = [require_positive_prefix(p, n) for p in priors]
+    prefixes = require_priors(n, *priors)
     rng = random.Random(seed)
     ms = [Fraction(1, 2)]
     seen = [RatioIndex([(1, 2)], pv) for pv in prefixes]
@@ -109,7 +105,7 @@ def pick_valid_delta(
         raise InputError(f"eps must lie in (0, {cap}], got {eps}")
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
-    pvs = [require_positive_prefix(p, n) for p in priors]
+    pvs = require_priors(n, *priors)
     qs = q.prefix_pairs(n)
     fixed = [(pv[0], pv[1], RatioIndex(qs[2:], pv[2:])) for pv in pvs]
     if any(rest.first_collision for _, _, rest in fixed):
@@ -150,7 +146,7 @@ def densify(p: Distribution, q_target: Distribution, eps: Fraction) -> DensifyRe
     if not (0 < eps < Fraction(1, 2)):
         raise InputError(f"eps must lie in (0, 1/2), got {eps}")
     n = require_exact("densify", q_target)
-    pv = require_positive_prefix(p, n)
+    pv, = require_priors(n, p)
     qv, qs = q_target.prefix, q_target.prefix_pairs(n)
     rs = [qs[0]]
     seen = RatioIndex(qs[:1], pv)
@@ -194,7 +190,7 @@ def _move_prelude(p, q, eps, spend, spend_name, what) -> tuple:
         raise InputError(
             f"{spend_name} must lie in (0, q_{budget}) = (0, {qv[budget - 1]}), got {spend}"
         )
-    pv = require_positive_prefix(p, n)
+    pv, = require_priors(n, p)
     (c, d), (e, f) = pv[0], eps.as_integer_ratio()
     n0 = n + 1  # p_i / p_1 < eps as a d f < e c b, for p_i = a / b
     while n0 > 2 and qv[n0 - 2] < eps and pv[n0 - 2][0] * d * f < e * c * pv[n0 - 2][1]:

@@ -298,13 +298,20 @@ def require_horizon(n: int, *ds: Distribution) -> None:
             raise InputError(f"horizon {n} exceeds available prefix length {len(d)}")
 
 
-def require_positive_prefix(d: Distribution, n: int) -> tuple:
-    """Components 1..n of a prior as integer pairs, all strictly positive."""
-    pairs = d.prefix_pairs(n)
-    for i, (x, _) in enumerate(pairs, start=1):
-        if x <= 0:
-            raise InputError(f"prior has nonpositive component {d.value(i)} at index {i}")
-    return pairs
+def require_priors(n: int, *priors: Distribution) -> list:
+    """The prior guard of every scan: a nonempty family, then ``require_horizon``
+    before any prefix is built.  Returns each prior's components 1..n as integer
+    pairs, all strictly positive."""
+    if not priors:
+        raise InputError("prior family must be nonempty")
+    require_horizon(n, *priors)
+    prefixes = []
+    for d in priors:
+        prefixes.append(pairs := d.prefix_pairs(n))
+        for i, (x, _) in enumerate(pairs, start=1):
+            if x <= 0:
+                raise InputError(f"prior has nonpositive component {d.value(i)} at index {i}")
+    return prefixes
 
 
 def _decode(v) -> Number:

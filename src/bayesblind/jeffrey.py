@@ -14,7 +14,7 @@ from typing import Iterable, Iterator
 
 from .distributions import (
     FiniteDistribution, RatioIndex, exact_sum, json_list, require_exact, require_finite,
-    require_positive_prefix, shares,
+    require_priors, shares,
 )
 from .errors import InputError
 from .records import Record, setfield
@@ -99,7 +99,7 @@ def check_prior(p: FiniteDistribution, *posteriors: FiniteDistribution) -> tuple
     """Exact-rational finite vectors on one index set; a strictly positive
     prior, whose integer pairs are returned."""
     require_finite(p, *posteriors)
-    return require_positive_prefix(p, require_exact("Jeffrey conditioning", p, *posteriors))
+    return require_priors(require_exact("Jeffrey conditioning", p, *posteriors), p)[0]
 
 
 def _check_shapes(p: FiniteDistribution, e: Partition) -> None:

@@ -27,9 +27,7 @@ import threading
 
 import numpy as np
 
-from .distributions import (
-    Distribution, TruncatedDistribution, require_horizon, require_positive_prefix,
-)
+from .distributions import Distribution, TruncatedDistribution, require_horizon, require_priors
 from .errors import InputError
 from .records import Record
 
@@ -207,7 +205,7 @@ def monte_carlo_blindspot_fraction(prior: Distribution, trials: int, n: int,
     lists each trial's residual mass in trial order."""
     from concurrent.futures import ThreadPoolExecutor
     plan = _chunks(seed, trials)
-    p_float = np.array([x / y for x, y in require_positive_prefix(prior, n)])
+    p_float = np.array([x / y for x, y in require_priors(n, prior)[0]])
     workers = max(1, min(workers, len(plan), os.cpu_count() or 1))  # more would idle or contend
     runs = [plan[w * len(plan) // workers:(w + 1) * len(plan) // workers] for w in range(workers)]
     args = (n, base, p_float, collect_trials, stop := threading.Event())

@@ -12,7 +12,7 @@ import numpy as np
 
 from bayesblind import FiniteDistribution, delta_family
 from bayesblind.distributions import (
-    _check_entries, exact_sum, require_finite, require_positive_prefix,
+    _check_entries, exact_sum, require_finite, require_priors,
 )
 from bayesblind.errors import InputError
 from bayesblind.jeffrey import check_prior
@@ -74,7 +74,7 @@ class RatioIndex:
 
 def positive_prefix(p, n) -> tuple:
     """Components 1..n of a prior as values, behind the library's positivity guard."""
-    require_positive_prefix(p, n)
+    require_priors(n, p)
     return p.prefix_values(n)
 
 

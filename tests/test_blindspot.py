@@ -28,7 +28,9 @@ from bayesblind import (
 )
 from bayesblind.blindspot import Verdict
 from bayesblind.construct import generate_raw_sequence
-from bayesblind.distributions import TruncatedDistribution, dist_from_json, dist_to_json
+from bayesblind.distributions import (
+    TruncatedDistribution, dist_from_json, dist_to_json, require_priors,
+)
 from bayesblind.errors import InputError
 from helpers import finite_from_rationals, random_dist, random_positive_dist
 
@@ -274,6 +276,7 @@ class TestOverlongHorizon:
         pytest.param(lambda g, h, s: family_membership([g, h], s, 10 ** 6), id="family"),
         pytest.param(lambda g, h, s: collision_count(g, s, 10 ** 6), id="collision-count"),
         pytest.param(lambda g, h, s: generate_raw_sequence([g, s], 10 ** 6, 1), id="generator"),
+        pytest.param(lambda g, h, s: require_priors(10 ** 6, g, s), id="prior-guard"),
     ])
     def test_no_geometric_prefix_is_built(self, monkeypatch, call):
         def refuse(self, n):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -7,11 +9,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bayesblind
 from bayesblind import blindspot, metrics, sampler
-from bayesblind.blindspot import Verdict
-from bayesblind.cli import dispatch
+from bayesblind.blindspot import FamilyVerdict, Verdict
+from bayesblind.cli import COMMANDS, dispatch
 from bayesblind.distributions import dist_from_json
 
 PRIOR = '{"kind":"finite","probs":["1/2","1/4","1/4"]}'
@@ -22,6 +25,8 @@ TRUNC = '{"kind":"truncated","prefix":["1/2","1/4","1/8"],"tail_mass":"1/8"}'
 PARTITION = '{"blocks":[[1],[2,3]]}'
 BOOL_PARTITION = '{"blocks":[[true],[2,3]]}'
 BAD_JSON_FILE = "<file holding invalid JSON>"  # replaced by a real path in the test
+#: nested past any interpreter's JSON decoding depth, and under the 128 KiB argv limit
+DEEP_JSON = "[" * 50_000 + "]" * 50_000
 
 
 def run(capsys, *argv):
@@ -351,6 +356,13 @@ def _exit_two_inputs():
                                 "--base", "beta:inf,1"),
         "montecarlo-beta-second-inf": (*montecarlo, "--seed", "1", "--horizon", "5",
                                        "--base", "beta:1,inf"),
+        # JSON nested too deeply to decode is malformed, whichever flag holds it
+        "prior-json-too-deep": (*test, DEEP_JSON),
+        "priors-json-too-deep": ("bs", "construct", "--priors", DEEP_JSON,
+                                 "--horizon", "8", "--seed", "1"),
+        "partition-json-too-deep": (*apply, "--partition", DEEP_JSON, "--weights", '["1"]'),
+        "weights-json-too-deep": (*apply, "--partition", PARTITION, "--weights", DEEP_JSON),
+        "values-json-too-deep": ("dist", "normalize", "--values", DEEP_JSON),
     }.items():
         yield pytest.param(argv, id=case_id)
 
@@ -364,6 +376,40 @@ def test_input_error_exit_two(capsys, tmp_path, argv):
     assert out == ""
 
 
+#: a small valid value of each flag that takes one, so that every run stays small
+VALID = {"--prior": PRIOR, "--posterior": UNIFORM, "--target": TRUNC, "--u": UNIFORM,
+         "--v": DISTINCT, "--priors": f"[{GEO_HALF}]", "--partition": PARTITION,
+         "--weights": '["1/3","2/3"]', "--values": '["1","3"]', "--epsilon": "1/10",
+         "--norm": "l1", "--base": "uniform", "--horizon": "3", "--seed": "1", "--pairs": "1",
+         "--trials": "5", "--workers": "1", "--format": "json"}
+DECODED = [(key, flag) for key, command in COMMANDS.items()
+           for flag, (_, decode) in command.flags.items() if decode is not None]
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=4),
+    max_leaves=12)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(DECODED), JSON.map(json.dumps) | st.text(max_size=12))
+def test_decoders_keep_the_exit_code_contract(target, text):
+    """Any text in a decoded flag exits with a documented code, and exit 2 writes
+    no payload."""
+    (group, cmd), fuzzed = target
+    argv = [group, cmd]
+    for flag, (spec, _) in COMMANDS[group, cmd].flags.items():
+        if flag == fuzzed:
+            argv.append(f"{flag}={text}")
+        elif spec.get("action") != "store_true":
+            argv += [flag, VALID[flag]]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = dispatch(argv)
+    assert code in (0, 2, 3, 4, 10)
+    assert code != 2 or out.getvalue() == ""
+
+
 CONSTRUCT = ("bs", "construct", "--priors", TestConstructCommands.PRIORS,
              "--horizon", "24", "--seed", "7")
 DENSIFY = ("bs", "densify", "--prior", GEO_HALF, "--target", TRUNC,
@@ -371,8 +417,9 @@ DENSIFY = ("bs", "densify", "--prior", GEO_HALF, "--target", TRUNC,
 
 
 @pytest.mark.parametrize("argv, module, name, fake", [
-    pytest.param(CONSTRUCT, blindspot, "membership_prefix",
-                 lambda p, q, n: Verdict(False, n, (1, 2), None), id="construct"),
+    pytest.param(CONSTRUCT, blindspot, "family_membership",
+                 lambda ps, q, n: FamilyVerdict(tuple(Verdict(False, n, (1, 2), None)
+                                                      for _ in ps), False), id="construct"),
     pytest.param(DENSIFY, metrics, "l1_upper_bound", lambda u, v: 1, id="densify"),
 ])
 def test_failed_claim_exits_four(capsys, monkeypatch, argv, module, name, fake):

@@ -144,6 +144,11 @@ class TestPickValidDelta:
         with pytest.raises(InputError, match="seed must be non-negative, got -1"):
             pick_valid_delta(q, TWO_PRIORS, q.value(2) / 2, seed=-1)
 
+    def test_empty_family_rejected(self):
+        q = truncate(geometric(F(1, 2)), 8)
+        with pytest.raises(InputError, match="^prior family must be nonempty$"):
+            pick_valid_delta(q, [], F(1, 100), seed=0)
+
     def test_degenerate_second_coordinate(self):
         q = TruncatedDistribution((F(1, 2), F(0), F(1, 2)), F(0))
         with pytest.raises(InputError, match="q_2 = 0"):

@@ -26,7 +26,7 @@ from bayesblind.distributions import (
     format_rational,
     parse_rational,
     require_finite,
-    require_positive_prefix,
+    require_priors,
     require_stored,
     shares,
 )
@@ -685,7 +685,12 @@ class TestDistributionView:
     def test_nonpositive_component_is_named_as_stored(self, prior, shown):
         message = rf"^prior has nonpositive component {re.escape(shown)} at index 2$"
         with pytest.raises(InputError, match=message):
-            require_positive_prefix(prior, 3)
+            require_priors(3, prior)
+
+    def test_require_priors_returns_each_prior_in_order(self):
+        priors = (self.TRUNC, self.FINITE, self.GEO, self.TRUNC)
+        assert require_priors(3, *priors) == [d.prefix_pairs(3) for d in priors]
+        assert require_priors(2, self.GEO) == [((1, 2), (1, 4))]
 
     def test_guards(self):
         require_stored(self.FINITE, self.TRUNC)
