@@ -93,7 +93,7 @@ def family_membership(
     verdicts = []
     for index in _scans(priors, q, n):
         pair = index.first_collision
-        coarsest = Partition.of(index.fibres()) if n is None and pair else None
+        coarsest = Partition(tuple(map(tuple, index.fibres()))) if n is None and pair else None
         verdicts.append(Verdict(pair is None, n, pair, coarsest))
     return FamilyVerdict(tuple(verdicts), all(v.distinct for v in verdicts))
 

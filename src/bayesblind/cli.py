@@ -42,16 +42,9 @@ EXIT_ACCESSIBLE = 10
 EXIT_INPUT = 2
 EXIT_CLAIM_FAILED = 4
 
-#: what malformed text raises while it is decoded; all of it is an input error
-DECODE_ERRORS = (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError, RecursionError)
-
-
-def _load_json_arg(text: str):
-    """Inline JSON, or the contents of a file when the argument is a path."""
-    if os.path.isfile(text):
-        with open(text) as fh:
-            return json.load(fh)
-    return json.loads(text)
+#: what malformed text or an unreadable file raises while decoded; all of it is an input error
+DECODE_ERRORS = (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError, RecursionError,
+                 OSError)
 
 
 def _number_str(x) -> str:
@@ -243,12 +236,14 @@ def _json_rational(x) -> Fraction:
     return parse_rational(f"{Decimal(text):f}" if isinstance(x, float) and "e" in text else text)
 
 
-DIST = _flag(lambda text: dist_from_json(_load_json_arg(text)), required=True)
-DISTS = _flag(lambda text: [dist_from_json(obj) for obj in _load_json_arg(text)], required=True)
+DIST = _flag(lambda text: dist_from_json(json.loads(text)), required=True)
+DISTS = _flag(lambda text: [dist_from_json(obj) for obj in json.loads(text)], required=True)
 RATIONAL = _flag(parse_rational, required=True)
-RATIONALS = _flag(lambda text: [_json_rational(x) for x in json_list(_load_json_arg(text))],
+RATIONALS = _flag(lambda text: [_json_rational(x) for x in json_list(json.loads(text))],
                   required=True)
-PARTITION = _flag(lambda text: jeffrey.Partition.from_json(_load_json_arg(text)), required=True)
+PARTITION = _flag(lambda text: jeffrey.Partition.from_json(json.loads(text)), required=True)
+#: decoders of JSON text, which a flag may give inline or as the path of a file holding it
+JSON_DECODERS = {DIST[1], DISTS[1], RATIONALS[1], PARTITION[1]}
 BASE = _flag(lambda text: _sampler().parse_base(text), default="uniform")
 INT = _flag(type=int, required=True)
 
@@ -305,14 +300,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _decode(args, flags) -> None:
-    """Replace each decodable flag's text by its value; ``args.raw`` keeps
-    the texts for the certificate."""
+    """Replace each decodable flag's text by its value; ``args.raw`` keeps the
+    texts for the certificate, a JSON flag's as read from the file it names."""
     args.raw = dict(vars(args))
     for flag, (_, decode) in flags.items():
         if decode is not None:
             name = flag[2:]
             try:
-                setattr(args, name, decode(getattr(args, name)))
+                if decode in JSON_DECODERS and os.path.isfile(args.raw[name]):
+                    with open(args.raw[name], encoding="utf-8") as fh:
+                        args.raw[name] = fh.read()
+                setattr(args, name, decode(args.raw[name]))
             except DECODE_ERRORS as exc:
                 raise InputError(f"malformed {flag}: {exc!r}") from exc
 

@@ -211,42 +211,61 @@ def _ratio(q: tuple, p: tuple) -> tuple:
 class RatioIndex:
     """Positions 1, 2, ... grouped by exact ratio q_i / p_i of integer pairs
     q_i = (a, b), p_i = (c, d) with b, c, d positive: built from the pairs qs[i]
-    over ps[i], then grown one at a time.  Keys from ``_ratio`` only find
-    candidates: (x, y) joins a fibre only if x * y' == y * x'.  Each fibre is a
-    block of the coarsest witness partition."""
+    over ps[i] in one keyed pass, then grown one at a time.  A fibre is named
+    by its first position, its head.  Keys from ``_ratio`` only find
+    candidates: (x, y) joins a fibre only if x * y' == y * x' against its head,
+    so only a position whose key repeats is confirmed.  Each fibre is a block
+    of the coarsest witness partition."""
 
     def __init__(self, qs: Iterable[tuple], ps: Iterable[tuple]):
-        self._buckets: dict = {}  # key -> [(x, y, fibre)]
-        self._fibres: list = []
-        self._size = 0
-        for q, p in zip(qs, ps):
-            self.commit(*self.probe(q, p))
+        self._rows = list(map(_ratio, qs, ps))  # (key, x, y) of each position
+        keys = [row[0] for row in self._rows]
+        self._heads = dict(zip(reversed(keys), range(len(keys), 0, -1)))  # key -> first head
+        self._clashes: dict = {}  # key -> later heads of unequal ratios under it
+        self._members: dict = {}  # head -> its fibre, for fibres of two or more
+        if len(self._heads) < len(keys):
+            for i, (key, x, y) in enumerate(self._rows, 1):
+                if self._heads[key] != i:
+                    self._join(self._find(key, x, y), key, i)
+
+    def _find(self, key, x: int, y: int) -> int | None:
+        """The head of the fibre under ``key`` whose ratio is x / y, or None: the
+        key's first head, else a later one of an unequal ratio sharing the key."""
+        rows, head = self._rows, self._heads.get(key)
+        if head is None or x * rows[head - 1][2] == y * rows[head - 1][1]:
+            return head
+        for head in self._clashes.get(key, ()):
+            if x * rows[head - 1][2] == y * rows[head - 1][1]:
+                return head
+        return None
+
+    def _join(self, head: int | None, key, i: int) -> None:
+        """Position i joins the fibre ``head`` names, or heads one under ``key``."""
+        if head is not None:
+            self._members.setdefault(head, [head]).append(i)
+        elif self._heads.setdefault(key, i) != i:
+            self._clashes.setdefault(key, []).append(i)
 
     def probe(self, q: tuple, p: tuple) -> tuple:
-        """(position, fibre): the (key, x, y) of q / p and the fibre holding its ratio, or None."""
-        key, x, y = position = _ratio(q, p)
-        for fx, fy, fibre in self._buckets.get(key, ()):
-            if x * fy == y * fx:
-                return position, fibre
-        return position, None
+        """(position, fibre): the (key, x, y) of q / p and the head, 1-based and so
+        truthy, of the fibre holding its ratio, or None."""
+        position = _ratio(q, p)
+        return position, self._find(*position)
 
-    def commit(self, position: tuple, fibre: list | None) -> None:
+    def commit(self, position: tuple, fibre: int | None) -> None:
         """Add the next position from its ``probe``, computed once."""
-        if fibre is None:
-            key, x, y = position
-            self._buckets.setdefault(key, []).append((x, y, fibre := []))
-            self._fibres.append(fibre)
-        self._size += 1
-        fibre.append(self._size)
+        self._rows.append(position)
+        self._join(fibre, position[0], len(self._rows))
 
     @property
     def first_collision(self) -> tuple | None:
         """The smallest pair (i, j) inside one fibre, 1-based: a fibre's first two."""
-        return min(((f[0], f[1]) for f in self._fibres if len(f) > 1), default=None)
+        return min(((f[0], f[1]) for f in self._members.values()), default=None)
 
     def fibres(self) -> list:
-        """Position lists of equal ratio, ordered by smallest position."""
-        return list(self._fibres)
+        """Position lists of equal ratio, ordered by head: canonical blocks."""
+        joined = {i for f in self._members.values() for i in f[1:]}
+        return [self._members.get(i, [i]) for i in range(1, len(self._rows) + 1) if i not in joined]
 
 
 def normalize(values: Iterable[Fraction]) -> FiniteDistribution:

@@ -26,7 +26,8 @@ BRUTE_FORCE_MAX_N = 8
 class Partition(Record):
     """Set partition of {1..n} in canonical block order.  ``of`` (which ``from_json``
     calls) is the validating entry for outside data; the constructor trusts its
-    callers, ``of`` and the brute-force witness, to pass canonical blocks."""
+    callers, ``of``, the brute-force witness and the fibres of a ``RatioIndex``,
+    to pass canonical blocks."""
 
     __slots__ = ("blocks",)
 
@@ -149,7 +150,7 @@ def rigidity_holds(p: FiniteDistribution, q: FiniteDistribution, e: Partition) -
 def coarsest_partition(p: FiniteDistribution, q: FiniteDistribution) -> Partition:
     """Fibers of the ratio map x -> q_x / p_x, in canonical order."""
     ps = check_prior(p, q)
-    return Partition.of(RatioIndex(q.prefix_pairs(len(q)), ps).fibres())
+    return Partition(tuple(map(tuple, RatioIndex(q.prefix_pairs(len(q)), ps).fibres())))
 
 
 class Accessibility(Record):

@@ -452,6 +452,55 @@ def test_unwritable_out_exits_two(capsys, tmp_path, where):
     assert captured.out == "" and captured.err.startswith("error: cannot write --out: ")
 
 
+class TestCertificateBindsFileText:
+    """A JSON flag that names a file is certified by the text read from it, the
+    digest an inline flag with that text gets, not by the path."""
+
+    HALF = '[{"kind":"geometric","ratio":"1/2"}]'
+    THIRD = '[{"kind":"geometric","ratio":"1/3"}]'
+
+    @staticmethod
+    def construct(capsys, priors) -> tuple:
+        return run(capsys, "bs", "construct", "--priors", priors, "--horizon", "8", "--seed", "1")
+
+    def digest(self, capsys, priors) -> str:
+        code, out = self.construct(capsys, priors)
+        assert code == 0
+        return json.loads(out)["certificate"]["inputs_digest"]
+
+    def test_rewriting_a_file_changes_the_digest(self, capsys, tmp_path):
+        path = tmp_path / "priors.json"
+        path.write_text(self.HALF)
+        before = self.digest(capsys, str(path))
+        path.write_text(self.THIRD)
+        assert self.digest(capsys, str(path)) != before
+
+    def test_file_and_inline_text_share_a_digest(self, capsys, tmp_path):
+        path = tmp_path / "priors.json"
+        path.write_text(self.THIRD)
+        inline = self.digest(capsys, self.THIRD)
+        assert inline.startswith("a2e541de")  # an inline argument's digest is unchanged
+        assert self.digest(capsys, str(path)) == inline
+
+    def test_a_file_not_in_utf8_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "priors.json"
+        path.write_bytes(b"\xff\xfe" + self.HALF.encode())
+        assert self.construct(capsys, str(path)) == (2, "")
+
+    def test_an_unreadable_file_exits_two(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "priors.json"
+        path.write_text(self.HALF)
+
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr("builtins.open", refuse)
+        assert dispatch(["bs", "construct", "--priors", str(path), "--horizon", "8",
+                         "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Permission denied" in captured.err
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
 def test_exact_payload_prints_beyond_the_digit_limit(capsys):
     """Inputs of at most 4001 digits give a posterior of about 6000: it prints,

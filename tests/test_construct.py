@@ -171,6 +171,20 @@ class TestPickValidDelta:
         assert (q.value(1) + d0) / GEO_HALF.value(1) == (q.value(2) - d0) / GEO_HALF.value(2)
         assert pick_valid_delta(q, [GEO_HALF], eps, seed=0) == eps * F(k0 + 1, scale)
 
+    def test_first_draw_hitting_the_first_fixed_position_is_excluded(self):
+        # the seed-3 draw delta_0 makes q_1 + delta_0 = q_3 under a uniform prior:
+        # the fixed positions' index names that fibre by position 1, which must
+        # count as a hit
+        eps, scale = F(1, 100), 1 << 40
+        d0 = eps * F(random.Random(3).randrange(1, scale), scale)
+        r = 1 - (F(1, 10) + F(1, 5) + F(1, 10) + d0)
+        q = TruncatedDistribution((F(1, 10), F(1, 5), F(1, 10) + d0, 2 * r / 5, 3 * r / 5), F(0))
+        uniform = FiniteDistribution([F(1, 5)] * 5)
+        assert not membership_prefix(uniform, delta_family(q, d0), 5).distinct
+        delta = pick_valid_delta(q, [uniform], eps, seed=3)
+        assert delta != d0
+        assert membership_prefix(uniform, delta_family(q, delta), 5).distinct
+
     def test_fixed_repeat_fails_at_once(self):
         # q_3 / p_3 == q_4 / p_4 under geometric(1/2): no shift of q_1, q_2 helps
         q = TruncatedDistribution((F(1, 2), F(1, 4), F(1, 10), F(1, 20)), F(1, 10))

@@ -336,6 +336,11 @@ HARD_EXACT = [
 small_operands = st.builds(F, st.integers(0, 6), st.integers(1, 7))
 exact_operands = st.one_of(small_operands, st.sampled_from(HARD_EXACT))
 positive_operands = exact_operands.filter(lambda v: v > 0)
+#: float operands: exact ones with floats whose quotients are subnormal, huge or inexact
+float_operand_pairs = st.tuples(
+    st.one_of(small_operands, st.sampled_from([0.0, 0.5, 1 / 3, 2.0**-1074, 1e308])),
+    st.one_of(small_operands.filter(lambda v: v > 0), st.sampled_from([0.5, 3.0, 1e-320])),
+)
 
 
 class TestRatioIndexMatchesDivisionOracle:
@@ -361,10 +366,7 @@ class TestRatioIndexMatchesDivisionOracle:
         qv, pv = zip(*pairs)
         self.assert_same(qv, pv, probes)
 
-    @given(st.lists(st.tuples(
-        st.one_of(small_operands, st.sampled_from([0.0, 0.5, 1 / 3, 2.0**-1074, 1e308])),
-        st.one_of(small_operands.filter(lambda v: v > 0), st.sampled_from([0.5, 3.0, 1e-320])),
-    ), min_size=1, max_size=12))
+    @given(st.lists(float_operand_pairs, min_size=1, max_size=12))
     def test_float_operands(self, pairs):
         qv, pv = zip(*pairs)
         self.assert_same(qv, pv, pairs, self.stored_quotient)
@@ -387,6 +389,42 @@ class TestRatioIndexMatchesDivisionOracle:
         index = RatioIndex(pairs([tiny, huge, F(2), 0]), pairs([1, 1, 2**3001, 1]))
         assert index.fibres() == [[1, 3], [2], [4]]
         assert holds(index, (1, 1), (2**3000, 1)) and not holds(index, (1, 2**2999))
+
+
+class TestGrownIndexMatchesBuilt:
+    """An index built from its first k pairs and grown by ``probe``/``commit``
+    from there against one built from all of them in one keyed pass: the same
+    fibres, first collision and probe answers, heads included."""
+
+    @staticmethod
+    def assert_same(qv, pv, probes, k=0):
+        qs, ps = pairs(qv), pairs(pv)
+        built, grown = RatioIndex(qs, ps), RatioIndex(qs[:k], ps[:k])
+        for q, p in zip(qs[k:], ps[k:]):
+            grown.commit(*grown.probe(q, p))
+        assert grown.fibres() == built.fibres()
+        assert grown.first_collision == built.first_collision
+        for q, p in [*zip(qs, ps), *((pair(q), pair(p)) for q, p in probes)]:
+            assert grown.probe(q, p) == built.probe(q, p)
+
+    @given(st.lists(st.tuples(exact_operands, positive_operands), min_size=1, max_size=16),
+           st.lists(st.tuples(exact_operands, positive_operands), max_size=6), st.data())
+    def test_exact_operands(self, pairs, probes, data):
+        qv, pv = zip(*pairs)
+        self.assert_same(qv, pv, probes, data.draw(st.integers(0, len(pairs))))
+
+    @given(st.lists(float_operand_pairs, min_size=1, max_size=12), st.data())
+    def test_float_operands(self, pairs, data):
+        qv, pv = zip(*pairs)
+        self.assert_same(qv, pv, pairs, data.draw(st.integers(0, len(pairs))))
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 4])
+    @pytest.mark.parametrize("first, second", [
+        (F(1, 3), F(3 * 2**80 + 1, 9 * 2**80)), (F(3 * 2**80 + 1, 9 * 2**80), F(1, 3))])
+    def test_ratios_sharing_a_float_key(self, first, second, k):
+        qv, pv = [first, second, 2 * second, 2 * first, F(1, 2)], [1, 1, 2, 2, 1]
+        self.assert_same(qv, pv, [(first, 1), (second, 1), (F(1, 3) + F(1, 2**90), 1)], k)
+        assert RatioIndex(pairs(qv), pairs(pv)).fibres() == [[1, 4], [2, 3], [5]]
 
 
 #: ratios at the edges of the float key: the smallest normal 2^-1022 and
