@@ -139,8 +139,10 @@ def _near_collision(a, result, bound_name, bound, pairs):
     and the collision count it certifies."""
     q = result.distribution
     count = blindspot.collision_count(a.prior, q, len(q))
+    t = metrics.lp_distance(q, a.posterior)  # the move keeps the tail: the prefix gap is all of it
+    l1 = t.lower if isinstance(t, metrics.DistanceInterval) else t
     claims = [
-        (f"l1_distance < {bound_name}", format_rational(bound), result.l1_distance < bound),
+        (f"l1_distance < {bound_name}", format_rational(bound), l1 < bound),
         (f"collision_count >= {pairs}", count, count >= pairs),
     ]
     payload = {
@@ -312,7 +314,8 @@ def _decode(args, flags) -> None:
                         args.raw[name] = fh.read()
                 setattr(args, name, decode(args.raw[name]))
             except DECODE_ERRORS as exc:
-                raise InputError(f"malformed {flag}: {exc!r}") from exc
+                what = "cannot read" if isinstance(exc, OSError) else "malformed"
+                raise InputError(f"{what} {flag}: {exc!r}") from exc
 
 
 def dispatch(argv) -> int:

@@ -45,7 +45,7 @@ def generate_raw_sequence(
     """
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
-    prefixes = require_priors(n, *priors)
+    prefixes = require_priors(n, *priors, generated=True)
     rng = random.Random(seed)
     ms = [Fraction(1, 2)]
     seen = [RatioIndex([(1, 2)], pv) for pv in prefixes]

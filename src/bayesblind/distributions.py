@@ -20,6 +20,10 @@ from .records import Record, setfield
 
 #: absolute slack allowed when a float-mode distribution is validated
 FLOAT_TOL = 2.0 ** -40
+#: the largest horizon at which coordinates are generated, by a tail ratio past its stored
+#: prefix, the generator or the sampler: exact coordinates grow in bits with their index,
+#: and a sampler workspace with n (README, "Resource caps").  Stored inputs are uncapped.
+MAX_HORIZON = 2048
 
 Number = Union[Fraction, float]
 _ZERO = Fraction(0)
@@ -72,13 +76,9 @@ def l1_gap(us: tuple, vs: tuple) -> Fraction:
     return Fraction(sum(abs(a - b) for a, b in zip(nums, nums[len(us):])), d)
 
 
-def exact_sum(values: Iterable[Number], exact: bool | None = None) -> Number:
-    """``sum(values)`` in value and type.  When every value is a Fraction (``exact``,
-    if the caller has checked) the numerators are added over the lcm (``over_lcm``)
-    and reduced once; otherwise builtin ``sum`` runs in the same order."""
-    values = tuple(values)
-    if not values or not (_is_exact(values) if exact is None else exact):
-        return sum(values)
+def exact_sum(values: Iterable[Number]) -> Fraction:
+    """The exact total of the rationals the values store, a float as its dyadic
+    value: the numerators added over one lcm (``over_lcm``) and reduced once."""
     nums, d = over_lcm([v.as_integer_ratio() for v in values])
     return Fraction(sum(nums), d)
 
@@ -105,7 +105,7 @@ class Distribution(Record):
             raise InputError("a distribution needs at least 2 components")
         _check_entries(values)
         setfield(self, "is_exact", _is_exact(values))
-        total = exact_sum(values, self.is_exact)
+        total = (exact_sum if self.is_exact else sum)(values)
         if self.is_exact:
             if total != 1:
                 raise InputError(f"entries sum to {total}, not 1")
@@ -147,7 +147,7 @@ class Distribution(Record):
         require_horizon(n, self)
         if self.ratio is not None and n >= len(self):
             return self.tail_mass * self.ratio ** (n - len(self))
-        return exact_sum(self.prefix[n:] + (self.tail_mass,))
+        return (exact_sum if self.is_exact else sum)(self.prefix[n:] + (self.tail_mass,))
 
 
 class FiniteDistribution(Distribution):
@@ -307,23 +307,27 @@ def require_finite(*ds: Distribution) -> int:
     return require_stored(*ds)
 
 
-def require_horizon(n: int, *ds: Distribution) -> None:
-    """Guard run before any prefix is built: n counts from 1, like an index, and is
-    within every prefix no tail ratio extends."""
+def require_horizon(n: int, *ds: Distribution, generated: bool = False) -> None:
+    """Guard run before any prefix is built: n counts from 1, like an index, is
+    within every prefix no tail ratio extends, and is at most MAX_HORIZON where
+    coordinates are ``generated`` or a tail ratio extends a prefix."""
     if n < 1:
         raise InputError(f"horizon must be at least 1, got {n}")
     for d in ds:
         if d.ratio is None and n > len(d):
             raise InputError(f"horizon {n} exceeds available prefix length {len(d)}")
+        generated = generated or n > len(d)
+    if generated and n > MAX_HORIZON:
+        raise InputError(f"horizon {n} exceeds MAX_HORIZON = {MAX_HORIZON}")
 
 
-def require_priors(n: int, *priors: Distribution) -> list:
+def require_priors(n: int, *priors: Distribution, generated: bool = False) -> list:
     """The prior guard of every scan: a nonempty family, then ``require_horizon``
     before any prefix is built.  Returns each prior's components 1..n as integer
     pairs, all strictly positive."""
     if not priors:
         raise InputError("prior family must be nonempty")
-    require_horizon(n, *priors)
+    require_horizon(n, *priors, generated=generated)
     prefixes = []
     for d in priors:
         prefixes.append(pairs := d.prefix_pairs(n))

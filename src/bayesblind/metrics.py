@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .distributions import Distribution, exact_sum, l1_gap, parse_rational, require_stored
+from .distributions import Distribution, l1_gap, parse_rational, require_stored
 from .errors import InputError
 from .records import Record, setfield
 
@@ -61,8 +61,8 @@ def _seq_distance(u: Distribution, v: Distribution, norm: Norm):
     diffs = [abs(a - b) for a, b in zip(u.prefix, v.prefix)]
     if norm.p is None:
         return max(diffs)
-    if norm.p == 1:
-        return exact_sum(diffs)
+    if norm.p == 1:  # an input is not exact: builtin sum, in float mode's order and type
+        return sum(diffs)
     # each gap over the largest (1 when all are 0), so that gap ** p cannot underflow to 0
     p, scale = float(norm.p), float(max(diffs)) or 1.0
     return scale * sum((float(d) / scale) ** p for d in diffs) ** (1.0 / p)

@@ -33,6 +33,7 @@ from .records import Record
 
 NEAR_COLLISION_RTOL = 1e-12
 CHUNK_TRIALS = 4096
+MAX_TRIALS = 1 << 20  # a csv report holds every trial's row: about 150 MB at the cap
 HIGH_WORD = int(sys.byteorder == "little")  # int32 index of a double's sign and exponent
 
 
@@ -67,8 +68,8 @@ def _chunks(seed: int, trials: int) -> list:
     """The chunk plan: (chunk, size, first_trial) for each chunk of at most
     CHUNK_TRIALS trials.  The trial count and seed are checked here, before
     any draw or worker thread."""
-    if trials < 1:
-        raise InputError("need at least one trial")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise InputError(f"trials must be at least 1 and at most {MAX_TRIALS}, got {trials}")
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
     return [(chunk, min(CHUNK_TRIALS, trials - first), first)
@@ -113,7 +114,7 @@ def _sticks(seed: int, run: list, n: int, base: StickBase):
 
 def stick_breaking_matrix(seed: int, trials: int, n: int, base: StickBase = UNIFORM):
     """(trials, n) coordinate matrix plus residuals, chunk-deterministic."""
-    require_horizon(n)
+    require_horizon(n, generated=True)
     plan = _chunks(seed, trials)
     xs, residuals = np.empty((trials, n)), np.empty(trials)
     for rows, x, residual, _ in _sticks(seed, plan, n, base):
@@ -205,7 +206,7 @@ def monte_carlo_blindspot_fraction(prior: Distribution, trials: int, n: int,
     lists each trial's residual mass in trial order."""
     from concurrent.futures import ThreadPoolExecutor
     plan = _chunks(seed, trials)
-    p_float = np.array([x / y for x, y in require_priors(n, prior)[0]])
+    p_float = np.array([x / y for x, y in require_priors(n, prior, generated=True)[0]])
     workers = max(1, min(workers, len(plan), os.cpu_count() or 1))  # more would idle or contend
     runs = [plan[w * len(plan) // workers:(w + 1) * len(plan) // workers] for w in range(workers)]
     args = (n, base, p_float, collect_trials, stop := threading.Event())

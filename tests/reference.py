@@ -137,8 +137,8 @@ def jc_apply(p, e, w):
 
 def l1_distance(u, v):
     """The l1 distance from Fraction differences, one subtraction and abs per
-    entry, then the tails as ``lp_distance`` bounds them."""
-    lower = exact_sum([abs(a - b) for a, b in zip(u.prefix, v.prefix)])
+    entry, added by builtin ``sum``, then the tails as ``lp_distance`` bounds them."""
+    lower = sum(abs(a - b) for a, b in zip(u.prefix, v.prefix))
     ut, vt = u.tail_mass, v.tail_mass
     if ut == 0 and vt == 0:
         return lower

@@ -15,7 +15,8 @@ import bayesblind
 from bayesblind import blindspot, metrics, sampler
 from bayesblind.blindspot import FamilyVerdict, Verdict
 from bayesblind.cli import COMMANDS, dispatch
-from bayesblind.distributions import dist_from_json
+from bayesblind.distributions import MAX_HORIZON, Geometric, dist_from_json
+from bayesblind.sampler import MAX_TRIALS
 
 PRIOR = '{"kind":"finite","probs":["1/2","1/4","1/4"]}'
 UNIFORM = '{"kind":"finite","probs":["1/3","1/3","1/3"]}'
@@ -391,18 +392,24 @@ JSON = st.recursive(
     max_leaves=12)
 
 
+#: horizons and trial counts: small ones, and ones past the caps, refused before anything is built
+HORIZONS = st.integers(-2, 64) | st.integers(MAX_HORIZON + 1, 10 ** 12)
+TRIALS = st.integers(-2, 5) | st.integers(MAX_TRIALS + 1, 10 ** 15)
+
+
 @settings(deadline=None, max_examples=300)
-@given(st.sampled_from(DECODED), JSON.map(json.dumps) | st.text(max_size=12))
-def test_decoders_keep_the_exit_code_contract(target, text):
-    """Any text in a decoded flag exits with a documented code, and exit 2 writes
-    no payload."""
+@given(st.sampled_from(DECODED), JSON.map(json.dumps) | st.text(max_size=12), HORIZONS, TRIALS)
+def test_decoders_keep_the_exit_code_contract(target, text, horizon, trials):
+    """Any text in a decoded flag, at any horizon and trial count, exits with a
+    documented code, and exit 2 writes no payload."""
     (group, cmd), fuzzed = target
+    sizes = {"--horizon": str(horizon), "--trials": str(trials)}
     argv = [group, cmd]
     for flag, (spec, _) in COMMANDS[group, cmd].flags.items():
         if flag == fuzzed:
             argv.append(f"{flag}={text}")
         elif spec.get("action") != "store_true":
-            argv += [flag, VALID[flag]]
+            argv += [flag, sizes.get(flag, VALID[flag])]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = dispatch(argv)
@@ -416,11 +423,25 @@ DENSIFY = ("bs", "densify", "--prior", GEO_HALF, "--target", TRUNC,
            "--epsilon", "1/10", "--seed", "0")
 
 
+def thirds(n: int) -> str:
+    """The truncated posterior q_i = 2/3^i, i <= n, of the golden collision moves."""
+    return json.dumps({"kind": "truncated", "prefix": [f"2/{3 ** i}" for i in range(1, n + 1)],
+                       "tail_mass": f"1/{3 ** n}"})
+
+
+EXTERIORIZE = ("bs", "exteriorize", "--prior", GEO_HALF, "--posterior", thirds(20),
+               "--epsilon", "1/1000")
+MULTICOLLIDE = ("bs", "multicollide", "--prior", GEO_HALF, "--posterior", thirds(24),
+                "--pairs", "3", "--epsilon", "1/10000")
+
+
 @pytest.mark.parametrize("argv, module, name, fake", [
     pytest.param(CONSTRUCT, blindspot, "family_membership",
                  lambda ps, q, n: FamilyVerdict(tuple(Verdict(False, n, (1, 2), None)
                                                       for _ in ps), False), id="construct"),
     pytest.param(DENSIFY, metrics, "l1_upper_bound", lambda u, v: 1, id="densify"),
+    pytest.param(EXTERIORIZE, metrics, "lp_distance", lambda u, v: 1, id="exteriorize"),
+    pytest.param(MULTICOLLIDE, metrics, "lp_distance", lambda u, v: 1, id="multicollide"),
 ])
 def test_failed_claim_exits_four(capsys, monkeypatch, argv, module, name, fake):
     monkeypatch.setattr(module, name, fake)
@@ -485,7 +506,10 @@ class TestCertificateBindsFileText:
     def test_a_file_not_in_utf8_exits_two(self, capsys, tmp_path):
         path = tmp_path / "priors.json"
         path.write_bytes(b"\xff\xfe" + self.HALF.encode())
-        assert self.construct(capsys, str(path)) == (2, "")
+        assert dispatch(["bs", "construct", "--priors", str(path), "--horizon", "8",
+                         "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: malformed --priors: ")
 
     def test_an_unreadable_file_exits_two(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "priors.json"
@@ -498,7 +522,60 @@ class TestCertificateBindsFileText:
         assert dispatch(["bs", "construct", "--priors", str(path), "--horizon", "8",
                          "--seed", "1"]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and "Permission denied" in captured.err
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot read --priors: PermissionError(13, ")
+        assert "Permission denied" in captured.err
+
+
+class TestResourceCaps:
+    """Horizons past MAX_HORIZON, where coordinates are generated, and trial counts
+    past MAX_TRIALS exit 2 before any prefix or workspace is built; stored inputs
+    that nothing extends are not capped."""
+
+    GEO_THIRD = '{"kind":"geometric","ratio":"1/3"}'
+    OVER = str(MAX_HORIZON + 1)
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(("bs", "test", "--prior", GEO_HALF, "--posterior", GEO_THIRD,
+                      "--horizon", OVER), id="test"),
+        pytest.param(("bs", "construct", "--priors", f"[{GEO_HALF},{GEO_THIRD}]",
+                      "--horizon", OVER, "--seed", "1"), id="construct"),
+        pytest.param(("bs", "construct", "--priors", "[" + json.dumps({
+            "kind": "finite", "probs": ["1/2"] + [f"1/{2 ** i}" for i in range(2, MAX_HORIZON + 1)]
+            + [f"1/{2 ** MAX_HORIZON}"]}) + "]", "--horizon", OVER, "--seed", "1"),
+            id="construct-finite-prior"),
+        pytest.param(("bs", "sample", "--seed", "1", "--horizon", OVER), id="sample"),
+        pytest.param(("bs", "montecarlo", "--prior", GEO_HALF, "--horizon", "100000000",
+                      "--trials", "10", "--seed", "1"), id="montecarlo-horizon"),
+        pytest.param(("bs", "montecarlo", "--prior", GEO_HALF, "--trials", "100000000000",
+                      "--horizon", "4", "--seed", "1"), id="montecarlo-trials"),
+    ])
+    def test_exits_two_before_anything_is_built(self, capsys, monkeypatch, argv):
+        def refuse(*args):
+            raise AssertionError("a geometric prefix or a sampler workspace was built")
+
+        monkeypatch.setattr(Geometric, "prefix_pairs", refuse)
+        monkeypatch.setattr(sampler, "_sticks", refuse)
+        assert dispatch(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exceeds MAX_HORIZON" in captured.err or "at most" in captured.err
+
+    def test_the_cap_itself_is_allowed(self, capsys):
+        code, out = run(capsys, "bs", "test", "--prior", GEO_HALF, "--posterior", self.GEO_THIRD,
+                        "--horizon", str(MAX_HORIZON))
+        assert code == 0 and json.loads(out)["horizon"] == MAX_HORIZON
+
+    def test_stored_inputs_longer_than_the_cap_get_a_verdict(self, capsys):
+        n, total = MAX_HORIZON + 1, (MAX_HORIZON + 1) * (MAX_HORIZON + 2) // 2
+        prior = json.dumps({"kind": "finite", "probs": [f"1/{n}"] * n})
+        posterior = json.dumps({"kind": "finite",
+                                "probs": [f"{i}/{total}" for i in range(1, n + 1)]})
+        test = ("bs", "test", "--prior", prior, "--posterior", posterior)
+        for horizon, status in [((), "in_blind_spot"),
+                                (("--horizon", str(n)), f"prefix_distinct({n})")]:
+            code, out = run(capsys, *test, *horizon)
+            assert code == 0 and json.loads(out)["status"] == status
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")

@@ -31,6 +31,7 @@ from bayesblind.distributions import (
     shares,
 )
 from bayesblind.errors import InputError
+from bayesblind.records import setfield
 from helpers import finite_from_rationals
 import reference
 from reference import ratio_profile
@@ -472,26 +473,29 @@ class TestRatioKeyBoundaries:
 
 
 class TestExactSum:
+    """The exact total of the rationals the values store, a float as its dyadic
+    value, always a Fraction: Fraction(0) for no values."""
+
     @staticmethod
-    def assert_like_sum(values):
-        got, expected = exact_sum(values), sum(values)
-        assert type(got) is type(expected) and got == expected
+    def assert_exact(values):
+        got = exact_sum(values)
+        assert type(got) is F and got == sum(map(F, values), F(0))
 
     @given(st.lists(st.builds(F, st.integers(-50, 50), st.integers(1, 60)), max_size=40))
     def test_fractions(self, values):
-        self.assert_like_sum(values)
+        self.assert_exact(values)
 
     @given(st.lists(st.one_of(
         st.floats(-1e6, 1e6), st.integers(-9, 9), st.builds(F, st.integers(0, 9), st.integers(1, 9))
     ), max_size=12))
     def test_floats_ints_and_mixed(self, values):
-        self.assert_like_sum(values)
+        self.assert_exact(values)
 
     @pytest.mark.parametrize("values", [
         [], [F(3, 4)], [F(0)], [0.1], [7], [1, 2], [F(1, 2), 1], [0.1, F(1, 3), 0.2],
     ])
     def test_small_inputs(self, values):
-        self.assert_like_sum(values)
+        self.assert_exact(values)
 
     def test_accepts_a_generator(self):
         assert exact_sum(F(1, k) for k in (2, 3, 6)) == 1
@@ -676,6 +680,7 @@ class TestDistributionView:
 
         T, s = F(1, 4), F(2, 3)
         d = PrefixThenGeometric((F(1, 2), F(1, 4)), T, s)
+        setfield(d, "is_exact", True)  # set once, when built, as by every real kind
         terms = (F(1, 2), F(1, 4)) + tuple(T * (1 - s) * s ** k for k in range(6))
         assert d.prefix_values(8) == terms == tuple(d.value(i) for i in range(1, 9))
         assert tuple(F(x, y) for x, y in d.prefix_pairs(8)) == terms
@@ -707,6 +712,27 @@ class TestDistributionView:
         """Not the last entry for i = 0 (prefix[-1]), nor IndexError past the prefix."""
         with pytest.raises(InputError):
             getattr(self, kind).value(i)
+
+    @pytest.mark.parametrize("read", [
+        pytest.param(lambda d, n: d.prefix_pairs(n), id="prefix_pairs"),
+        pytest.param(lambda d, n: d.value(n), id="value"),
+        pytest.param(lambda d, n: d.tail_after(n), id="tail_after"),
+        pytest.param(truncate, id="truncate"),
+        pytest.param(lambda d, n: require_priors(n, d), id="require_priors"),
+    ])
+    def test_horizon_past_the_cap_is_refused_where_a_tail_ratio_extends(self, read):
+        """Coordinates past a stored prefix grow in bits with their index, and so
+        does the power in a closed-form read: a tail ratio is read up to
+        MAX_HORIZON.  A stored prefix is read at any length it has."""
+        read(self.GEO, distributions.MAX_HORIZON)
+        with pytest.raises(InputError, match=f"^horizon {distributions.MAX_HORIZON + 1} "
+                                             f"exceeds MAX_HORIZON = {distributions.MAX_HORIZON}$"):
+            read(self.GEO, distributions.MAX_HORIZON + 1)
+        n = distributions.MAX_HORIZON + 1
+        long = FiniteDistribution((F(1, n),) * n)
+        read(long, n)
+        with pytest.raises(InputError, match="exceeds MAX_HORIZON"):
+            distributions.require_horizon(n, long, generated=True)
 
     def test_stored_horizon_too_large(self):
         for d in (self.FINITE, self.TRUNC):

@@ -18,13 +18,14 @@ from bayesblind import (
 from bayesblind import sampler
 from bayesblind.sampler import (
     CHUNK_TRIALS,
+    MAX_TRIALS,
     UNIFORM,
     parse_base,
     stick_breaking_matrix,
     _chunk_rng,
     _unit_draws,
 )
-from bayesblind.distributions import TruncatedDistribution
+from bayesblind.distributions import MAX_HORIZON, FiniteDistribution, TruncatedDistribution
 from bayesblind.errors import InputError
 
 import reference
@@ -276,6 +277,34 @@ def test_bad_trials_or_horizon_rejected_before_any_draw(monkeypatch, call):
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_draw)
     with pytest.raises(InputError, match="at least"):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: stick_breaking_matrix(1, MAX_TRIALS + 1, 5), id="matrix-trials"),
+    pytest.param(lambda: stick_breaking_matrix(1, 10, MAX_HORIZON + 1), id="matrix-horizon"),
+    pytest.param(lambda: monte_carlo_blindspot_fraction(GEO_HALF, 1 << 40, 4),
+                 id="montecarlo-trials"),
+    pytest.param(lambda: monte_carlo_blindspot_fraction(GEO_HALF, 10, 10 ** 8),
+                 id="montecarlo-horizon"),
+    pytest.param(lambda: monte_carlo_blindspot_fraction(
+        FiniteDistribution((F(1, MAX_HORIZON + 1),) * (MAX_HORIZON + 1)), 10, MAX_HORIZON + 1),
+        id="montecarlo-stored-prior"),
+])
+def test_caps_are_checked_before_any_workspace(monkeypatch, call):
+    """The workspace grows with the horizon, a stored prior's too, and the chunk
+    plan with the trial count: both are capped before either is built."""
+    def no_workspace(*args):
+        raise AssertionError("a workspace was built past a cap")
+
+    monkeypatch.setattr(sampler, "_sticks", no_workspace)
+    with pytest.raises(InputError, match="at most|exceeds MAX_HORIZON"):
+        call()
+
+
+def test_the_chunk_plan_at_the_trial_cap():
+    plan = sampler._chunks(0, MAX_TRIALS)
+    assert len(plan) == MAX_TRIALS // CHUNK_TRIALS
+    assert plan[-1][1:] == (CHUNK_TRIALS, MAX_TRIALS - CHUNK_TRIALS)
 
 
 KERNEL_BASES = [

@@ -208,3 +208,28 @@ def test_each_guard_message_is_raised_once():
     repeated = {message: k for message, k in guard_messages().items() if k > 1}
     assert {message: k for message, k in repeated.items() if message not in REPEATED_GUARDS} == {}
     assert repeated == REPEATED_GUARDS
+
+
+def claim_checks() -> list:
+    """The verified expression, the third entry, of every certificate claim in
+    cli.py: each tuple of a list or list comprehension assigned to ``claims``,
+    or appended to it."""
+    claims = []
+    for node in ast.walk(ast.parse((SRC / "cli.py").read_text())):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "claims.append":
+            claims += node.args
+        elif isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "claims":
+            value = node.value  # the list in dispatch that reads claims back is neither
+            claims += value.elts if isinstance(value, ast.List) else \
+                [value.elt] if isinstance(value, ast.ListComp) else []
+    return [claim.elts[2] for claim in claims]
+
+
+def test_no_claim_is_verified_by_a_construction_result():
+    """A certificate claim is re-derived from the output through the membership
+    and metric code, never read off the construction's ``result`` fields."""
+    checks = claim_checks()
+    assert len(checks) == 6  # construct: prefix_distinct and mass; densify: 2; moves: 2
+    assert [ast.unparse(check) for check in checks
+            if any(isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "result"
+                   for node in ast.walk(check))] == []
