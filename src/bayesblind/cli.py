@@ -139,32 +139,33 @@ def _near_collision(a, result, bound_name, bound, pairs):
     and the collision count it certifies."""
     q = result.distribution
     count = blindspot.collision_count(a.prior, q, len(q))
-    t = metrics.lp_distance(q, a.posterior)  # the move keeps the tail: the prefix gap is all of it
-    l1 = t.lower if isinstance(t, metrics.DistanceInterval) else t
+    t = metrics.lp_distance(q, a.posterior)
+    if isinstance(t, metrics.DistanceInterval):  # a kept tail leaves the prefix gap as all of it
+        t = t.lower if q.tail_mass == a.posterior.tail_mass else t.upper
     claims = [
-        (f"l1_distance < {bound_name}", format_rational(bound), l1 < bound),
+        (f"l1_distance < {bound_name}", format_rational(bound), t < bound),
         (f"collision_count >= {pairs}", count, count >= pairs),
     ]
     payload = {
         "distribution": dist_to_json(q),
         "collision_pairs": [list(pr) for pr in result.pairs],
-        "l1_distance": format_rational(result.l1_distance),
+        "l1_distance": format_rational(t),
         "certificate": _certificate(a, claims),
     }
-    return payload, count
+    return payload, count, t
 
 
 def _bs_exteriorize(a):
     result = construct.exteriorize(a.prior, a.posterior, a.epsilon)
-    payload, _ = _near_collision(a, result, "2*eps", 2 * a.epsilon, 1)
-    summary = f"collision at pair {result.pairs[0]}, l1 distance {_number_str(result.l1_distance)}"
+    payload, _, l1 = _near_collision(a, result, "2*eps", 2 * a.epsilon, 1)
+    summary = f"collision at pair {result.pairs[0]}, l1 distance {_number_str(l1)}"
     return {**payload, "branch": result.branch}, summary, EXIT_OK
 
 
 def _bs_multicollide(a):
     result = construct.multi_collision_near(a.prior, a.posterior, a.pairs, a.epsilon)
-    payload, count = _near_collision(a, result, "2*pairs*eps", 2 * a.pairs * a.epsilon, a.pairs)
-    summary = f"{count} collisions within l1 distance {_number_str(result.l1_distance)}"
+    payload, count, l1 = _near_collision(a, result, "2*pairs*eps", 2 * a.pairs * a.epsilon, a.pairs)
+    summary = f"{count} collisions within l1 distance {_number_str(l1)}"
     return payload, summary, EXIT_OK
 
 

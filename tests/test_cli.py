@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bayesblind
-from bayesblind import blindspot, metrics, sampler
+from bayesblind import blindspot, construct, metrics, sampler
 from bayesblind.blindspot import FamilyVerdict, Verdict
 from bayesblind.cli import COMMANDS, dispatch
-from bayesblind.distributions import MAX_HORIZON, Geometric, dist_from_json
+from bayesblind.distributions import MAX_HORIZON, Geometric, TruncatedDistribution, dist_from_json
 from bayesblind.sampler import MAX_TRIALS
 
 PRIOR = '{"kind":"finite","probs":["1/2","1/4","1/4"]}'
@@ -392,29 +392,51 @@ JSON = st.recursive(
     max_leaves=12)
 
 
-#: horizons and trial counts: small ones, and ones past the caps, refused before anything is built
-HORIZONS = st.integers(-2, 64) | st.integers(MAX_HORIZON + 1, 10 ** 12)
-TRIALS = st.integers(-2, 5) | st.integers(MAX_TRIALS + 1, 10 ** 15)
-
-
 @settings(deadline=None, max_examples=300)
-@given(st.sampled_from(DECODED), JSON.map(json.dumps) | st.text(max_size=12), HORIZONS, TRIALS)
-def test_decoders_keep_the_exit_code_contract(target, text, horizon, trials):
-    """Any text in a decoded flag, at any horizon and trial count, exits with a
-    documented code, and exit 2 writes no payload."""
+@given(st.sampled_from(DECODED), JSON.map(json.dumps) | st.text(max_size=12))
+def test_decoders_keep_the_exit_code_contract(target, text):
+    """Any text in a decoded flag exits with a documented code, and exit 2 writes
+    no payload."""
     (group, cmd), fuzzed = target
-    sizes = {"--horizon": str(horizon), "--trials": str(trials)}
     argv = [group, cmd]
     for flag, (spec, _) in COMMANDS[group, cmd].flags.items():
         if flag == fuzzed:
             argv.append(f"{flag}={text}")
         elif spec.get("action") != "store_true":
+            argv += [flag, VALID[flag]]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = dispatch(argv)
+    assert code in (0, 2, 3, 4, 10)
+    assert code != 2 or out.getvalue() == ""
+
+
+#: the commands that take a horizon or a trial count
+SIZED = [key for key, command in COMMANDS.items()
+         if {"--horizon", "--trials"} & command.flags.keys()]
+#: horizons and trial counts: small ones, and ones past the caps, refused before anything is built
+HORIZONS = st.integers(-2, 64) | st.integers(MAX_HORIZON + 1, 10 ** 12)
+TRIALS = st.integers(-2, 5) | st.integers(MAX_TRIALS + 1, 10 ** 15)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from(SIZED), HORIZONS, TRIALS)
+def test_sizes_keep_the_exit_code_contract(key, horizon, trials):
+    """Any horizon and trial count beside valid inputs exits with a documented code,
+    exit 2 writes no payload, and a size past its cap exits 2."""
+    sizes = {"--horizon": str(horizon), "--trials": str(trials)}
+    argv = list(key)
+    for flag, (spec, _) in COMMANDS[key].flags.items():
+        if spec.get("action") != "store_true":
             argv += [flag, sizes.get(flag, VALID[flag])]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = dispatch(argv)
     assert code in (0, 2, 3, 4, 10)
     assert code != 2 or out.getvalue() == ""
+    over = (horizon > MAX_HORIZON and "--horizon" in argv
+            or trials > MAX_TRIALS and "--trials" in argv)
+    assert code == 2 or not over
 
 
 CONSTRUCT = ("bs", "construct", "--priors", TestConstructCommands.PRIORS,
@@ -449,6 +471,33 @@ def test_failed_claim_exits_four(capsys, monkeypatch, argv, module, name, fake):
     assert code == 4
     claims = json.loads(out)["certificate"]["claims"]
     assert not all(c["verified"] for c in claims)
+
+
+@pytest.mark.parametrize("argv", [pytest.param(EXTERIORIZE, id="exteriorize"),
+                                  pytest.param(MULTICOLLIDE, id="multicollide")])
+@pytest.mark.parametrize("moved", [False, True], ids=["tail-kept", "tail-moved"])
+def test_the_l1_claim_reads_the_lower_end_only_for_a_kept_tail(capsys, monkeypatch, argv, moved):
+    """With the distance faked to the interval [0, 1], a move that keeps the posterior's
+    tail mass is certified by the lower end, and one that changes it by the upper end;
+    the payload's l1_distance is the certified value."""
+    collide = construct._collide
+
+    def move_tail(*args):
+        result = collide(*args)
+        *head, last = result.distribution.prefix
+        q = TruncatedDistribution((*head, last / 2), result.distribution.tail_mass + last / 2)
+        return construct.CollisionMoveResult(q, *result._values()[1:])
+
+    if moved:
+        monkeypatch.setattr(construct, "_collide", move_tail)
+    monkeypatch.setattr(metrics, "lp_distance",
+                        lambda u, v: metrics.DistanceInterval(Fraction(0), Fraction(1)))
+    code, out = run(capsys, *argv)
+    payload = json.loads(out)
+    [l1] = [c for c in payload["certificate"]["claims"] if c["property"].startswith("l1_distance")]
+    assert l1["verified"] is not moved
+    assert payload["l1_distance"] == ("1" if moved else "0")
+    assert code == (4 if moved else 0)
 
 
 @pytest.mark.parametrize("argv", [
