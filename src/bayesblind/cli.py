@@ -53,9 +53,11 @@ def _number_str(x) -> str:
     return f"{float(x):.12f}"
 
 
-def _certificate(args, claims) -> dict:
-    """Claims (property, bound or value, verified) bound to a digest of the
-    raw arguments the command table certifies, plus the seed if any."""
+def _certified(args, q, claims, **fields) -> dict:
+    """The payload of a certifying command: distribution `q`, its other
+    `fields`, and claims (property, bound or value, verified) bound to a
+    digest of the raw arguments the command table certifies, plus the seed
+    if any."""
     import hashlib  # only the certifying commands pay for it
 
     inputs = {name: args.raw[name] for name in COMMANDS[args.group, args.cmd].certified}
@@ -70,7 +72,7 @@ def _certificate(args, claims) -> dict:
     }
     if "seed" in args.raw:
         cert["seed"] = args.seed
-    return cert
+    return {"distribution": dist_to_json(q), **fields, "certificate": cert}
 
 
 # ---------------------------------------------------------------- handlers
@@ -114,29 +116,24 @@ def _bs_construct(a):
     claims = [(f"prefix_distinct[prior {k}]", a.horizon, v.distinct)
               for k, v in enumerate(verdicts, start=1)]
     claims.append(("mass", "1", exact_sum(q.prefix + (q.tail_mass,)) == 1))
-    payload = {"distribution": dist_to_json(q), "certificate": _certificate(a, claims)}
-    return payload, f"generated blind-spot member at horizon {a.horizon}", EXIT_OK
+    return _certified(a, q, claims), f"generated blind-spot member at horizon {a.horizon}", EXIT_OK
 
 
 def _bs_densify(a):
-    result = construct.densify(a.prior, a.target, a.epsilon)
-    q, bound = result.distribution, 4 * a.epsilon
+    q, bound = construct.densify(a.prior, a.target, a.epsilon).distribution, 4 * a.epsilon
+    l1 = metrics.l1_upper_bound(q, a.target)
     claims = [
-        ("l1_upper < 4*eps", format_rational(bound), metrics.l1_upper_bound(q, a.target) < bound),
+        ("l1_upper < 4*eps", format_rational(bound), l1 < bound),
         (f"prefix_distinct({len(q)})", len(q),
          blindspot.membership_prefix(a.prior, q, len(q)).distinct),
     ]
-    payload = {
-        "distribution": dist_to_json(q),
-        "l1_upper": format_rational(result.l1_upper),
-        "certificate": _certificate(a, claims),
-    }
-    return payload, f"densified within l1 upper bound {_number_str(result.l1_upper)}", EXIT_OK
+    payload = _certified(a, q, claims, l1_upper=format_rational(l1))
+    return payload, f"densified within l1 upper bound {_number_str(l1)}", EXIT_OK
 
 
-def _near_collision(a, result, bound_name, bound, pairs):
+def _near_collision(a, result, bound_name, bound, pairs, **fields):
     """Payload of a move to `pairs` or more ratio collisions within l1 `bound`,
-    and the collision count it certifies."""
+    with its other `fields`, and the collision count and l1 distance it certifies."""
     q = result.distribution
     count = blindspot.collision_count(a.prior, q, len(q))
     t = metrics.lp_distance(q, a.posterior)
@@ -146,27 +143,21 @@ def _near_collision(a, result, bound_name, bound, pairs):
         (f"l1_distance < {bound_name}", format_rational(bound), t < bound),
         (f"collision_count >= {pairs}", count, count >= pairs),
     ]
-    payload = {
-        "distribution": dist_to_json(q),
-        "collision_pairs": [list(pr) for pr in result.pairs],
-        "l1_distance": format_rational(t),
-        "certificate": _certificate(a, claims),
-    }
+    payload = _certified(a, q, claims, collision_pairs=[list(pr) for pr in result.pairs],
+                         l1_distance=format_rational(t), **fields)
     return payload, count, t
 
 
 def _bs_exteriorize(a):
     result = construct.exteriorize(a.prior, a.posterior, a.epsilon)
-    payload, _, l1 = _near_collision(a, result, "2*eps", 2 * a.epsilon, 1)
-    summary = f"collision at pair {result.pairs[0]}, l1 distance {_number_str(l1)}"
-    return {**payload, "branch": result.branch}, summary, EXIT_OK
+    payload, _, l1 = _near_collision(a, result, "2*eps", 2 * a.epsilon, 1, branch=result.branch)
+    return payload, f"collision at pair {result.pairs[0]}, l1 distance {_number_str(l1)}", EXIT_OK
 
 
 def _bs_multicollide(a):
     result = construct.multi_collision_near(a.prior, a.posterior, a.pairs, a.epsilon)
     payload, count, l1 = _near_collision(a, result, "2*pairs*eps", 2 * a.pairs * a.epsilon, a.pairs)
-    summary = f"{count} collisions within l1 distance {_number_str(l1)}"
-    return payload, summary, EXIT_OK
+    return payload, f"{count} collisions within l1 distance {_number_str(l1)}", EXIT_OK
 
 
 def _sampler():

@@ -28,13 +28,14 @@ import threading
 import numpy as np
 
 from .distributions import Distribution, TruncatedDistribution, require_horizon, require_priors
-from .errors import InputError
+from .errors import HorizonInsufficient, InputError
 from .records import Record
 
 NEAR_COLLISION_RTOL = 1e-12
 CHUNK_TRIALS = 4096
 MAX_TRIALS = 1 << 20  # a csv report holds every trial's row: about 150 MB at the cap
 HIGH_WORD = int(sys.byteorder == "little")  # int32 index of a double's sign and exponent
+NORMAL_MIN = 2.0 ** -1022  # below it a prior entry or coordinate is zero or subnormal
 
 
 class StickBase(Record):
@@ -184,12 +185,20 @@ def _mc_chunk(trials, x, residual, u, p_float, collect):
 
 
 def _mc_run(seed, run, n, base, p_float, collect, stop):
-    """One worker's contiguous run of chunks: a result per chunk till ``stop`` is set."""
+    """One worker's contiguous run of chunks: a result per chunk till ``stop`` is set.
+    A chunk with a coordinate below NORMAL_MIN is refused before it is counted."""
     chunks, results = _sticks(seed, run, n, base), []
     try:
         while not stop.is_set() and (chunk := next(chunks, None)):
+            if chunk[1].min() < NORMAL_MIN:
+                lost = int((chunk[1] < NORMAL_MIN).any(axis=0).sum())
+                raise HorizonInsufficient(
+                    f"chunk {chunk[0].start // CHUNK_TRIALS}: {lost} of its trials have a"
+                    f" coordinate below 2^-1022 at horizon {n}; float64 cannot decide their ratios")
             results.append(_mc_chunk(*chunk, p_float, collect))
         return results
+    except HorizonInsufficient:  # earlier runs go on: the first refusal in plan order is raised
+        raise
     except BaseException:  # a failed run ends every other run before its next chunk
         stop.set()
         raise
@@ -203,10 +212,16 @@ def monte_carlo_blindspot_fraction(prior: Distribution, trials: int, n: int,
     (McReport, witness, residuals): ``witness`` maps each trial index with an
     exact float collision to its first colliding pair (i, j), 1-based, so a
     trial is in the blind spot exactly when it is not a key; ``residuals``
-    lists each trial's residual mass in trial order."""
+    lists each trial's residual mass in trial order.  Where float64 cannot decide,
+    it raises HorizonInsufficient: before any draw if a float prior entry is below
+    NORMAL_MIN, else at the first chunk in plan order with a coordinate below it.
+    Every counted ratio then lies in [2^-1022, 2^1022]: none is zero, subnormal or inf."""
     from concurrent.futures import ThreadPoolExecutor
     plan = _chunks(seed, trials)
     p_float = np.array([x / y for x, y in require_priors(n, prior, generated=True)[0]])
+    if p_float.min() < NORMAL_MIN:
+        raise HorizonInsufficient(f"prior entry {int(np.argmax(p_float < NORMAL_MIN)) + 1} is below"
+                                  f" 2^-1022 in float64; horizon {n} is past what it can decide")
     workers = max(1, min(workers, len(plan), os.cpu_count() or 1))  # more would idle or contend
     runs = [plan[w * len(plan) // workers:(w + 1) * len(plan) // workers] for w in range(workers)]
     args = (n, base, p_float, collect_trials, stop := threading.Event())

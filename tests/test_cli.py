@@ -473,6 +473,16 @@ def test_failed_claim_exits_four(capsys, monkeypatch, argv, module, name, fake):
     assert not all(c["verified"] for c in claims)
 
 
+def test_densify_prints_the_certified_bound(capsys, monkeypatch):
+    """The l1 bound that densify's claim certifies is the one its payload and
+    summary print, not the construction's own ``l1_upper``."""
+    monkeypatch.setattr(metrics, "l1_upper_bound", lambda u, v: Fraction(1, 10**9))
+    code, captured = dispatch(list(DENSIFY)), capsys.readouterr()
+    assert code == 0
+    assert json.loads(captured.out)["l1_upper"] == "1/1000000000"
+    assert captured.err == "densified within l1 upper bound 1/1000000000\n"
+
+
 @pytest.mark.parametrize("argv", [pytest.param(EXTERIORIZE, id="exteriorize"),
                                   pytest.param(MULTICOLLIDE, id="multicollide")])
 @pytest.mark.parametrize("moved", [False, True], ids=["tail-kept", "tail-moved"])
@@ -737,18 +747,44 @@ sys.exit("multiprocessing was loaded" if "multiprocessing" in sys.modules else c
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_montecarlo_stderr_is_the_summary_alone(workers):
-    """Underflowed ratios warn in no worker: the summary is all of stderr.  The
-    run has two chunks, so two workers run one each, and starts no process."""
+    """No worker warns: the summary is all of stderr.  The run has two chunks,
+    so two workers run one each, and starts no process."""
     src = Path(bayesblind.__file__).parents[1]
     trials = str(sampler.CHUNK_TRIALS + 1)
-    argv = ["bs", "montecarlo", "--prior", '{"kind":"geometric","ratio":"1/1000"}',
-            "--trials", trials, "--horizon", "120", "--seed", "1", "--workers", workers]
+    argv = ["bs", "montecarlo", "--prior", '{"kind":"geometric","ratio":"1/2"}',
+            "--trials", trials, "--horizon", "400", "--seed", "1", "--workers", workers]
     proc = subprocess.run([sys.executable, "-c", MAIN_WITHOUT_PROCESSES, *argv],
                           env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["report"]["in_blindspot"] == 0
-    assert proc.stderr == f"monte carlo: 0/{trials} in blind spot\n"
+    assert json.loads(proc.stdout)["report"]["in_blindspot"] == int(trials)
+    assert proc.stderr == f"monte carlo: {trials}/{trials} in blind spot\n"
+
+
+UNDERFLOW = "float64 cannot decide their ratios"
+
+
+@pytest.mark.parametrize("prior, trials, horizon, error", [
+    pytest.param("1/1000", 50, 120, "prior entry 104 is below 2^-1022 in float64;"
+                 " horizon 120 is past what it can decide", id="geo-1/1000-n120"),
+    pytest.param("999/1000", 2000, 1500, "chunk 0: 2000 of its trials have a coordinate below"
+                 f" 2^-1022 at horizon 1500; {UNDERFLOW}", id="geo-999/1000-n1500"),
+    pytest.param("1/2", 200, 700, "chunk 0: 63 of its trials have a coordinate below"
+                 f" 2^-1022 at horizon 700; {UNDERFLOW}", id="geo-1/2-n700"),
+    pytest.param("1/2", sampler.CHUNK_TRIALS + 1, 700, "chunk 0: 1524 of its trials have a"
+                 f" coordinate below 2^-1022 at horizon 700; {UNDERFLOW}", id="geo-1/2-n700-x2"),
+])
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_montecarlo_refuses_what_float64_cannot_decide(capsys, prior, trials, horizon, error,
+                                                       workers):
+    """A zero or subnormal float prior entry or coordinate exits 3 with nothing on
+    stdout, and the same error for every worker count, instead of counting
+    float artefacts as collisions."""
+    code = dispatch(["bs", "montecarlo", "--prior", f'{{"kind":"geometric","ratio":"{prior}"}}',
+                     "--trials", str(trials), "--horizon", str(horizon), "--seed", "1",
+                     "--workers", workers])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (3, "", f"error: {error}\n")
 
 
 def test_package_resolves_sampler_names_on_use():

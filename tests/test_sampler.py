@@ -26,12 +26,19 @@ from bayesblind.sampler import (
     _unit_draws,
 )
 from bayesblind.distributions import MAX_HORIZON, FiniteDistribution, TruncatedDistribution
-from bayesblind.errors import InputError
+from bayesblind.errors import HorizonInsufficient, InputError
 
 import reference
 
 F = Fraction
 GEO_HALF = geometric(F(1, 2))
+
+
+def lift_refusal(monkeypatch):
+    """Let priors and chunks that float64 cannot decide through to ``_mc_chunk``,
+    which still counts every row it is given, zero, subnormal, inf and NaN ratios
+    included: the kernel is checked on them while the public function refuses them."""
+    monkeypatch.setattr(sampler, "NORMAL_MIN", 0.0)
 
 
 class TestStickBase:
@@ -121,10 +128,14 @@ class TestMonteCarlo:
         report = monte_carlo_blindspot_fraction(GEO_HALF, 2000, 64, seed=11)
         assert 0.0 <= report.mean_residual_mass < 1e-6
 
-    def test_record_pairs_match_pairwise_scan(self):
+    def test_record_pairs_match_pairwise_scan(self, monkeypatch):
         # at horizon 800 late stick coordinates underflow to 0.0, so float
-        # ratios repeat exactly and the witness map carries pairs to check
+        # ratios repeat exactly and, with the refusal lifted, the witness map
+        # carries pairs to check
         n = 800
+        with pytest.raises(HorizonInsufficient, match="chunk 0: 20 of its trials"):
+            monte_carlo_blindspot_fraction(GEO_HALF, 20, n, seed=4)
+        lift_refusal(monkeypatch)
         _, witness, _ = monte_carlo_blindspot_fraction(GEO_HALF, 20, n, seed=4,
                                                        collect_trials=True)
         x, _ = stick_breaking_matrix(4, 20, n)
@@ -329,15 +340,21 @@ KERNEL_CASES = [  # (prior, horizon, trials): multi-chunk runs end in a partial 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and nan ratios of underflow
 @pytest.mark.parametrize("prior, n, trials", KERNEL_CASES)
 @pytest.mark.parametrize("base", KERNEL_BASES)
-def test_kernel_matches_reference_bytes(base, prior, n, trials):
+def test_kernel_matches_reference_bytes(monkeypatch, base, prior, n, trials):
+    """Cases whose float prior entries or coordinates leave the normal range are
+    refused; with the refusal lifted, the kernel counts them as the reference does."""
     seed = 6
     expected = reference.monte_carlo(prior, trials, n, base, seed)
+    ref_x, ref_residual = reference.stick_matrix(seed, trials, n, base)
+    if min(*(float(v) for v in reference.positive_prefix(prior, n)), ref_x.min()) < 2.0 ** -1022:
+        with pytest.raises(HorizonInsufficient):
+            monte_carlo_blindspot_fraction(prior, trials, n, base=base, seed=seed)
+        lift_refusal(monkeypatch)
     for workers in (1, 2) if trials > CHUNK_TRIALS else (1,):
         assert monte_carlo_blindspot_fraction(
             prior, trials, n, base=base, seed=seed, workers=workers, collect_trials=True
         ) == expected
     x, residual = stick_breaking_matrix(seed, trials, n, base)
-    ref_x, ref_residual = reference.stick_matrix(seed, trials, n, base)
     assert x.shape == (trials, n) and x.flags.c_contiguous
     assert x.tobytes() == ref_x.tobytes() and residual.tobytes() == ref_residual.tobytes()
     if n >= 2:
@@ -348,16 +365,20 @@ def test_kernel_matches_reference_bytes(base, prior, n, trials):
 
 
 @pytest.mark.parametrize("base", [UNIFORM, StickBase("beta", 0.5, 2.0)], ids=["uniform", "beta"])
-def test_underflowed_prior_raises_no_numpy_warning(base):
+def test_underflowed_prior_raises_no_numpy_warning(monkeypatch, base):
     """geometric(1/1000) entries underflow to 0.0 or a subnormal by index 120:
-    the inf and nan ratios, and under the beta base the quotients that overflow
-    to inf, are counted by the compare, not reported as RuntimeWarnings."""
+    the run is refused, and with the refusal lifted the inf and nan ratios, and
+    under the beta base the quotients that overflow to inf, are counted by the
+    compare, not reported as RuntimeWarnings."""
     prior = geometric(F(1, 1000))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the reference still warns
         expected = reference.monte_carlo(prior, 50, 120, base, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        with pytest.raises(HorizonInsufficient, match="prior entry 104 is below 2"):
+            monte_carlo_blindspot_fraction(prior, 50, 120, base, seed=1)
+        lift_refusal(monkeypatch)
         got = monte_carlo_blindspot_fraction(prior, 50, 120, base, seed=1, collect_trials=True)
     assert got == expected
 
@@ -493,10 +514,11 @@ def test_chunk_witness_is_the_least_pair_of_equal_ratios():
     assert residuals == [0.0] * m and exact == 4
 
 
-def test_finite_ratio_beside_inf_is_not_near():
-    """geometric(1/1000) entries underflow to 0.0 by index 120, so every trial
-    holds inf ratios: the 50 exact collisions stand (ROADMAP item 4), the 50
-    near ones that inf - a <= 1e-12·inf made are gone."""
+def test_finite_ratio_beside_inf_is_not_near(monkeypatch):
+    """geometric(1/1000) entries underflow to 0.0 by index 120, so with the
+    refusal lifted every trial holds inf ratios: the kernel counts 50 exact
+    collisions, and not the 50 near ones that inf - a <= 1e-12·inf would make."""
+    lift_refusal(monkeypatch)
     report = monte_carlo_blindspot_fraction(geometric(F(1, 1000)), 50, 120, seed=1)
     assert (report.exact_float_collisions, report.near_collisions) == (50, 0)
 
@@ -530,7 +552,7 @@ def test_beta_draw_of_one_is_redrawn():
     assert u.tolist() == [[0.5, 0.125], [0.75, 0.25]]
 
 
-@pytest.mark.parametrize("n", [50, 800])
+@pytest.mark.parametrize("n", [50, 400])  # at 400 no coordinate of chunk 0 underflows
 def test_workspace_is_two_chunk_buffers(monkeypatch, n):
     """README: one 4096-trial call holds 2 × 4096 × n × 8 bytes of workspace,
     the draw and coordinate buffers, live at the first chunk."""
@@ -553,3 +575,44 @@ def test_workspace_is_two_chunk_buffers(monkeypatch, n):
     finally:
         tracemalloc.stop()
     assert live == [2 * CHUNK_TRIALS * n * 8]
+
+
+def test_underflowed_prior_is_refused_before_any_draw(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("a chunk was drawn")
+
+    monkeypatch.setattr(sampler, "_sticks", no_draws)
+    with pytest.raises(HorizonInsufficient, match="prior entry 104 is below 2"):
+        monte_carlo_blindspot_fraction(geometric(F(1, 1000)), 50, 120, seed=1)
+
+
+@pytest.mark.parametrize("planted, reached", [
+    ({1: 3, 2: 5}, [0]),  # two workers: both runs are refused, the caller's first
+    ({2: 5, 3: 1}, [0, 1]),  # two workers: the thread's run is refused, the caller's ends
+    ({3: 1}, [0, 1, 2]),
+])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_first_refused_chunk_in_plan_order_is_reported(monkeypatch, workers, planted, reached):
+    """Chunk c gets planted[c] trials with a zero coordinate.  For any worker count
+    the error names the first such chunk in plan order and its lost trials, and no
+    refused chunk reaches ``_mc_chunk``; a refused run stops there."""
+    sticks, chunk, counted = sampler._sticks, sampler._mc_chunk, []
+
+    def planted_sticks(*args):
+        for rows, x, residual, u in sticks(*args):
+            x[-1, :planted.get(rows.start // CHUNK_TRIALS, 0)] = 0.0
+            yield rows, x, residual, u
+
+    def counted_chunk(trials, *args):
+        counted.append(trials.start // CHUNK_TRIALS)
+        return chunk(trials, *args)
+
+    monkeypatch.setattr(sampler, "_sticks", planted_sticks)
+    monkeypatch.setattr(sampler, "_mc_chunk", counted_chunk)
+    monkeypatch.setattr(sampler.os, "cpu_count", lambda: 2)
+    first = min(planted)
+    with pytest.raises(HorizonInsufficient) as refused:
+        monte_carlo_blindspot_fraction(GEO_HALF, 4 * CHUNK_TRIALS, 8, seed=3, workers=workers)
+    assert str(refused.value) == (f"chunk {first}: {planted[first]} of its trials have a coordinate"
+                                  " below 2^-1022 at horizon 8; float64 cannot decide their ratios")
+    assert sorted(counted) == reached  # two workers run chunks [0, 1] and [2, 3]

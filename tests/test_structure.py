@@ -233,3 +233,27 @@ def test_no_claim_is_verified_by_a_construction_result():
     assert [ast.unparse(check) for check in checks
             if any(isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "result"
                    for node in ast.walk(check))] == []
+
+
+def certificate_builders() -> list:
+    """The function of cli.py around every dict display, ``dict(...)`` call or
+    subscript store that writes a ``"certificate"`` key."""
+    sites = []
+
+    def writes(node) -> bool:
+        if isinstance(node, ast.Dict):
+            return any(isinstance(k, ast.Constant) and k.value == "certificate" for k in node.keys)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dict":
+            return any(kw.arg == "certificate" for kw in node.keywords)
+        return isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store) and \
+            isinstance(node.slice, ast.Constant) and node.slice.value == "certificate"
+
+    for fn in ast.walk(ast.parse((SRC / "cli.py").read_text())):
+        if isinstance(fn, ast.FunctionDef):
+            sites += [fn.name for node in ast.walk(fn) if writes(node)]
+    return sites
+
+
+def test_only_certified_builds_a_certified_payload():
+    """Every certifying command's payload comes whole from ``cli._certified``."""
+    assert certificate_builders() == ["_certified"]
